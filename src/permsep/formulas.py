@@ -5,10 +5,19 @@ permutation of fixed cycle type, A an ordered tuple of disjoint blocks, such
 that the product of pi with the canonical full cycle leaves every block in
 its own set of cycles.  Expanded over monomial symmetric functions and the
 binomial basis C(t, r), the series has explicit integer coefficients that
-depend on the block sizes only through their sum m and count k; extracting a
-power-sum coefficient at t = 1 - k yields the count of separated pairs for
-any one cycle type, and dividing by (number of block tuples) * (class size)
-turns counts into probabilities.
+depend on the block sizes only through their sum m and count k, and on the
+monomial index only through its number of parts.  The count of separated
+pairs for one cycle type lam is the power-sum coefficient of p_lam in the
+series at t = 1 - k.  Because the monomial coefficients depend only on
+lengths, that coefficient follows from the length generating function
+sum_mu u^len(mu) m_mu = exp(sum_j p_j (1 - (1-u)^j) / j) without any
+change of basis: it costs a polynomial product over the parts of lam, and
+no p(n) x p(n) matrix is built.  Dividing by (number of block tuples) *
+(class size) turns counts into probabilities.
+
+The transition matrices of `permsep.symfunc` are verification-only: the
+test suite and the verification suites extract the same coefficients
+through them at small n as an independent check.
 
 Everything downstream - the p-cycle and two-full-cycle closed forms, the
 fixed-point-free involution series, the fixed-point lifting relation and the
@@ -31,6 +40,7 @@ from .partitions import (
     as_composition,
     as_partition,
     binomial,
+    centralizer_order,
     compositions,
     conjugacy_class_size,
     multinomial,
@@ -39,7 +49,7 @@ from .partitions import (
     stirling_first_unsigned,
 )
 from .polynomials import BinomialPolynomial, Poly, poly_add, poly_scale
-from .symfunc import SymFuncVector, power_sum_coefficient
+from .symfunc import SymFuncVector
 
 # ---------------------------------------------------------------------------
 # Colored factorization counts
@@ -149,6 +159,23 @@ class GenSeriesTable:
         return SymFuncVector(self.n, "m", coeffs)
 
 
+def gen_series_entry(n: int, m: int, k: int, length: int, r: int) -> int:
+    """Coefficient of m_lam * C(t, r) in the shifted series, for any lam of n
+    with ``length`` parts:
+    C(n+k-1, n-m-r) * n (n - length)! (n-k-r)! / (n-k-r-length+1)!,
+    and 0 when that factorial argument is negative."""
+    slack = n - k - r - length + 1
+    if slack < 0:
+        return 0
+    return (
+        binomial(n + k - 1, n - m - r)
+        * n
+        * math.factorial(n - length)
+        * math.factorial(n - k - r)
+        // math.factorial(slack)
+    )
+
+
 @lru_cache(maxsize=None)
 def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
     """The explicit coefficient table for given degree and block profile (m, k)."""
@@ -160,44 +187,60 @@ def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
         raise ValueError("k = 0 only makes sense with m = 0")
     entries: dict[tuple[Partition, int], int] = {}
     for r in range(n - m + 1):
-        marked = binomial(n + k - 1, n - m - r)
-        if marked == 0:
-            continue
+        by_length = [gen_series_entry(n, m, k, length, r) for length in range(n + 1)]
         for lam in partitions(n):
-            length = len(lam)
-            slack = n - k - r - length + 1
-            if slack < 0:
-                continue
-            value = (
-                marked
-                * n
-                * math.factorial(n - length)
-                * math.factorial(n - k - r)
-                // math.factorial(slack)
-            )
-            if value:
-                entries[(lam, r)] = value
+            if by_length[len(lam)]:
+                entries[(lam, r)] = by_length[len(lam)]
     return GenSeriesTable(n=n, m=m, k=k, entries=entries)
 
 
 @lru_cache(maxsize=None)
-def _separated_counts_by_type(n: int, m: int, k: int) -> dict[Partition, int]:
-    """Counts of separated pairs for every cycle type at once.
+def _length_weights(n: int, m: int, k: int) -> tuple[int, ...]:
+    """F(l) = sum_r C(1-k, r) * gen_series_entry(n, m, k, l, r) for l = 0 .. n:
+    the monomial coefficient at t = 1 - k of any partition with l parts."""
+    return tuple(
+        sum(
+            binomial(1 - k, r) * gen_series_entry(n, m, k, length, r)
+            for r in range(n - m + 1)
+        )
+        for length in range(n + 1)
+    )
 
-    Evaluates the series table at t = 1 - k and converts to the power-sum
-    basis; the coefficient at each partition is the pair count for that type.
+
+def _length_profile(lam: Partition) -> tuple[int, ...]:
+    """Coefficients in t of prod_i (1 - (1-t)^lam_i), lowest degree first.
+
+    Divided by the centralizer order z_lam, the t^l coefficient is the
+    power-sum coefficient of p_lam in the sum of all m_mu with l parts: the
+    series sum_mu t^len(mu) m_mu equals exp(sum_j p_j (1 - (1-t)^j) / j)
+    (Macdonald, Symmetric Functions, I.2).
     """
-    table = gen_series_table(n, m, k)
-    vec = table.monomial_vector_at(1 - k)
-    result: dict[Partition, int] = {}
-    for lam in partitions(n):
-        value = power_sum_coefficient(vec, lam)
-        if value.denominator != 1 or value < 0:
-            raise InvariantError(
-                f"separated pair count for {lam} not a nonnegative integer: {value}"
-            )
-        result[lam] = int(value)
-    return result
+    profile = [1]
+    for part in lam:
+        factor = [0] + [(-1) ** (j + 1) * binomial(part, j) for j in range(1, part + 1)]
+        product = [0] * (len(profile) + part)
+        for i, a in enumerate(profile):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        profile = product
+    return tuple(profile)
+
+
+@lru_cache(maxsize=None)
+def _separated_count(lam: Partition, m: int, k: int) -> int:
+    """Separated pairs for one cycle type: the p_lam coefficient of the series
+    at t = 1 - k, whose monomial coefficients depend on lam only through its
+    number of parts, so count = z_lam^-1 * sum_l F(l) [t^l] prod_i (1 - (1-t)^lam_i)."""
+    weights = _length_weights(sum(lam), m, k)
+    value = Fraction(
+        sum(w * c for w, c in zip(weights, _length_profile(lam))),
+        centralizer_order(lam),
+    )
+    if value.denominator != 1 or value < 0:
+        raise InvariantError(
+            f"separated pair count for {lam} not a nonnegative integer: {value}"
+        )
+    return int(value)
 
 
 def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
@@ -211,7 +254,7 @@ def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     n, m, k = sum(lam), sum(alpha), len(alpha)
     if m > n:
         return 0
-    return _separated_counts_by_type(n, m, k)[lam]
+    return _separated_count(lam, m, k)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +318,7 @@ def separation_probability_p_cycles(n: int, p: int, alpha: Iterable[int]) -> Sep
     """Separation probability when the left factor is uniform over permutations
     of {0, ..., n-1} with exactly p cycles."""
     alpha = as_composition(alpha, allow_empty=False)
-    if len(alpha) == 1:
-        count = binomial(n, sum(alpha)) * stirling_first_unsigned(n, p)
-        return SepResult(count=count, probability=Fraction(1), method="p-cycles-closed-form")
-    count = separated_count_p_cycles(n, p, alpha)
+    count = separated_count_p_cycles(n, p, alpha)  # validates p and sum(alpha)
     prob = Fraction(count, _pair_space(n, alpha, stirling_first_unsigned(n, p)))
     return SepResult(count=count, probability=prob, method="p-cycles-closed-form")
 

@@ -70,13 +70,18 @@ def poly_shift(coeffs: Iterable[Fraction], delta: Fraction | int) -> Poly:
 
 @lru_cache(maxsize=None)
 def binomial_basis_poly(r: int) -> Poly:
-    """Monomial coefficients of C(t, r) = t(t-1)...(t-r+1)/r!."""
+    """Monomial coefficients of C(t, r) = t(t-1)...(t-r+1)/r!.
+
+    The falling factorial is expanded in integers and divided by r! once.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    out: Poly = (Fraction(1),)
+    falling = [1]
     for i in range(r):
-        out = poly_mul(out, (Fraction(-i), Fraction(1)))
-    return poly_scale(out, Fraction(1, math.factorial(r)))
+        # (t - i) * P: the t^j coefficient is P[j-1] - i * P[j]
+        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
+    scale = math.factorial(r)
+    return tuple(Fraction(c, scale) for c in falling)
 
 
 @dataclass(frozen=True)

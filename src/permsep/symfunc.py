@@ -8,16 +8,16 @@ into monomials gives an integer matrix that is lower triangular in the
 reverse-lexicographic partition order (a linear extension of dominance), and
 its inverse is obtained by exact forward substitution over Fractions.
 
-Matrices are cached in memory per degree, and optionally on disk: set the
-``PERMSEP_CACHE_DIR`` environment variable (or pass ``cache_dir``) to persist
-them in a versioned text format.  A corrupted or stale cache file is ignored
-and rewritten.
+Matrices are cached in memory per degree.  Their cost grows with p(n)^2,
+so no query path builds them: `permsep.formulas` counts separated pairs
+from a closed form in the number of parts.  They are kept for verification
+only, as the independent route behind criteria 6 and 10 and the small-n
+checks in the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -31,10 +31,6 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-
-CACHE_ENV_VAR = "PERMSEP_CACHE_DIR"
-_CACHE_FORMAT = "permsep-transition-matrices v1"
-
 
 @dataclass(frozen=True)
 class SymFuncVector:
@@ -136,20 +132,12 @@ def _invert_lower_triangular(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[F
 _matrix_cache: dict[int, TransitionMatrices] = {}
 
 
-def transition_matrices(n: int, cache_dir: str | None = None) -> TransitionMatrices:
-    """The exact transition-matrix pair for degree ``n`` (cached)."""
+def transition_matrices(n: int) -> TransitionMatrices:
+    """The exact transition-matrix pair for degree ``n`` (cached in memory)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n in _matrix_cache:
         return _matrix_cache[n]
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        cached = _load_disk_cache(cache_dir, n)
-        if cached is not None:
-            _matrix_cache[n] = cached
-            return cached
-
     index = tuple(partitions(n))
     position = {lam: i for i, lam in enumerate(index)}
     raw = []
@@ -170,8 +158,6 @@ def transition_matrices(n: int, cache_dir: str | None = None) -> TransitionMatri
         monomial_to_power=_invert_lower_triangular(rows),
     )
     _matrix_cache[n] = result
-    if cache_dir:
-        _save_disk_cache(cache_dir, result)
     return result
 
 
@@ -283,71 +269,3 @@ def cycle_count_power_coefficient(n: int, cycle_count: int, length: int) -> Frac
             f"l={length}: {computed} vs {closed}"
         )
     return computed
-
-
-def _cache_path(cache_dir: str, n: int) -> str:
-    return os.path.join(cache_dir, f"transition_v1_degree{n}.txt")
-
-
-def _fmt_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam)
-
-
-def _save_disk_cache(cache_dir: str, tm: TransitionMatrices) -> None:
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        lines = [f"{_CACHE_FORMAT} degree={tm.degree} partitions={len(tm.index)}"]
-        for i, lam in enumerate(tm.index):
-            for j, mu in enumerate(tm.index):
-                if tm.power_to_monomial[i][j]:
-                    lines.append(
-                        f"P {_fmt_partition(lam)} {_fmt_partition(mu)} "
-                        f"{tm.power_to_monomial[i][j]}"
-                    )
-                if tm.monomial_to_power[i][j]:
-                    lines.append(
-                        f"M {_fmt_partition(lam)} {_fmt_partition(mu)} "
-                        f"{tm.monomial_to_power[i][j]}"
-                    )
-        with open(_cache_path(cache_dir, tm.degree), "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError:
-        pass  # cache is best-effort only
-
-
-def _load_disk_cache(cache_dir: str, n: int) -> TransitionMatrices | None:
-    path = _cache_path(cache_dir, n)
-    try:
-        with open(path) as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except OSError:
-        return None
-    index = tuple(partitions(n))
-    position = {lam: i for i, lam in enumerate(index)}
-    try:
-        header, count = lines[0].rsplit(" ", 1)
-        if header != f"{_CACHE_FORMAT} degree={n}" or int(count.split("=")[1]) != len(index):
-            return None
-        p2m = [[0] * len(index) for _ in index]
-        m2p = [[Fraction(0)] * len(index) for _ in index]
-        for line in lines[1:]:
-            tag, lam_s, mu_s, value = line.split(" ")
-            i = position[tuple(int(x) for x in lam_s.split(","))]
-            j = position[tuple(int(x) for x in mu_s.split(","))]
-            if tag == "P":
-                p2m[i][j] = int(value)
-            elif tag == "M":
-                m2p[i][j] = Fraction(value)
-            else:
-                return None
-        for i in range(len(index)):
-            if p2m[i][i] == 0 or m2p[i][i] == 0:
-                return None
-        return TransitionMatrices(
-            degree=n,
-            index=index,
-            power_to_monomial=tuple(tuple(row) for row in p2m),
-            monomial_to_power=tuple(tuple(row) for row in m2p),
-        )
-    except (ValueError, KeyError, IndexError):
-        return None

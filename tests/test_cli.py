@@ -143,6 +143,8 @@ def test_invalid_arguments_exit_2():
     assert code == EXIT_USAGE
     code, _ = run_cli("gtable", "--n", "3", "--m", "4", "--k", "1")
     assert code == EXIT_USAGE
+    code, text = run_cli("pcycles", "--n", "3", "--p", "0", "--alpha", "5")
+    assert code == EXIT_USAGE and text == ""
 
 
 def test_budget_exceeded_exit_3():

@@ -1,0 +1,33 @@
+"""Golden CLI corpus: formula queries at n = 10-14 must print exactly the
+recorded stdout.
+
+``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases
+recorded when every weak count still came from the full power-sum/monomial
+transition matrix.  Any change in a digit, a key order or a warning fails
+the comparison.
+"""
+
+import io
+import json
+import pathlib
+
+import pytest
+
+from permsep.cli import EXIT_OK, main
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+CASES = json.loads(CORPUS.read_text())
+
+
+def _run(argv):
+    out = io.StringIO()
+    code = main(list(argv), stdout=out)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_matches_corpus(case):
+    code, text = _run(case["argv"])
+    assert code == EXIT_OK
+    assert text == case["stdout"]
+

@@ -11,6 +11,7 @@ from permsep.partitions import (
     partitions,
     stirling_first_unsigned,
 )
+from permsep.symfunc import power_sum_coefficient
 
 
 def test_colored_factorization_count_examples():
@@ -82,6 +83,46 @@ def test_separated_pair_count_depends_only_on_m_and_k():
         )
 
 
+def _profile(m, k):
+    """A block-size tuple with total m and k blocks."""
+    return (m - k + 1,) + (1,) * (k - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_separated_pair_count_matches_matrix_route(n):
+    # power-sum extraction through the full transition matrix, an independent
+    # route to the same counts
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            vec = fm.gen_series_table(n, m, k).monomial_vector_at(1 - k)
+            for lam in partitions(n):
+                assert fm.separated_pair_count(lam, _profile(m, k)) == power_sum_coefficient(
+                    vec, lam
+                ), (lam, m, k)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_full_cycle_count_matches_two_cycle_closed_form(n):
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            alpha = _profile(m, k)
+            expected = fm.separation_probability_two_cycles(n, alpha)
+            result = fm.separation_probability((n,), alpha)
+            assert result.count == expected.count, (m, k)
+            assert result.probability == expected.probability
+
+
+def test_p_cycle_sums_over_types_at_degree_twenty():
+    n = 20
+    by_length: dict[int, list] = {}
+    for lam in partitions(n):
+        by_length.setdefault(len(lam), []).append(lam)
+    for alpha in [(1, 1), (3, 2), (5, 1, 1, 1), (4, 4, 4, 4, 4), (2,) * 6, (20,)]:
+        for p in range(1, n + 1):
+            direct = sum(fm.separated_pair_count(lam, alpha) for lam in by_length[p])
+            assert fm.separated_count_p_cycles(n, p, alpha) == direct, (alpha, p)
+
+
 def test_separation_probability_examples():
     assert fm.separation_probability((3,), (1, 1)).probability == Fraction(1, 2)
     assert fm.separation_probability((2, 2), (1, 1)).probability == Fraction(5, 9)
@@ -96,6 +137,15 @@ def test_p_cycles_examples():
     res = fm.separation_probability_p_cycles(5, 3, (2,))
     assert res.probability == 1  # single block
     assert res.count == binomial(5, 2) * stirling_first_unsigned(5, 3)
+
+
+@pytest.mark.parametrize(
+    "n, p, alpha", [(3, 0, (5,)), (3, 4, (1,)), (3, 1, (4,)), (3, 0, (1, 1)), (3, 2, (2, 2))]
+)
+def test_p_cycles_rejects_invalid_input(n, p, alpha):
+    # a single block must not bypass the checks on p and the total block size
+    with pytest.raises(ValueError):
+        fm.separation_probability_p_cycles(n, p, alpha)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -15,7 +15,6 @@ from permsep.symfunc import (
     to_monomial_basis,
     to_power_sum_basis,
     transition_matrices,
-    _load_disk_cache,
 )
 
 
@@ -134,30 +133,3 @@ def test_vector_validation():
     # explicit zeros are dropped
     vec = SymFuncVector(2, "m", {(2,): Fraction(0), (1, 1): Fraction(3)})
     assert vec.coeffs == {(1, 1): Fraction(3)}
-
-
-def test_disk_cache_round_trip(tmp_path):
-    cache_dir = str(tmp_path)
-    fresh = transition_matrices(4)
-    # write through the public entry point, then force a cold read
-    from permsep import symfunc
-
-    symfunc._save_disk_cache(cache_dir, fresh)
-    loaded = _load_disk_cache(cache_dir, 4)
-    assert loaded is not None
-    assert loaded.power_to_monomial == fresh.power_to_monomial
-    assert loaded.monomial_to_power == fresh.monomial_to_power
-
-
-def test_disk_cache_rejects_corruption(tmp_path):
-    cache_dir = str(tmp_path)
-    from permsep import symfunc
-
-    symfunc._save_disk_cache(cache_dir, transition_matrices(3))
-    path = symfunc._cache_path(cache_dir, 3)
-    with open(path, "a") as handle:
-        handle.write("Q garbage line\n")
-    assert _load_disk_cache(cache_dir, 3) is None
-    with open(path, "w") as handle:
-        handle.write("not even a header\n")
-    assert _load_disk_cache(cache_dir, 3) is None
