@@ -3,9 +3,14 @@
 Each oracle enumerates permutations exhaustively and counts auxiliary
 structures (block tuples, cycle colorings) by direct combinatorics on the
 actual cycles of each product - no generating functions, no transition
-matrices, nothing shared with the closed-form code paths.  The ``*_literal``
-variants go further and enumerate even the auxiliary structures one by one;
-they exist to validate the counting layer at tiny sizes.
+matrices, nothing shared with the closed-form code paths.  Classes are
+enumerated as raw image tuples (`perms.class_images`) and the cycle type of
+each product with the full cycle is read straight off the tuple; connection
+coefficients tally the full cycles once per representative.  Separated block
+tuples are counted per cycle type by a block-first dynamic program over the
+untouched cycles.  The ``*_literal`` variants go further and enumerate even
+the auxiliary structures one by one, as `Permutation` objects; they exist to
+validate the counting layer at tiny sizes.
 
 Budgets are explicit: an oracle either finishes exactly or raises
 BudgetExceededError.  Enumeration can be chunked over worker threads; counts
@@ -15,11 +20,12 @@ are combined by addition, so results are identical for any thread count.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError
 from .partitions import (
@@ -32,6 +38,7 @@ from .partitions import (
 )
 from .perms import (
     Permutation,
+    class_images,
     fixed_point_free_involutions,
     permutations_of_type,
 )
@@ -77,20 +84,18 @@ class _BudgetTracker:
 
     def tick(self, items: int = 1) -> None:
         self.count += items
+        elapsed = time.monotonic() - self.start
+        used = f"enumerated {self.count} objects in {elapsed:.3f} s"
         if (
             self.budget.max_objects is not None
             and self.count > self.budget.max_objects
         ):
             raise BudgetExceededError(
-                f"enumerated {self.count} objects, budget max_objects="
-                f"{self.budget.max_objects}"
+                f"{used}, budget max_objects={self.budget.max_objects}"
             )
-        if (
-            self.budget.max_seconds is not None
-            and time.monotonic() - self.start > self.budget.max_seconds
-        ):
+        if self.budget.max_seconds is not None and elapsed > self.budget.max_seconds:
             raise BudgetExceededError(
-                f"enumeration exceeded {self.budget.max_seconds} seconds"
+                f"{used}, budget max_seconds={self.budget.max_seconds}"
             )
 
 
@@ -108,6 +113,33 @@ def _product(perm: Permutation, convention: str) -> Permutation:
     if convention == PI_FIRST:
         return omega * perm
     raise ValueError(f"unknown convention {convention!r}")
+
+
+def _cycle_type(images: Sequence[int]) -> Partition:
+    """Cycle type of the permutation with the given image sequence."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def _product_type(images: tuple[int, ...], convention: str) -> Partition:
+    """Cycle type of pi * omega (omega-first) or omega * pi (pi-first), from
+    the image tuple of pi: omega shifts every point up by one, modulo n."""
+    if convention == OMEGA_FIRST:
+        return _cycle_type(images[1:] + images[:1])
+    n = len(images)
+    return _cycle_type([(y + 1) % n for y in images])
 
 
 def _chunked_counter(
@@ -134,6 +166,8 @@ def _chunked_counter(
             local[key] = local.get(key, 0) + 1
         return local
 
+    from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay the import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for local in pool.map(tally_piece, pieces):
             for key, value in local.items():
@@ -146,9 +180,13 @@ def product_type_histogram(
     lam: Partition, convention: str = OMEGA_FIRST, threads: int = 1
 ) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``."""
-    members = list(permutations_of_type(lam))
+    if convention not in (OMEGA_FIRST, PI_FIRST):
+        raise ValueError(f"unknown convention {convention!r}")
+    if sum(lam) < 1:
+        raise ValueError("full cycle needs n >= 1")
+    members = list(class_images(lam))
     tally = _chunked_counter(
-        members, lambda p: _product(p, convention).cycle_type(), threads
+        members, lambda images: _product_type(images, convention), threads
     )
     return tuple(sorted(tally.items()))
 
@@ -158,9 +196,11 @@ def involution_type_histogram(
     pairs: int, threads: int = 1
 ) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type tally of the product over all fixed-point-free involutions."""
-    members = list(fixed_point_free_involutions(pairs))
+    if pairs < 1:
+        raise ValueError("full cycle needs n >= 1")
+    members = list(class_images((2,) * pairs))
     tally = _chunked_counter(
-        members, lambda p: _product(p, OMEGA_FIRST).cycle_type(), threads
+        members, lambda images: _product_type(images, OMEGA_FIRST), threads
     )
     return tuple(sorted(tally.items()))
 
@@ -170,12 +210,12 @@ def joint_type_histogram(
     n: int, threads: int = 1
 ) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
     """Tally of (cycle type of pi, cycle type of pi * full cycle) over all of S_n."""
-    members = [
-        Permutation(images) for images in itertools.permutations(range(n))
-    ]
+    if n < 1:
+        raise ValueError("full cycle needs n >= 1")
+    members = list(itertools.permutations(range(n)))
     tally = _chunked_counter(
         members,
-        lambda p: (p.cycle_type(), _product(p, OMEGA_FIRST).cycle_type()),
+        lambda images: (_cycle_type(images), _product_type(images, OMEGA_FIRST)),
         threads,
     )
     return tuple(sorted(tally.items()))
@@ -186,53 +226,53 @@ def joint_type_histogram(
 
 
 @lru_cache(maxsize=None)
-def _separated_tuple_count(cycle_sizes: Partition, block_sizes: Partition) -> int:
-    """Block tuples with the given sizes separated by a permutation whose
-    cycles have the given sizes.
-
-    Per cycle, either no block element lands there or one block contributes a
-    nonempty subset; the count is the coefficient extraction of that product,
-    done by dynamic programming over cycles.  Symmetric in the blocks.
-    """
-    k = len(block_sizes)
-    states: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    for size in cycle_sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for degrees, ways in states.items():
-            nxt[degrees] = nxt.get(degrees, 0) + ways  # cycle untouched
-            for i in range(k):
-                room = block_sizes[i] - degrees[i]
-                for take in range(1, min(size, room) + 1):
-                    bumped = degrees[:i] + (degrees[i] + take,) + degrees[i + 1 :]
-                    nxt[bumped] = nxt.get(bumped, 0) + ways * binomial(size, take)
-        states = nxt
-    return states.get(tuple(block_sizes), 0)
+def _covering_subset_count(size: int, lengths: Partition) -> int:
+    """Subsets of ``size`` elements of the union of disjoint cycles with the
+    given lengths that meet every one of those cycles: the coefficient of
+    x**size in the product of ((1 + x)**length - 1)."""
+    poly = [1]
+    for length in lengths:
+        grown = [0] * (len(poly) + length)
+        for i, ways in enumerate(poly):
+            for take in range(1, length + 1):
+                grown[i + take] += ways * binomial(length, take)
+        poly = grown
+    return poly[size] if size < len(poly) else 0
 
 
 @lru_cache(maxsize=None)
 def _separated_tuple_histogram(
     cycle_sizes: Partition, block_sizes: Partition
 ) -> tuple[tuple[int, int], ...]:
-    """Like _separated_tuple_count but split by the number of untouched cycles."""
-    k = len(block_sizes)
-    states: dict[tuple[tuple[int, ...], int], int] = {((0,) * k, 0): 1}
-    for size in cycle_sizes:
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (degrees, untouched), ways in states.items():
-            key = (degrees, untouched + 1)
-            nxt[key] = nxt.get(key, 0) + ways
-            for i in range(k):
-                room = block_sizes[i] - degrees[i]
-                for take in range(1, min(size, room) + 1):
-                    bumped = degrees[:i] + (degrees[i] + take,) + degrees[i + 1 :]
-                    key = (bumped, untouched)
-                    nxt[key] = nxt.get(key, 0) + ways * binomial(size, take)
+    """Block tuples with the given sizes separated by a permutation whose
+    cycles have the given sizes, split by the number of untouched cycles.
+
+    Blocks are placed one at a time.  The state is the number of untouched
+    cycles of each distinct length; a block of size a picks u_s untouched
+    cycles of each length s (0 < sum u <= a), in prod C(free_s, u_s) ways,
+    and an a-subset of their union meeting every picked cycle.  Separation
+    is exactly the rule that a touched cycle is never picked again.
+    """
+    lengths = sorted(set(cycle_sizes))
+    states = {tuple(cycle_sizes.count(s) for s in lengths): 1}
+    for a in block_sizes:
+        nxt: dict[tuple[int, ...], int] = {}
+        for free, ways in states.items():
+            for picked in itertools.product(*(range(min(f, a) + 1) for f in free)):
+                if not 0 < sum(picked) <= a:
+                    continue
+                weight = _covering_subset_count(
+                    a, tuple(s for s, u in zip(lengths, picked) for _ in range(u))
+                )
+                for f, u in zip(free, picked):
+                    weight *= binomial(f, u)
+                if weight:
+                    left = tuple(f - u for f, u in zip(free, picked))
+                    nxt[left] = nxt.get(left, 0) + ways * weight
         states = nxt
-    target = tuple(block_sizes)
     out: dict[int, int] = {}
-    for (degrees, untouched), ways in states.items():
-        if degrees == target:
-            out[untouched] = out.get(untouched, 0) + ways
+    for free, ways in states.items():
+        out[sum(free)] = out.get(sum(free), 0) + ways
     return tuple(sorted(out.items()))
 
 
@@ -258,11 +298,12 @@ def _strong_tuple_count(cycle_sizes: Partition, block_sizes: Partition) -> int:
 @lru_cache(maxsize=None)
 def _color_size_distribution(
     cycle_sizes: Partition, colors: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+) -> Mapping[tuple[int, ...], int]:
     """Distribution of per-color element totals over all cycle colorings.
 
     Keys are vectors (elements colored 1, ..., elements colored ``colors``);
     values count the colorings of the given cycles producing that vector.
+    The cached mapping is read-only, so callers can share it.
     """
     states: dict[tuple[int, ...], int] = {(0,) * colors: 1}
     for size in cycle_sizes:
@@ -272,13 +313,12 @@ def _color_size_distribution(
                 bumped = vec[:i] + (vec[i] + size,) + vec[i + 1 :]
                 nxt[bumped] = nxt.get(bumped, 0) + ways
         states = nxt
-    return tuple(sorted(states.items()))
+    return MappingProxyType(states)
 
 
 def _profile_coloring_count(cycle_sizes: Partition, profile: Composition) -> int:
     """Cycle colorings whose color-i class has exactly profile[i] elements."""
-    dist = dict(_color_size_distribution(cycle_sizes, len(profile)))
-    return dist.get(tuple(profile), 0)
+    return _color_size_distribution(cycle_sizes, len(profile)).get(profile, 0)
 
 
 def _marked_surjective_coloring_count(
@@ -288,7 +328,7 @@ def _marked_surjective_coloring_count(
     block tuple whose i-th block sits inside color class i (i <= k)."""
     k = len(alpha)
     total = 0
-    for vec, ways in _color_size_distribution(cycle_sizes, k + extra_colors):
+    for vec, ways in _color_size_distribution(cycle_sizes, k + extra_colors).items():
         if any(v == 0 for v in vec):
             continue
         weight = 1
@@ -321,7 +361,11 @@ def oracle_separated_pair_count(
         return 0
     hist = product_type_histogram(lam, convention, threads)
     blocks = sorted_partition(alpha)
-    return sum(count * _separated_tuple_count(tau, blocks) for tau, count in hist)
+    return sum(
+        count * ways
+        for tau, count in hist
+        for _, ways in _separated_tuple_histogram(tau, blocks)
+    )
 
 
 def oracle_separated_pair_count_literal(
@@ -465,10 +509,6 @@ def oracle_involution_series(
     blocks = sorted_partition(alpha)
     out: dict[int, int] = {}
     for tau, count in involution_type_histogram(pairs, threads):
-        if not blocks:
-            j = len(tau)
-            out[j] = out.get(j, 0) + count
-            continue
         for j, ways in _separated_tuple_histogram(tau, blocks):
             out[j] = out.get(j, 0) + count * ways
     return out
@@ -584,10 +624,18 @@ def oracle_connection_coefficient(
     phi = representative if representative is not None else canonical_type_representative(alpha)
     if phi.cycle_type() != sorted_partition(alpha):
         raise ValueError("representative does not have cycle type alpha")
-    tracker = budget.tracker()
-    total = 0
-    for rho in permutations_of_type((n,)):
-        tracker.tick()
-        if (phi * rho.inverse()).cycle_type() == lam:
-            total += 1
-    return total
+    budget.tracker().tick(math.factorial(n - 1))
+    return dict(_connection_histogram(phi.inverse().images)).get(lam, 0)
+
+
+@lru_cache(maxsize=None)
+def _connection_histogram(
+    phi_inverse: tuple[int, ...]
+) -> tuple[tuple[Partition, int], ...]:
+    """Cycle-type tally of phi * rho^-1 over the full cycles rho, read off
+    its inverse rho * phi^-1, which has the same cycle type."""
+    members = list(class_images((len(phi_inverse),)))
+    tally = _chunked_counter(
+        members, lambda rho: _cycle_type([rho[y] for y in phi_inverse]), 1
+    )
+    return tuple(sorted(tally.items()))

@@ -10,7 +10,9 @@ tests.
 
 Cycle decompositions are canonical: cycles are listed by increasing minimum
 element and each cycle starts at its minimum, which makes enumeration output
-reproducible.
+reproducible.  A conjugacy class has one enumeration path, `class_images`,
+which yields bare image tuples for the oracles' hot loops;
+`permutations_of_type` wraps the same stream in `Permutation` objects.
 """
 
 from __future__ import annotations
@@ -130,53 +132,50 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def permutations_of_type(partition: Iterable[int]) -> Iterator[Permutation]:
-    """All permutations with the given cycle type, without repeats.
+def class_images(partition: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The image tuples of all permutations with the given cycle type.
 
     Deterministic construction order: the smallest unplaced element starts a
     cycle; distinct cycle lengths are tried in increasing order, and the rest
     of each cycle runs through arrangements of the remaining elements in
     lexicographic order.  The stream length equals the conjugacy class size.
+    No Permutation is built: one image list is rewritten in place and a
+    tuple copy of it is yielded per member.
     """
     lam = as_partition(partition)
-    n = sum(lam)
+    images = list(range(sum(lam)))
 
-    def build(elements: tuple[int, ...], parts: tuple[int, ...], acc: list[tuple[int, ...]]):
-        if not elements:
-            yield Permutation.from_cycles(n, acc)
-            return
+    def build(elements: tuple[int, ...], parts: tuple[int, ...]):
         head, rest = elements[0], elements[1:]
         for size in sorted(set(parts)):
             idx = parts.index(size)
             remaining_parts = parts[:idx] + parts[idx + 1 :]
             for tail in itertools.permutations(rest, size - 1):
-                tail_set = set(tail)
-                acc.append((head,) + tail)
-                left = tuple(x for x in rest if x not in tail_set)
-                yield from build(left, remaining_parts, acc)
-                acc.pop()
+                for x, y in zip((head,) + tail, tail + (head,)):
+                    images[x] = y
+                if remaining_parts and remaining_parts[0] > 1:
+                    tail_set = set(tail)
+                    yield from build(
+                        tuple(e for e in rest if e not in tail_set), remaining_parts
+                    )
+                    continue
+                for e in set(rest).difference(tail):  # the remaining fixed points
+                    images[e] = e
+                yield tuple(images)
 
-    return build(tuple(range(n)), lam, [])
+    return build(tuple(images), lam) if lam else iter([()])
+
+
+def permutations_of_type(partition: Iterable[int]) -> Iterator[Permutation]:
+    """All permutations with the given cycle type, in the order of `class_images`."""
+    return (Permutation(images) for images in class_images(partition))
 
 
 def fixed_point_free_involutions(pairs: int) -> Iterator[Permutation]:
     """All products of ``pairs`` disjoint transpositions covering {0, ..., 2*pairs-1}.
 
-    Order: the smallest unpaired point is matched with each larger point in
+    This is the class of type (2, ..., 2), so the order of `class_images`
+    reads: the smallest unpaired point is matched with each larger point in
     increasing order, then recurse.  Yields (2*pairs - 1)!! permutations.
     """
-    n = 2 * pairs
-
-    def build(remaining: tuple[int, ...], acc: list[tuple[int, int]]):
-        if not remaining:
-            yield Permutation.from_cycles(n, acc)
-            return
-        head = remaining[0]
-        for partner in remaining[1:]:
-            acc.append((head, partner))
-            yield from build(
-                tuple(x for x in remaining[1:] if x != partner), acc
-            )
-            acc.pop()
-
-    return build(tuple(range(n)), [])
+    return permutations_of_type((2,) * pairs)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsep import formulas as fm
 from permsep.partitions import (
@@ -9,8 +11,10 @@ from permsep.partitions import (
     conjugacy_class_size,
     multinomial,
     partitions,
+    sorted_partition,
     stirling_first_unsigned,
 )
+from permsep.separation import block_tuple_count
 from permsep.symfunc import power_sum_coefficient
 
 
@@ -323,3 +327,75 @@ def test_probabilities_stay_in_unit_interval():
                     res = fm.separation_probability(lam, alpha)
                     assert 0 <= res.probability <= 1
                     assert res.count >= 0
+
+
+def _draw_parts(data, total, smallest=1):
+    """Positive parts, each at least ``smallest``, summing to ``total``."""
+    parts = []
+    while total:
+        part = data.draw(st.integers(smallest, total))
+        if total - part < smallest and part != total:
+            part = total
+        parts.append(part)
+        total -= part
+    return tuple(parts)
+
+
+def _draw_alpha(data, n):
+    return _draw_parts(data, data.draw(st.integers(1, n)))
+
+
+def _draw_separation(data):
+    lam = sorted_partition(_draw_parts(data, data.draw(st.integers(1, 20))))
+    alpha = _draw_alpha(data, sum(lam))
+    space = block_tuple_count(sum(lam), alpha) * conjugacy_class_size(lam)
+    return fm.separation_probability(lam, alpha), space
+
+
+def _draw_two_cycles(data):
+    n = data.draw(st.integers(1, 20))
+    alpha = _draw_alpha(data, n)
+    space = block_tuple_count(n, alpha) * conjugacy_class_size((n,))
+    return fm.separation_probability_two_cycles(n, alpha), space
+
+
+def _draw_p_cycles(data):
+    n = data.draw(st.integers(1, 20))
+    p = data.draw(st.integers(1, n))
+    alpha = _draw_alpha(data, n)
+    space = block_tuple_count(n, alpha) * stirling_first_unsigned(n, p)
+    return fm.separation_probability_p_cycles(n, p, alpha), space
+
+
+def _draw_involution(data):
+    pairs = data.draw(st.integers(1, 10))
+    alpha = _draw_alpha(data, 2 * pairs)
+    space = block_tuple_count(2 * pairs, alpha) * conjugacy_class_size((2,) * pairs)
+    return fm.separation_probability_involution(pairs, alpha), space
+
+
+def _draw_fixed_point_lift(data):
+    lam = sorted_partition(_draw_parts(data, data.draw(st.integers(2, 18)), smallest=2))
+    r = data.draw(st.integers(0, 20 - sum(lam)))
+    alpha = _draw_alpha(data, sum(lam) + r)
+    extended = sorted_partition(lam + (1,) * r)
+    space = block_tuple_count(sum(extended), alpha) * conjugacy_class_size(extended)
+    return fm.add_fixed_points_probability(lam, r, alpha), space
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        _draw_separation,
+        _draw_two_cycles,
+        _draw_p_cycles,
+        _draw_involution,
+        _draw_fixed_point_lift,
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_sep_result_is_a_probability_of_its_pair_space(draw, data):
+    result, space = draw(data)
+    assert 0 <= result.probability <= 1
+    assert result.count == result.probability * space

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from permsep import oracles as orc
@@ -9,6 +12,11 @@ from permsep.partitions import (
     partitions,
 )
 from permsep.perms import Permutation
+from permsep.separation import (
+    disjoint_block_tuples,
+    is_separated,
+    unmarked_cycle_count,
+)
 
 
 def test_oracle_separated_pairs_examples():
@@ -157,6 +165,31 @@ def test_oracle_connection_coefficients():
     assert orc.oracle_connection_coefficient((3,), (3,)) == 1
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connection_histogram_covers_every_full_cycle(n):
+    for alpha in partitions(n):
+        phi = orc.canonical_type_representative(alpha)
+        hist = orc._connection_histogram(phi.inverse().images)
+        assert sum(count for _, count in hist) == math.factorial(n - 1)
+        assert all(sum(lam) == n for lam, _ in hist)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_separated_tuple_histogram_matches_literal_tally(n):
+    for tau in partitions(n):
+        sigma = orc.canonical_type_representative(tau)
+        for m in range(n + 1):
+            for alpha in partitions(m):
+                tally = {}
+                for blocks in disjoint_block_tuples(n, alpha):
+                    if is_separated(sigma, blocks):
+                        j = unmarked_cycle_count(sigma, blocks)
+                        tally[j] = tally.get(j, 0) + 1
+                assert orc._separated_tuple_histogram(tau, alpha) == tuple(
+                    sorted(tally.items())
+                ), (tau, alpha)
+
+
 def test_oracle_connection_alternative_representative():
     blocks = [(2, 3, 4), (0, 1)]  # a (3, 2) element other than the canonical one
     other = Permutation.from_cycles(5, blocks)
@@ -185,6 +218,37 @@ def test_budget_max_seconds():
     frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
     with pytest.raises(BudgetExceededError):
         orc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
+
+
+USED = re.compile(r"enumerated (\d+) objects in (\d+\.\d+) s")
+
+
+def test_budget_errors_report_objects_and_seconds_used():
+    tight = orc.OracleBudget(max_n=6, max_objects=10)
+    with pytest.raises(BudgetExceededError, match="max_objects=10") as info:
+        orc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
+    used = USED.search(str(info.value))
+    assert used and int(used.group(1)) == 11 and float(used.group(2)) >= 0
+
+    frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
+    with pytest.raises(BudgetExceededError, match="max_seconds=0.0") as info:
+        orc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
+    used = USED.search(str(info.value))
+    assert used and int(used.group(1)) == 1 and float(used.group(2)) >= 0
+
+
+def test_budgets_hold_when_histograms_are_cached():
+    tight = orc.OracleBudget(max_n=7, max_objects=10)  # 4! = 24 full cycles at n = 5
+    with pytest.raises(BudgetExceededError):
+        orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
+    assert orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1)) == 8
+    with pytest.raises(BudgetExceededError):
+        orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
+
+    small = orc.OracleBudget(max_n=4)
+    assert orc.oracle_separated_pair_count((3, 2), (1, 1)) > 0
+    with pytest.raises(BudgetExceededError):
+        orc.oracle_separated_pair_count((3, 2), (1, 1), budget=small)
 
 
 def test_threaded_histograms_match_sequential():

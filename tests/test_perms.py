@@ -8,6 +8,7 @@ from permsep.partitions import conjugacy_class_size, partitions, perfect_matchin
 from permsep.perms import (
     Permutation,
     all_permutations,
+    class_images,
     compose,
     fixed_point_free_involutions,
     permutations_of_type,
@@ -90,12 +91,49 @@ def test_class_stream_matches_filtered_scan():
             assert from_stream == from_scan
 
 
+def reference_class_stream(lam):
+    """The documented class order, built cycle by cycle with from_cycles."""
+    n = sum(lam)
+
+    def build(elements, parts, acc):
+        if not elements:
+            yield Permutation.from_cycles(n, acc).images
+            return
+        head, rest = elements[0], elements[1:]
+        for size in sorted(set(parts)):
+            idx = parts.index(size)
+            for tail in itertools.permutations(rest, size - 1):
+                left = tuple(x for x in rest if x not in tail)
+                yield from build(left, parts[:idx] + parts[idx + 1 :], acc + [(head,) + tail])
+
+    return list(build(tuple(range(n)), lam, []))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_class_images_follow_the_class_stream(n):
+    for lam in partitions(n):
+        images = list(class_images(lam))
+        assert images == reference_class_stream(lam)
+        assert images == [p.images for p in permutations_of_type(lam)]
+        assert len(images) == conjugacy_class_size(lam)
+
+
+def test_class_images_construction_order():
+    # smallest unplaced point starts a cycle, shorter cycles first, tails in
+    # lexicographic order
+    assert list(class_images((2, 1))) == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
+    assert list(class_images((3,))) == [(1, 2, 0), (2, 0, 1)]
+    assert list(class_images(())) == [()]
+
+
 @pytest.mark.parametrize("pairs", range(1, 6))
 def test_fixed_point_free_involutions(pairs):
     members = list(fixed_point_free_involutions(pairs))
     assert len(members) == perfect_matching_count(pairs)
     assert len(set(members)) == len(members)
     assert all(p.cycle_type() == (2,) * pairs for p in members)
+    # the smallest unpaired point is matched with each larger point in turn
+    assert [p.cycles() for p in members] == sorted(p.cycles() for p in members)
 
 
 def test_inverse():
