@@ -338,8 +338,10 @@ def _table_rows(args) -> tuple[list[dict], bool]:
     )
     if sum(lam) != args.n:
         raise ValueError("--lambda must be a partition of --n")
+    if args.max_m is not None and not 1 <= args.max_m <= args.n:
+        raise ValueError("--max-m must lie in 1..n")
     if args.alphas == "all":
-        max_m = args.max_m if args.max_m else args.n
+        max_m = args.max_m or args.n
         alphas = [a for m in range(1, max_m + 1) for a in partitions(m)]
     else:
         alphas = [

@@ -13,8 +13,10 @@ the auxiliary structures one by one, as `Permutation` objects; they exist to
 validate the counting layer at tiny sizes.
 
 Budgets are explicit: an oracle either finishes exactly or raises
-BudgetExceededError.  Enumeration can be chunked over worker threads; counts
-are combined by addition, so results are identical for any thread count.
+BudgetExceededError.  Oracles that read a cached histogram tick the objects
+it enumerates up front, so a cache hit never bypasses a budget.  Enumeration
+can be chunked over worker threads; counts are combined by addition, so
+results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .partitions import (
     as_composition,
     as_partition,
     binomial,
+    conjugacy_class_size,
+    perfect_matching_count,
     sorted_partition,
 )
 from .perms import (
@@ -359,6 +363,7 @@ def oracle_separated_pair_count(
     budget.check_n(sum(lam))
     if sum(alpha) > sum(lam):
         return 0
+    budget.tracker().tick(conjugacy_class_size(lam))
     hist = product_type_histogram(lam, convention, threads)
     blocks = sorted_partition(alpha)
     return sum(
@@ -407,6 +412,7 @@ def oracle_colored_factorization_count(
     n = sum(gamma)
     budget = budget or COLORING_BUDGET
     budget.check_n(n)
+    budget.tracker().tick(math.factorial(n))
     total = 0
     for (tau_left, tau_right), count in joint_type_histogram(n, threads):
         left = _profile_coloring_count(tau_left, gamma)
@@ -433,6 +439,7 @@ def oracle_separated_colored_count(
         raise ValueError("total block size exceeds n")
     budget = budget or COLORING_BUDGET
     budget.check_n(n)
+    budget.tracker().tick(math.factorial(n))
     total = 0
     for (tau_left, tau_right), count in joint_type_histogram(n, threads):
         left = _profile_coloring_count(tau_left, gamma)
@@ -506,6 +513,7 @@ def oracle_involution_series(
     budget.check_n(2 * pairs)
     if sum(alpha) > 2 * pairs:
         raise ValueError("total block size exceeds 2 * pairs")
+    budget.tracker().tick(perfect_matching_count(pairs))
     blocks = sorted_partition(alpha)
     out: dict[int, int] = {}
     for tau, count in involution_type_histogram(pairs, threads):
@@ -549,6 +557,7 @@ def oracle_colored_matching_count(
         raise ValueError("gamma must have size 2 * pairs")
     budget = budget or INVOLUTION_BUDGET
     budget.check_n(2 * pairs)
+    budget.tracker().tick(perfect_matching_count(pairs))
     return sum(
         count * _profile_coloring_count(tau, gamma)
         for tau, count in involution_type_histogram(pairs, threads)
@@ -569,6 +578,7 @@ def oracle_strong_pair_count(
     budget.check_n(sum(lam))
     if sum(alpha) > sum(lam):
         return 0
+    budget.tracker().tick(conjugacy_class_size(lam))
     hist = product_type_histogram(lam, OMEGA_FIRST, threads)
     blocks = sorted_partition(alpha)
     return sum(count * _strong_tuple_count(tau, blocks) for tau, count in hist)

@@ -2,12 +2,13 @@
 
 Weak separation lets a block spread over several cycles as long as no cycle
 is shared between blocks; strong separation confines each block to a single
-cycle.  Conditioning a weakly separated pair on the way the cycles slice each
-block yields an exact linear relation: the weak probability for block sizes
-``alpha`` is a positive integer combination of strong probabilities over all
-segmented refinements of ``alpha``.  Grouped by the sorted refinement type,
-the relation is an upper-triangular unit-diagonal system over the partitions
-of the total block size, solved here by exact back-substitution.
+cycle.  For fixed blocks, "weakly separated" is the disjoint union, over the
+set partitions refining the blocks, of "that refinement strongly separated",
+so Moebius inversion on the set-partition lattice gives each strong
+probability in closed form from at most m weak pair counts.  The same
+relation grouped by refinement type, a unit upper-triangular matrix over the
+partitions of m, is kept only as the reference for the round trip of
+criterion 11 and the tests.
 
 When the blocks cover the whole ground set, a strongly separated product has
 the blocks as its exact cycle sets, which ties the strong probability to the
@@ -25,9 +26,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvariantError
-from .formulas import separation_probability
+from .formulas import _length_profile, separated_pair_count
 from .partitions import (
-    Composition,
     Partition,
     as_composition,
     as_partition,
@@ -132,53 +132,51 @@ def refinement_matrix(size: int) -> RefinementMatrix:
     return matrix
 
 
-def weak_probability_table(
-    lam: Iterable[int], total_block_size: int
-) -> dict[Partition, Fraction]:
-    """Weak separation probability for every partition-shaped block profile."""
+def strong_separation_probability(
+    lam: Iterable[int], beta: Iterable[int]
+) -> Fraction:
+    """Strong separation probability for one block profile ``beta``.
+
+    A refinement of the blocks into j pieces of sizes s is weakly separated
+    with probability N(m, j) (n-m)! prod s! / (n! |C_lam|), N(m, j) being the
+    weak pair count of every j-part profile of size m.  With the Moebius
+    weights prod (-1)^(k-1) (k-1)!, the refinements of a b-block into k
+    pieces sum to (b-1)! [x^k] (1 - (1-x)^b); values outside [0, 1] raise.
+    """
     lam = as_partition(lam)
-    if not 1 <= total_block_size <= sum(lam):
+    beta = as_composition(beta, allow_empty=False)
+    n, m = sum(lam), sum(beta)
+    if m > n:
         raise ValueError("need 1 <= total block size <= n")
-    return {
-        alpha: separation_probability(lam, alpha).probability
-        for alpha in partitions(total_block_size)
-    }
+    signed = sum(
+        coeff * separated_pair_count(lam, (m - j + 1,) + (1,) * (j - 1))
+        for j, coeff in enumerate(_length_profile(sorted_partition(beta)))
+        if coeff
+    )
+    value = Fraction(
+        math.factorial(n - m)
+        * math.prod(math.factorial(b - 1) for b in beta)
+        * signed,
+        math.factorial(n) * conjugacy_class_size(lam),
+    )
+    if not 0 <= value <= 1:
+        raise InvariantError(
+            f"strong probability for {sorted_partition(beta)} out of range: {value}"
+        )
+    return value
 
 
 def strong_probability_table(
     lam: Iterable[int], total_block_size: int
 ) -> dict[Partition, Fraction]:
-    """Strong separation probability for every partition of the block total.
-
-    Solves the refinement system against the weak probabilities by back
-    substitution (finest profile first).  Every solved value must land in
-    [0, 1]; anything else signals a mis-indexed segmentation and raises.
-    """
+    """Strong separation probability for every partition of the block total."""
     lam = as_partition(lam)
-    weak = weak_probability_table(lam, total_block_size)
-    matrix = refinement_matrix(total_block_size)
-    solved: dict[Partition, Fraction] = {}
-    for i in range(len(matrix.index) - 1, -1, -1):
-        coarse = matrix.index[i]
-        value = weak[coarse]
-        for j in range(i + 1, len(matrix.index)):
-            coeff = matrix.rows[i][j]
-            if coeff:
-                value -= coeff * solved[matrix.index[j]]
-        if not 0 <= value <= 1:
-            raise InvariantError(
-                f"strong probability for {coarse} out of range: {value}"
-            )
-        solved[coarse] = value
-    return solved
-
-
-def strong_separation_probability(
-    lam: Iterable[int], beta: Iterable[int]
-) -> Fraction:
-    """Strong separation probability for one block profile ``beta``."""
-    beta = as_composition(beta, allow_empty=False)
-    return strong_probability_table(lam, sum(beta))[sorted_partition(beta)]
+    if not 1 <= total_block_size <= sum(lam):
+        raise ValueError("need 1 <= total block size <= n")
+    return {
+        beta: strong_separation_probability(lam, beta)
+        for beta in partitions(total_block_size)
+    }
 
 
 def connection_coefficient(lam: Iterable[int], alpha: Iterable[int]) -> int:
@@ -193,12 +191,10 @@ def connection_coefficient(lam: Iterable[int], alpha: Iterable[int]) -> int:
     n = sum(lam)
     if sum(alpha) != n:
         raise ValueError("alpha must have size n for connection coefficients")
-    prob = strong_separation_probability(lam, alpha)
-    scale = Fraction(
+    value = strong_separation_probability(lam, alpha) * Fraction(
         math.factorial(n - 1) * conjugacy_class_size(lam),
         math.prod(math.factorial(a - 1) for a in alpha),
     )
-    value = prob * scale
     if value.denominator != 1 or value < 0:
         raise InvariantError(f"connection coefficient not integral: {value}")
     return int(value)

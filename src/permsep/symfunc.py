@@ -111,10 +111,6 @@ class TransitionMatrices:
     def position(self, lam: Iterable[int]) -> int:
         return self.index.index(as_partition(lam))
 
-    def power_coefficient_of_monomial(self, mu: Iterable[int], lam: Iterable[int]) -> Fraction:
-        """The coefficient of the power sum ``lam`` in the monomial function ``mu``."""
-        return self.monomial_to_power[self.position(mu)][self.position(lam)]
-
 
 def _invert_lower_triangular(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
     size = len(rows)

@@ -371,18 +371,14 @@ def check_strong_separation(max_n: int, threads: int = 1) -> CheckResult:
             for m in range(1, n + 1):
                 table = st.strong_probability_table(lam, m)
                 matrix = st.refinement_matrix(m)
-                weak = st.weak_probability_table(lam, m)
                 for i, coarse in enumerate(matrix.index):
                     recombined = sum(
-                        (
-                            matrix.rows[i][j] * table[matrix.index[j]]
-                            for j in range(len(matrix.index))
-                        ),
-                        Fraction(0),
+                        coeff * table[fine]
+                        for coeff, fine in zip(matrix.rows[i], matrix.index)
                     )
                     rec.equal(
                         recombined,
-                        weak[coarse],
+                        fm.separation_probability(lam, coarse).probability,
                         f"round trip lam={lam} profile={coarse}",
                     )
                 for beta, prob in table.items():

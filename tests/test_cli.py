@@ -145,6 +145,9 @@ def test_invalid_arguments_exit_2():
     assert code == EXIT_USAGE
     code, text = run_cli("pcycles", "--n", "3", "--p", "0", "--alpha", "5")
     assert code == EXIT_USAGE and text == ""
+    for max_m in ("0", "-1", "6"):
+        code, text = run_cli("table", "--n", "5", "--alphas", "all", "--max-m", max_m)
+        assert code == EXIT_USAGE and text == ""
 
 
 def test_budget_exceeded_exit_3():

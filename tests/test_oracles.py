@@ -250,6 +250,23 @@ def test_budgets_hold_when_histograms_are_cached():
     with pytest.raises(BudgetExceededError):
         orc.oracle_separated_pair_count((3, 2), (1, 1), budget=small)
 
+    # every histogram oracle ticks what its histogram enumerates, cached or not
+    frozen = orc.OracleBudget(max_n=8, max_objects=1, max_seconds=0.0)
+    tight = orc.OracleBudget(max_n=8, max_objects=10)
+    cases = [
+        (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), frozen),  # 90 in the class
+        (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), tight),
+        (orc.oracle_strong_pair_count, ((4, 2), (2, 1)), tight),
+        (orc.oracle_colored_factorization_count, ((2, 2), (3, 1)), tight),  # 4! = 24
+        (orc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), tight),
+        (orc.oracle_involution_series, (3, (1, 1)), tight),  # 5!! = 15
+        (orc.oracle_colored_matching_count, (3, (4, 2)), tight),
+    ]
+    for oracle, args, budget in cases:
+        oracle(*args)
+        with pytest.raises(BudgetExceededError):
+            oracle(*args, budget=budget)
+
 
 def test_threaded_histograms_match_sequential():
     lam = (4, 2)

@@ -1,9 +1,13 @@
+import io
+import math
 from fractions import Fraction
 
 import pytest
 
 from permsep import oracles as orc
 from permsep import strong as st
+from permsep.cli import main
+from permsep.formulas import separation_probability
 from permsep.partitions import conjugacy_class_size, partitions
 from permsep.separation import block_tuple_count
 
@@ -65,8 +69,6 @@ def test_strong_probability_tables_frozen():
 
 
 def test_singleton_profiles_strong_equals_weak():
-    from permsep.formulas import separation_probability
-
     for lam in [(3,), (2, 2), (3, 1), (4, 2)]:
         n = sum(lam)
         for k in range(1, min(n, 4) + 1):
@@ -75,22 +77,25 @@ def test_singleton_profiles_strong_equals_weak():
             )
 
 
+def _assert_round_trip(lam, m):
+    table = st.strong_probability_table(lam, m)
+    matrix = st.refinement_matrix(m)
+    for i, coarse in enumerate(matrix.index):
+        recombined = sum(
+            coeff * table[fine] for coeff, fine in zip(matrix.rows[i], matrix.index)
+        )
+        assert recombined == separation_probability(lam, coarse).probability
+
+
 def test_round_trip_reproduces_weak_table():
     for n in range(1, 8):
         for lam in partitions(n):
             for m in range(1, n + 1):
-                weak = st.weak_probability_table(lam, m)
-                table = st.strong_probability_table(lam, m)
-                matrix = st.refinement_matrix(m)
-                for i, coarse in enumerate(matrix.index):
-                    recombined = sum(
-                        (
-                            matrix.rows[i][j] * table[matrix.index[j]]
-                            for j in range(len(matrix.index))
-                        ),
-                        Fraction(0),
-                    )
-                    assert recombined == weak[coarse]
+                _assert_round_trip(lam, m)
+    # beyond brute-force reach: the closed form against the refinement system
+    for lam in [(12,), (6, 6), (3, 3, 3, 2, 1), (4, 2, 2, 1, 1, 1, 1)]:
+        for m in range(1, 11):
+            _assert_round_trip(lam, m)
 
 
 def test_strong_probabilities_match_oracle():
@@ -134,11 +139,28 @@ def test_connection_reorder_invariant():
 def test_total_factorizations_by_connection():
     # summing K over all product types, weighted by class sizes, counts all
     # pairs (class element, full cycle)
-    import math
+    for n in range(1, 11):
+        for lam in partitions(n):
+            total = sum(
+                st.connection_coefficient(lam, alpha) * conjugacy_class_size(alpha)
+                for alpha in partitions(n)
+            )
+            assert total == conjugacy_class_size(lam) * math.factorial(n - 1)
 
-    for lam in partitions(5):
-        total = sum(
-            st.connection_coefficient(lam, alpha) * conjugacy_class_size(alpha)
-            for alpha in partitions(5)
-        )
-        assert total == conjugacy_class_size(lam) * math.factorial(4)
+
+@pytest.mark.parametrize("n", range(1, 42))
+def test_full_cycle_times_full_cycle_is_full_cycle(n):
+    # factorizations of an n-cycle into two n-cycles: 2 (n-1)! / (n+1) for odd
+    # n, none for even n (Zagier 1995; Stanley 2011)
+    want = Fraction(2 * math.factorial(n - 1), n + 1) if n % 2 else 0
+    assert st.connection_coefficient((n,), (n,)) == want
+
+
+def test_query_path_never_builds_the_refinement_matrix():
+    st.refinement_matrix.cache_clear()
+    sink = io.StringIO()
+    assert main(["strong", "--lambda", "4,3,2,1", "--m", "8"], stdout=sink) == 0
+    assert main(
+        ["connection", "--lambda", "3,3,3,2,1", "--alpha", "4,4,2,1,1"], stdout=sink
+    ) == 0
+    assert st.refinement_matrix.cache_info().currsize == 0
