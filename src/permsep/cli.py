@@ -10,21 +10,22 @@ is byte-identical for any ``--threads`` value.
 
 Exit codes: 0 success, 1 verification mismatch (including ``--method both``
 disagreement), 2 invalid arguments, 3 oracle budget exceeded.
+
+Each subcommand imports the modules it runs when it runs: the formula
+subcommands never load the oracles, the verification suites, the strong
+layer or the symmetric-function matrices, so a fresh process pays only for
+its own subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import formulas as fm
-from . import oracles as orc
-from . import strong as st
-from . import verification as vf
 from .errors import BudgetExceededError
 from .partitions import (
     as_composition,
@@ -32,7 +33,6 @@ from .partitions import (
     partitions,
     sorted_partition,
 )
-from .separation import block_tuple_count
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -109,7 +109,10 @@ def _sep_records(
     if method in ("formula", "both"):
         results.append(fm.separation_probability(lam, alpha))
     if method in ("oracle", "both"):
-        count = orc.oracle_separated_pair_count(lam, alpha, threads=threads)
+        from .oracles import oracle_separated_pair_count
+        from .separation import block_tuple_count
+
+        count = oracle_separated_pair_count(lam, alpha, threads=threads)
         space = block_tuple_count(sum(lam), alpha) * conjugacy_class_size(lam)
         results.append(
             fm.SepResult(
@@ -237,9 +240,11 @@ def _cmd_lift(args, out: TextIO) -> int:
 
 
 def _cmd_strong(args, out: TextIO) -> int:
+    from .strong import strong_probability_table
+
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
-    table = st.strong_probability_table(lam, args.m)
+    table = strong_probability_table(lam, args.m)
     records = [
         _record(
             "strong",
@@ -256,10 +261,12 @@ def _cmd_strong(args, out: TextIO) -> int:
 
 
 def _cmd_connection(args, out: TextIO) -> int:
+    from .strong import connection_coefficient
+
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
     alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
-    value = st.connection_coefficient(lam, alpha)
+    value = connection_coefficient(lam, alpha)
     _emit_json(
         [
             _record(
@@ -319,7 +326,9 @@ def _cmd_hz(args, out: TextIO) -> int:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    results = vf.run_suites([args.suite], max_n=args.max_n, threads=args.threads)
+    from .verification import run_suites
+
+    results = run_suites([args.suite], max_n=args.max_n, threads=args.threads)
     results = sorted(results, key=lambda r: int(r.criterion))
     for result in results:
         out.write(result.render() + "\n")
@@ -364,6 +373,8 @@ def _cmd_table(args, out: TextIO) -> int:
     if args.format == "json":
         _emit_json(rows, out)
     else:
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(
             ["lambda", "alpha", "m", "k", "count", "probability", "method"]
@@ -465,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-verification suites")
     p.add_argument(
         "--suite",
-        choices=("all",) + vf.SUITE_ORDER,
         default="all",
+        help='"all" or one suite name from permsep.verification.SUITE_ORDER',
     )
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
     p.add_argument("--threads", type=int, default=1)

@@ -49,7 +49,6 @@ from .partitions import (
     stirling_first_unsigned,
 )
 from .polynomials import BinomialPolynomial, Poly, poly_add, poly_scale
-from .symfunc import SymFuncVector
 
 # ---------------------------------------------------------------------------
 # Colored factorization counts
@@ -150,7 +149,13 @@ class GenSeriesTable:
         return self.entries.get((as_partition(lam), r), 0)
 
     def monomial_vector_at(self, t: int) -> SymFuncVector:
-        """Collapse the C(t, r) direction at an integer t, leaving an m-basis vector."""
+        """Collapse the C(t, r) direction at an integer t, leaving an m-basis vector.
+
+        Verification-only, like the rest of `permsep.symfunc`, which is
+        imported here so that the query path never loads it.
+        """
+        from .symfunc import SymFuncVector
+
         coeffs: dict[Partition, Fraction] = {}
         for (lam, r), c in self.entries.items():
             w = binomial(t, r)
@@ -217,13 +222,19 @@ def _length_profile(lam: Partition) -> tuple[int, ...]:
     """
     profile = [1]
     for part in lam:
-        factor = [0] + [(-1) ** (j + 1) * binomial(part, j) for j in range(1, part + 1)]
+        factor = _length_factor(part)
         product = [0] * (len(profile) + part)
         for i, a in enumerate(profile):
-            for j, b in enumerate(factor):
-                product[i + j] += a * b
+            for j, b in enumerate(factor, start=i + 1):
+                product[j] += a * b
         profile = product
     return tuple(profile)
+
+
+@lru_cache(maxsize=None)
+def _length_factor(part: int) -> tuple[int, ...]:
+    """Coefficients of t^1 .. t^part in 1 - (1-t)^part."""
+    return tuple((-1) ** (j + 1) * binomial(part, j) for j in range(1, part + 1))
 
 
 @lru_cache(maxsize=None)

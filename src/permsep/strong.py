@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 from .errors import InvariantError
 from .formulas import _length_profile, separated_pair_count
 from .partitions import (
+    Composition,
     Partition,
     as_composition,
     as_partition,
@@ -145,25 +146,9 @@ def strong_separation_probability(
     """
     lam = as_partition(lam)
     beta = as_composition(beta, allow_empty=False)
-    n, m = sum(lam), sum(beta)
-    if m > n:
+    if sum(beta) > sum(lam):
         raise ValueError("need 1 <= total block size <= n")
-    signed = sum(
-        coeff * separated_pair_count(lam, (m - j + 1,) + (1,) * (j - 1))
-        for j, coeff in enumerate(_length_profile(sorted_partition(beta)))
-        if coeff
-    )
-    value = Fraction(
-        math.factorial(n - m)
-        * math.prod(math.factorial(b - 1) for b in beta)
-        * signed,
-        math.factorial(n) * conjugacy_class_size(lam),
-    )
-    if not 0 <= value <= 1:
-        raise InvariantError(
-            f"strong probability for {sorted_partition(beta)} out of range: {value}"
-        )
-    return value
+    return _StrongSystem(lam, sum(beta)).probability(beta)
 
 
 def strong_probability_table(
@@ -173,10 +158,38 @@ def strong_probability_table(
     lam = as_partition(lam)
     if not 1 <= total_block_size <= sum(lam):
         raise ValueError("need 1 <= total block size <= n")
-    return {
-        beta: strong_separation_probability(lam, beta)
-        for beta in partitions(total_block_size)
-    }
+    system = _StrongSystem(lam, total_block_size)
+    return {beta: system.probability(beta) for beta in partitions(total_block_size)}
+
+
+class _StrongSystem:
+    """What every block profile of total m shares for one validated lam: the
+    m weak counts N(lam; m, j) and the scale (n-m)! / (n! |C_lam|)."""
+
+    def __init__(self, lam: Partition, m: int):
+        n = sum(lam)
+        self.weak = [0] + [
+            separated_pair_count(lam, (m - j + 1,) + (1,) * (j - 1))
+            for j in range(1, m + 1)
+        ]
+        self.scale = Fraction(
+            math.factorial(n - m), math.factorial(n) * conjugacy_class_size(lam)
+        )
+
+    def probability(self, beta: Composition) -> Fraction:
+        signed = sum(
+            coeff * self.weak[j]
+            for j, coeff in enumerate(_length_profile(sorted_partition(beta)))
+            if coeff
+        )
+        value = (
+            self.scale * math.prod(math.factorial(b - 1) for b in beta) * signed
+        )
+        if not 0 <= value <= 1:
+            raise InvariantError(
+                f"strong probability for {sorted_partition(beta)} out of range: {value}"
+            )
+        return value
 
 
 def connection_coefficient(lam: Iterable[int], alpha: Iterable[int]) -> int:

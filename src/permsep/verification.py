@@ -439,7 +439,10 @@ def run_suites(
         requested = list(SUITE_ORDER)
     unknown = [name for name in requested if name not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+        raise ValueError(
+            f"unknown suite(s): {', '.join(unknown)}; "
+            f"choose all or one of {', '.join(SUITE_ORDER)}"
+        )
     results = []
     for suite in SUITE_ORDER:
         if suite in requested:

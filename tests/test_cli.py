@@ -150,6 +150,11 @@ def test_invalid_arguments_exit_2():
         assert code == EXIT_USAGE and text == ""
 
 
+def test_verify_unknown_suite_exit_2():
+    code, text = run_cli("verify", "--suite", "bogus")
+    assert code == EXIT_USAGE and text == ""
+
+
 def test_budget_exceeded_exit_3():
     code, _ = run_cli(
         "sep-prob", "--lambda", "11,1", "--alpha", "1,1", "--method", "oracle"

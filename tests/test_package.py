@@ -1,0 +1,118 @@
+"""The package surface and the modules each entry point loads, checked in
+fresh interpreters (the test process itself has imported everything)."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Modules that only verification, the oracles or the strong layer need.
+HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.strong")
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_public_names_are_their_defining_objects():
+    out = run_fresh(
+        """
+        import importlib, inspect, pkgutil, sys
+        import permsep
+
+        def check(stage):
+            for name in permsep.__all__:
+                obj = getattr(permsep, name)
+                home = importlib.import_module(obj.__module__)
+                assert getattr(home, name) is obj, (stage, name)
+            assert inspect.isfunction(permsep.partitions), stage
+            assert permsep.partitions is sys.modules["permsep.partitions"].partitions
+
+        check("lazy")
+        for info in pkgutil.iter_modules(permsep.__path__):
+            if info.name != "__main__":
+                importlib.import_module(f"permsep.{info.name}")
+        check("after importing every submodule")
+
+        namespace = {}
+        exec("from permsep import *", namespace)
+        assert all(namespace[name] is getattr(permsep, name) for name in permsep.__all__)
+        assert set(permsep.__all__) <= set(dir(permsep))
+        assert len(set(permsep.__all__)) == len(permsep.__all__)
+        try:
+            permsep.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown attribute resolved")
+        print("ok")
+        """
+    )
+    assert out == "ok\n"
+
+
+def test_import_permsep_loads_only_errors_and_partitions():
+    out = run_fresh(
+        """
+        import json, sys
+        import permsep
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("permsep"))))
+        """
+    )
+    assert json.loads(out) == ["permsep", "permsep.errors", "permsep.partitions"]
+
+
+def loaded_by(argv: list[str]) -> tuple[int, list[str]]:
+    out = run_fresh(
+        f"""
+        import io, json, sys
+        from permsep.cli import main
+        code = main({argv!r}, stdout=io.StringIO())
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("permsep"))]))
+        """
+    )
+    code, modules = json.loads(out)
+    return code, modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"],
+        ["lift", "--lambda", "4,3,3", "--r", "2", "--alpha", "3,1,1"],
+        ["ncycle", "--n", "9", "--alpha", "2,1"],
+        ["pcycles", "--n", "7", "--p", "3", "--alpha", "2,2"],
+        ["involution", "--N", "4", "--alpha", "2,1"],
+        ["hz", "--N", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_formula_subcommands_never_load_the_heavy_layers(argv):
+    code, modules = loaded_by(argv)
+    assert code == 0
+    assert not set(HEAVY) & set(modules), modules
+
+
+def test_oracle_and_verify_subcommands_load_what_they_run():
+    code, modules = loaded_by(
+        ["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"]
+    )
+    assert code == 0
+    assert {"permsep.oracles", "permsep.separation"} <= set(modules)
+    code, modules = loaded_by(["verify", "--suite", "strong", "--max-n", "4"])
+    assert code == 0
+    assert {"permsep.verification", "permsep.strong"} <= set(modules)
