@@ -4,9 +4,12 @@ Every computing subcommand emits a JSON envelope
 ``{"format": "permsep-records-v1", "records": [...]}`` on stdout; ``table``
 can emit CSV instead.  Counts are decimal strings and probabilities are
 "p/q" strings in lowest terms, so records round-trip losslessly; ``--float``
-adds a 15-significant-digit decimal rendering (display only).  ``verify``
-prints one PASS/FAIL line per criterion group and nothing else, so its output
-is byte-identical for any ``--threads`` value.
+adds a 15-significant-digit decimal rendering (display only); counts of any
+length are rendered, whatever CPython's int-to-str digit limit.  ``verify``
+prints one PASS/FAIL line per criterion group and nothing else; ``--threads``
+is the number of worker threads its checks are mapped over, and the output is
+byte-identical for any value.  The oracle paths of ``sep-prob`` and ``table``
+enumerate serially.
 
 Exit codes: 0 success, 1 verification mismatch (including ``--method both``
 disagreement), 2 invalid arguments, 3 oracle budget exceeded.
@@ -101,7 +104,7 @@ def _emit_json(records: list[dict], out: TextIO) -> None:
 
 
 def _sep_records(
-    lam, alpha, method: str, threads: int, with_float: bool, base_warnings: list[str]
+    lam, alpha, method: str, with_float: bool, base_warnings: list[str]
 ) -> tuple[list[dict], bool]:
     """Records for one separation query; returns (records, mismatch flag)."""
     records = []
@@ -112,7 +115,7 @@ def _sep_records(
         from .oracles import oracle_separated_pair_count
         from .separation import block_tuple_count
 
-        count = oracle_separated_pair_count(lam, alpha, threads=threads)
+        count = oracle_separated_pair_count(lam, alpha)
         space = block_tuple_count(sum(lam), alpha) * conjugacy_class_size(lam)
         results.append(
             fm.SepResult(
@@ -142,9 +145,7 @@ def _cmd_sep_prob(args, out: TextIO) -> int:
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
     alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
-    records, mismatch = _sep_records(
-        lam, alpha, args.method, args.threads, args.float, warnings
-    )
+    records, mismatch = _sep_records(lam, alpha, args.method, args.float, warnings)
     _emit_json(records, out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -341,10 +342,10 @@ def _cmd_verify(args, out: TextIO) -> int:
 
 
 def _table_rows(args) -> tuple[list[dict], bool]:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     warnings: list[str] = []
-    lam = (
-        _parse_lambda(args.lam, warnings) if args.lam else (args.n,)
-    )
+    lam = _parse_lambda(args.lam, warnings) if args.lam else (args.n,)
     if sum(lam) != args.n:
         raise ValueError("--lambda must be a partition of --n")
     if args.max_m is not None and not 1 <= args.max_m <= args.n:
@@ -361,7 +362,7 @@ def _table_rows(args) -> tuple[list[dict], bool]:
     any_mismatch = False
     for alpha in alphas:
         records, mismatch = _sep_records(
-            lam, alpha, args.method, args.threads, args.float, list(warnings)
+            lam, alpha, args.method, args.float, list(warnings)
         )
         any_mismatch = any_mismatch or mismatch
         rows.extend(records)
@@ -402,9 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, threads=False, want_float=True):
-        if threads:
-            p.add_argument("--threads", type=int, default=1, help="oracle worker threads")
+    def add_common(p, *, want_float=True):
         if want_float:
             p.add_argument(
                 "--float",
@@ -418,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("formula", "oracle", "both"), default="formula"
     )
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(func=_cmd_sep_prob)
 
     p = sub.add_parser("ncycle", help="product of two uniform full cycles")
@@ -480,7 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help='"all" or one suite name from permsep.verification.SUITE_ORDER',
     )
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="worker threads the checks are mapped over"
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="batch separation probabilities")
@@ -496,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("formula", "oracle", "both"), default="formula"
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(func=_cmd_table)
 
     return parser
@@ -509,6 +510,11 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # Counts can run past CPython's int-to-str limit (4,300 digits by
+    # default): lift it while the subcommand runs, then restore it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
     except BudgetExceededError as exc:
@@ -517,6 +523,9 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
     except ValueError as exc:
         print(f"permsep: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,15 +8,16 @@ enumerated as raw image tuples (`perms.class_images`) and the cycle type of
 each product with the full cycle is read straight off the tuple; connection
 coefficients tally the full cycles once per representative.  Separated block
 tuples are counted per cycle type by a block-first dynamic program over the
-untouched cycles.  The ``*_literal`` variants go further and enumerate even
-the auxiliary structures one by one, as `Permutation` objects; they exist to
-validate the counting layer at tiny sizes.
+untouched cycles.  Every histogram is a serial tally straight off the class
+stream: the joint (pi, product) tally over S_n is assembled from the cached
+per-class tallies, and the involution tally is the class (2, ..., 2).  The
+``*_literal`` variants go further and enumerate even the auxiliary structures
+one by one, as `Permutation` objects; they exist to validate the counting
+layer at tiny sizes.
 
 Budgets are explicit: an oracle either finishes exactly or raises
 BudgetExceededError.  Oracles that read a cached histogram tick the objects
-it enumerates up front, so a cache hit never bypasses a budget.  Enumeration
-can be chunked over worker threads; counts are combined by addition, so
-results are identical for any thread count.
+it enumerates up front, so a cache hit never bypasses a budget.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError
 from .partitions import (
@@ -37,6 +39,7 @@ from .partitions import (
     as_partition,
     binomial,
     conjugacy_class_size,
+    partitions,
     perfect_matching_count,
     sorted_partition,
 )
@@ -146,83 +149,32 @@ def _product_type(images: tuple[int, ...], convention: str) -> Partition:
     return _cycle_type([(y + 1) % n for y in images])
 
 
-def _chunked_counter(
-    items: Sequence, fn: Callable, threads: int
-) -> dict:
-    """Apply ``fn`` (item -> key) and tally, chunking over threads.
-
-    The reduction is plain addition over dicts merged in chunk order, so the
-    result is independent of the thread count.
-    """
-    tally: dict = {}
-    if threads <= 1 or len(items) < 64:
-        for item in items:
-            key = fn(item)
-            tally[key] = tally.get(key, 0) + 1
-        return tally
-    chunk = (len(items) + threads - 1) // threads
-    pieces = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-
-    def tally_piece(piece):
-        local: dict = {}
-        for item in piece:
-            key = fn(item)
-            local[key] = local.get(key, 0) + 1
-        return local
-
-    from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay the import
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for local in pool.map(tally_piece, pieces):
-            for key, value in local.items():
-                tally[key] = tally.get(key, 0) + value
-    return tally
-
-
 @lru_cache(maxsize=None)
 def product_type_histogram(
-    lam: Partition, convention: str = OMEGA_FIRST, threads: int = 1
+    lam: Partition, convention: str = OMEGA_FIRST
 ) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``."""
     if convention not in (OMEGA_FIRST, PI_FIRST):
         raise ValueError(f"unknown convention {convention!r}")
     if sum(lam) < 1:
         raise ValueError("full cycle needs n >= 1")
-    members = list(class_images(lam))
-    tally = _chunked_counter(
-        members, lambda images: _product_type(images, convention), threads
-    )
+    tally = Counter(_product_type(images, convention) for images in class_images(lam))
     return tuple(sorted(tally.items()))
 
 
 @lru_cache(maxsize=None)
-def involution_type_histogram(
-    pairs: int, threads: int = 1
-) -> tuple[tuple[Partition, int], ...]:
-    """Cycle-type tally of the product over all fixed-point-free involutions."""
-    if pairs < 1:
-        raise ValueError("full cycle needs n >= 1")
-    members = list(class_images((2,) * pairs))
-    tally = _chunked_counter(
-        members, lambda images: _product_type(images, OMEGA_FIRST), threads
-    )
-    return tuple(sorted(tally.items()))
-
-
-@lru_cache(maxsize=None)
-def joint_type_histogram(
-    n: int, threads: int = 1
-) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
-    """Tally of (cycle type of pi, cycle type of pi * full cycle) over all of S_n."""
+def joint_type_histogram(n: int) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
+    """Tally of (cycle type of pi, cycle type of pi * full cycle) over all of
+    S_n, one conjugacy class at a time."""
     if n < 1:
         raise ValueError("full cycle needs n >= 1")
-    members = list(itertools.permutations(range(n)))
-    tally = _chunked_counter(
-        members,
-        lambda images: (_cycle_type(images), _product_type(images, OMEGA_FIRST)),
-        threads,
+    return tuple(
+        sorted(
+            ((lam, tau), count)
+            for lam in partitions(n)
+            for tau, count in product_type_histogram(lam, OMEGA_FIRST)
+        )
     )
-    return tuple(sorted(tally.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +304,6 @@ def oracle_separated_pair_count(
     lam: Iterable[int],
     alpha: Iterable[int],
     convention: str = OMEGA_FIRST,
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
@@ -364,7 +315,7 @@ def oracle_separated_pair_count(
     if sum(alpha) > sum(lam):
         return 0
     budget.tracker().tick(conjugacy_class_size(lam))
-    hist = product_type_histogram(lam, convention, threads)
+    hist = product_type_histogram(lam, convention)
     blocks = sorted_partition(alpha)
     return sum(
         count * ways
@@ -400,7 +351,6 @@ def oracle_separated_pair_count_literal(
 def oracle_colored_factorization_count(
     gamma: Iterable[int],
     delta: Iterable[int],
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> int:
     """Triples (pi, left coloring with profile gamma, right coloring with
@@ -414,7 +364,7 @@ def oracle_colored_factorization_count(
     budget.check_n(n)
     budget.tracker().tick(math.factorial(n))
     total = 0
-    for (tau_left, tau_right), count in joint_type_histogram(n, threads):
+    for (tau_left, tau_right), count in joint_type_histogram(n):
         left = _profile_coloring_count(tau_left, gamma)
         if left:
             total += count * left * _profile_coloring_count(tau_right, delta)
@@ -425,7 +375,6 @@ def oracle_separated_colored_count(
     gamma: Iterable[int],
     alpha: Iterable[int],
     extra_colors: int,
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> int:
     """Quadruples (pi, A, c1, c2): left coloring profile gamma, right coloring
@@ -441,7 +390,7 @@ def oracle_separated_colored_count(
     budget.check_n(n)
     budget.tracker().tick(math.factorial(n))
     total = 0
-    for (tau_left, tau_right), count in joint_type_histogram(n, threads):
+    for (tau_left, tau_right), count in joint_type_histogram(n):
         left = _profile_coloring_count(tau_left, gamma)
         if left:
             total += (
@@ -503,7 +452,6 @@ def oracle_separated_colored_count_literal(
 def oracle_involution_series(
     pairs: int,
     alpha: Iterable[int],
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> dict[int, int]:
     """Histogram {untouched cycle count: separated pairs} over all
@@ -516,7 +464,7 @@ def oracle_involution_series(
     budget.tracker().tick(perfect_matching_count(pairs))
     blocks = sorted_partition(alpha)
     out: dict[int, int] = {}
-    for tau, count in involution_type_histogram(pairs, threads):
+    for tau, count in product_type_histogram((2,) * pairs, OMEGA_FIRST):
         for j, ways in _separated_tuple_histogram(tau, blocks):
             out[j] = out.get(j, 0) + count * ways
     return out
@@ -548,7 +496,6 @@ def oracle_involution_series_literal(
 def oracle_colored_matching_count(
     pairs: int,
     gamma: Iterable[int],
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> int:
     """Pairs (fixed-point-free involution, right coloring with profile gamma)."""
@@ -560,14 +507,13 @@ def oracle_colored_matching_count(
     budget.tracker().tick(perfect_matching_count(pairs))
     return sum(
         count * _profile_coloring_count(tau, gamma)
-        for tau, count in involution_type_histogram(pairs, threads)
+        for tau, count in product_type_histogram((2,) * pairs, OMEGA_FIRST)
     )
 
 
 def oracle_strong_pair_count(
     lam: Iterable[int],
     alpha: Iterable[int],
-    threads: int = 1,
     budget: OracleBudget | None = None,
 ) -> int:
     """Pairs (pi in the class of lam, block tuple) with the product strongly
@@ -579,7 +525,7 @@ def oracle_strong_pair_count(
     if sum(alpha) > sum(lam):
         return 0
     budget.tracker().tick(conjugacy_class_size(lam))
-    hist = product_type_histogram(lam, OMEGA_FIRST, threads)
+    hist = product_type_histogram(lam, OMEGA_FIRST)
     blocks = sorted_partition(alpha)
     return sum(count * _strong_tuple_count(tau, blocks) for tau, count in hist)
 
@@ -644,8 +590,8 @@ def _connection_histogram(
 ) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type tally of phi * rho^-1 over the full cycles rho, read off
     its inverse rho * phi^-1, which has the same cycle type."""
-    members = list(class_images((len(phi_inverse),)))
-    tally = _chunked_counter(
-        members, lambda rho: _cycle_type([rho[y] for y in phi_inverse]), 1
+    tally = Counter(
+        _cycle_type([rho[y] for y in phi_inverse])
+        for rho in class_images((len(phi_inverse),))
     )
     return tuple(sorted(tally.items()))

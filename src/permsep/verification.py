@@ -6,9 +6,10 @@ the command-line ``verify`` subcommand and the acceptance test module.
 
 Sweeps indexed by the ground-set size honor a ``max_n`` cap (involution
 checks use ``max_n // 2`` pairs); pure polynomial identities are cheap and
-always run at their full stated ranges.  Oracle enumeration can be spread
-over worker threads; all reductions are additions, so results and therefore
-the rendered report are identical for any thread count.
+always run at their full stated ranges.  Each check takes ``max_n`` only and
+runs serially; `run_suites` maps the requested checks over a pool of worker
+threads, and since every check builds its own result, the results and
+therefore the rendered report are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ def _block_profiles(total_max: int) -> Iterable[tuple[int, ...]]:
         yield from partitions(m)
 
 
-def _oracle_probability(lam, alpha, threads) -> Fraction:
+def _oracle_probability(lam, alpha) -> Fraction:
     n = sum(lam)
-    count = orc.oracle_separated_pair_count(lam, alpha, threads=threads)
+    count = orc.oracle_separated_pair_count(lam, alpha)
     return Fraction(count, block_tuple_count(n, alpha) * conjugacy_class_size(lam))
 
 
-def check_two_cycle_closed_form(max_n: int, threads: int = 1) -> CheckResult:
+def check_two_cycle_closed_form(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(4, min(9, max_n) + 1):
         for k in range(2, min(n, 5) + 1):
@@ -107,23 +108,20 @@ def check_two_cycle_closed_form(max_n: int, threads: int = 1) -> CheckResult:
             if n <= min(7, max_n):
                 rec.equal(
                     closed,
-                    _oracle_probability((n,), alpha, threads),
+                    _oracle_probability((n,), alpha),
                     f"oracle n={n} k={k}",
                 )
     return rec.result("1", "two-full-cycles closed form")
 
 
-def check_symmetry(max_n: int, threads: int = 1) -> CheckResult:
+def check_symmetry(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(7, max_n) + 1):
         for lam in partitions(n):
             for m in range(1, n + 1):
                 for k in range(1, m + 1):
                     profiles = [a for a in partitions(m) if len(a) == k]
-                    counts = [
-                        orc.oracle_separated_pair_count(lam, a, threads=threads)
-                        for a in profiles
-                    ]
+                    counts = [orc.oracle_separated_pair_count(lam, a) for a in profiles]
                     formula = fm.separated_pair_count(lam, profiles[0])
                     for alpha, count in zip(profiles, counts):
                         rec.equal(
@@ -134,16 +132,14 @@ def check_symmetry(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("2", "separated counts depend only on (m, k)")
 
 
-def check_colored_quadruples(max_n: int, threads: int = 1) -> CheckResult:
+def check_colored_quadruples(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(5, max_n) + 1):
         for gamma in partitions(n):
             for alpha in _block_profiles(n):
                 for r in range(n - sum(alpha) + 2):
                     rec.equal(
-                        orc.oracle_separated_colored_count(
-                            gamma, alpha, r, threads=threads
-                        ),
+                        orc.oracle_separated_colored_count(gamma, alpha, r),
                         fm.separated_colored_count(
                             n, len(gamma), sum(alpha), len(alpha), r
                         ),
@@ -152,7 +148,7 @@ def check_colored_quadruples(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("3", "separated colored quadruple formula")
 
 
-def check_colored_triples(max_n: int, threads: int = 1) -> CheckResult:
+def check_colored_triples(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(6, max_n) + 1):
         for gamma in all_compositions(n):
@@ -162,23 +158,21 @@ def check_colored_triples(max_n: int, threads: int = 1) -> CheckResult:
                 if not delta:
                     continue
                 rec.equal(
-                    orc.oracle_colored_factorization_count(
-                        gamma, delta, threads=threads
-                    ),
+                    orc.oracle_colored_factorization_count(gamma, delta),
                     fm.colored_factorization_count(n, len(gamma), len(delta)),
                     f"n={n} gamma={gamma} delta={delta}",
                 )
     return rec.result("4", "colored factorization formula")
 
 
-def check_p_cycles(max_n: int, threads: int = 1) -> CheckResult:
+def check_p_cycles(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(7, max_n) + 1):
         for alpha in _block_profiles(n):
             m, k = sum(alpha), len(alpha)
             for p in range(1, n + 1):
                 oracle_total = sum(
-                    orc.oracle_separated_pair_count(lam, alpha, threads=threads)
+                    orc.oracle_separated_pair_count(lam, alpha)
                     for lam in partitions(n)
                     if len(lam) == p
                 )
@@ -201,14 +195,14 @@ def _padded(values: Iterable[Fraction], size: int) -> list[Fraction]:
     return out + [Fraction(0)] * (size - len(out))
 
 
-def check_involution_series(max_n: int, threads: int = 1) -> CheckResult:
+def check_involution_series(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(4, max_n // 2) + 1):
         n = 2 * pairs
         for alpha in _block_profiles(n):
             m, k = sum(alpha), len(alpha)
             series = fm.involution_series(pairs, alpha)
-            histogram = orc.oracle_involution_series(pairs, alpha, threads=threads)
+            histogram = orc.oracle_involution_series(pairs, alpha)
             monomial = fm.involution_series_monomial(pairs, alpha)
             size = max(len(monomial), max(histogram, default=-1) + 1)
             rec.equal(
@@ -263,7 +257,7 @@ def check_involution_series(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("6", "fixed-point-free involution series")
 
 
-def check_fixed_point_lift(max_n: int, threads: int = 1) -> CheckResult:
+def check_fixed_point_lift(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(2, min(6, max_n) + 1):
         for lam in partitions(n):
@@ -281,15 +275,13 @@ def check_fixed_point_lift(max_n: int, threads: int = 1) -> CheckResult:
                     if n + r <= 8:
                         rec.equal(
                             value,
-                            orc.oracle_separated_pair_count(
-                                lifted, alpha, threads=threads
-                            ),
+                            orc.oracle_separated_pair_count(lifted, alpha),
                             f"oracle lam={lam} r={r} alpha={alpha}",
                         )
     return rec.result("7", "fixed-point lifting relation")
 
 
-def check_one_face_maps(max_n: int, threads: int = 1) -> CheckResult:
+def check_one_face_maps(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(5, max_n // 2) + 1):
         series = fm.one_face_map_series(pairs)
@@ -298,7 +290,7 @@ def check_one_face_maps(max_n: int, threads: int = 1) -> CheckResult:
             dict(fm.involution_series(pairs, ()).coeffs),
             f"series equality N={pairs}",
         )
-        histogram = orc.oracle_involution_series(pairs, (), threads=threads)
+        histogram = orc.oracle_involution_series(pairs, ())
         monomial = series.to_monomial()
         expected = [Fraction(0)] * len(monomial)
         for j, ways in histogram.items():
@@ -312,19 +304,19 @@ def check_one_face_maps(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("8", "one-face map vertex polynomial")
 
 
-def check_colored_matchings(max_n: int, threads: int = 1) -> CheckResult:
+def check_colored_matchings(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(4, max_n // 2) + 1):
         for gamma in partitions(2 * pairs):
             rec.equal(
-                orc.oracle_colored_matching_count(pairs, gamma, threads=threads),
+                orc.oracle_colored_matching_count(pairs, gamma),
                 fm.colored_matching_count(pairs, len(gamma)),
                 f"N={pairs} gamma={gamma}",
             )
     return rec.result("9", "colored one-face map refinement")
 
 
-def check_lemma_identities(max_n: int, threads: int = 1) -> CheckResult:
+def check_lemma_identities(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(5, max(1, max_n // 2)) + 1):
         for surplus in range(pairs + 1):
@@ -364,7 +356,7 @@ def check_lemma_identities(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("10", "supporting exact identities")
 
 
-def check_strong_separation(max_n: int, threads: int = 1) -> CheckResult:
+def check_strong_separation(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(6, max_n) + 1):
         for lam in partitions(n):
@@ -382,7 +374,7 @@ def check_strong_separation(max_n: int, threads: int = 1) -> CheckResult:
                         f"round trip lam={lam} profile={coarse}",
                     )
                 for beta, prob in table.items():
-                    count = orc.oracle_strong_pair_count(lam, beta, threads=threads)
+                    count = orc.oracle_strong_pair_count(lam, beta)
                     space = block_tuple_count(n, beta) * conjugacy_class_size(lam)
                     rec.equal(
                         prob,
@@ -413,7 +405,7 @@ def check_strong_separation(max_n: int, threads: int = 1) -> CheckResult:
     return rec.result("11", "strong separation and connection coefficients")
 
 
-SUITES: dict[str, tuple[Callable[[int, int], CheckResult], ...]] = {
+SUITES: dict[str, tuple[Callable[[int], CheckResult], ...]] = {
     "symmetry": (check_symmetry,),
     "formulas": (
         check_two_cycle_closed_form,
@@ -434,6 +426,9 @@ SUITE_ORDER = ("symmetry", "formulas", "maps", "lemmas", "strong")
 def run_suites(
     names: Iterable[str], max_n: int = 6, threads: int = 1
 ) -> list[CheckResult]:
+    """Run the checks of the named suites ("all" for every suite), in suite
+    order, mapped over ``threads`` worker threads.  Each check returns its
+    own result, so the results do not depend on the thread count."""
     requested = list(names)
     if "all" in requested:
         requested = list(SUITE_ORDER)
@@ -443,9 +438,14 @@ def run_suites(
             f"unknown suite(s): {', '.join(unknown)}; "
             f"choose all or one of {', '.join(SUITE_ORDER)}"
         )
-    results = []
-    for suite in SUITE_ORDER:
-        if suite in requested:
-            for check in SUITES[suite]:
-                results.append(check(max_n, threads))
-    return results
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    checks = [
+        check for suite in SUITE_ORDER if suite in requested for check in SUITES[suite]
+    ]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda check: check(max_n), checks))

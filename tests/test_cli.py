@@ -1,14 +1,37 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 from permsep.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), stdout=out)
     return code, out.getvalue()
+
+
+def fresh_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def run_fresh_cli(*argv):
+    """``python -m permsep ARGV`` in a fresh interpreter, with cold caches."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "permsep", *argv],
+        capture_output=True, text=True, env=fresh_env(), timeout=300,
+    )
+    return proc.returncode, proc.stdout
 
 
 def run_json(*argv):
@@ -42,6 +65,14 @@ def test_ncycle():
     record = payload["records"][0]
     assert record["probability"] == "11/18"
     assert record["probability_float"].startswith("0.611111111111111")
+
+
+def test_ncycle_count_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    code, payload = run_json("ncycle", "--n", "1800", "--alpha", "1,1")
+    assert code == EXIT_OK
+    assert len(payload["records"][0]["count"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_pcycles():
@@ -131,9 +162,34 @@ def test_verify_ok():
 
 
 def test_verify_byte_identical_across_threads():
-    _, first = run_cli("verify", "--suite", "symmetry", "--max-n", "5", "--threads", "1")
-    _, second = run_cli("verify", "--suite", "symmetry", "--max-n", "5", "--threads", "3")
-    assert first == second
+    # fresh interpreters, so the checks run concurrently on cold caches
+    runs = [
+        run_fresh_cli("verify", "--suite", "all", "--max-n", "6", "--threads", threads)
+        for threads in ("1", "2")
+    ]
+    assert runs[0][0] == EXIT_OK
+    assert runs[0][1].endswith("OK (11 check groups)\n")
+    assert runs[0] == runs[1]
+
+
+def test_verify_fan_out_under_a_short_switch_interval():
+    # more workers than checks at max_n 5, switching threads every 10 us on
+    # cold caches, then the same suites serially on the now-warm caches
+    code = """
+        import sys
+        from permsep.verification import run_suites
+        sys.setswitchinterval(1e-5)
+        stressed = [r.render() for r in run_suites(["all"], max_n=5, threads=16)]
+        sys.setswitchinterval(0.005)
+        serial = [r.render() for r in run_suites(["all"], max_n=5, threads=1)]
+        assert len(serial) == 11 and all(r.startswith("PASS") for r in serial), serial
+        assert stressed == serial, (stressed, serial)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=fresh_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_invalid_arguments_exit_2():
@@ -147,6 +203,12 @@ def test_invalid_arguments_exit_2():
     assert code == EXIT_USAGE and text == ""
     for max_m in ("0", "-1", "6"):
         code, text = run_cli("table", "--n", "5", "--alphas", "all", "--max-m", max_m)
+        assert code == EXIT_USAGE and text == ""
+    for n in ("0", "-2"):
+        code, text = run_cli("table", "--n", n)
+        assert code == EXIT_USAGE and text == ""
+    for option, value in (("--max-n", "-1"), ("--threads", "0"), ("--threads", "-5")):
+        code, text = run_cli("verify", "--suite", "lemmas", option, value)
         assert code == EXIT_USAGE and text == ""
 
 

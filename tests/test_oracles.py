@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,7 @@ from permsep.partitions import (
     conjugacy_class_size,
     partitions,
 )
-from permsep.perms import Permutation
+from permsep.perms import Permutation, fixed_point_free_involutions
 from permsep.separation import (
     disjoint_block_tuples,
     is_separated,
@@ -268,13 +270,21 @@ def test_budgets_hold_when_histograms_are_cached():
             oracle(*args, budget=budget)
 
 
-def test_threaded_histograms_match_sequential():
-    lam = (4, 2)
-    assert orc.product_type_histogram(lam, orc.OMEGA_FIRST, 1) == orc.product_type_histogram(
-        lam, orc.OMEGA_FIRST, 3
+@pytest.mark.parametrize("n", range(1, 7))
+def test_joint_histogram_matches_a_tally_over_s_n(n):
+    # built from the per-class tallies; checked against every permutation
+    omega = Permutation.full_cycle(n)
+    want = Counter(
+        (pi.cycle_type(), (pi * omega).cycle_type())
+        for pi in map(Permutation, itertools.permutations(range(n)))
     )
-    assert orc.joint_type_histogram(5, 1) == orc.joint_type_histogram(5, 3)
-    assert orc.involution_type_histogram(4, 1) == orc.involution_type_histogram(4, 3)
-    assert orc.oracle_separated_pair_count(
-        (5, 2), (2, 1), threads=4
-    ) == orc.oracle_separated_pair_count((5, 2), (2, 1), threads=1)
+    assert orc.joint_type_histogram(n) == tuple(sorted(want.items()))
+
+
+@pytest.mark.parametrize("pairs", range(1, 5))
+def test_all_twos_histogram_matches_a_tally_over_involutions(pairs):
+    omega = Permutation.full_cycle(2 * pairs)
+    want = Counter(
+        (pi * omega).cycle_type() for pi in fixed_point_free_involutions(pairs)
+    )
+    assert orc.product_type_histogram((2,) * pairs) == tuple(sorted(want.items()))
