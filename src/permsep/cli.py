@@ -17,7 +17,10 @@ disagreement), 2 invalid arguments, 3 oracle budget exceeded.
 Each subcommand imports the modules it runs when it runs: the formula
 subcommands never load the oracles, the verification suites, the strong
 layer or the symmetric-function matrices, so a fresh process pays only for
-its own subcommand.
+its own subcommand.  The parser is built the same way: `_build_parser`
+iterates one table of (name, help, add-arguments function), and a call whose
+first argument names a subcommand builds only that subparser; no arguments,
+``-h`` or an unknown name build all of them.
 """
 
 from __future__ import annotations
@@ -396,83 +399,84 @@ def _cmd_table(args, out: TextIO) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permsep",
-        description="Exact separation probabilities for products of random permutations.",
+def _add_float(p) -> None:
+    p.add_argument(
+        "--float",
+        action="store_true",
+        help="also print a 15-significant-digit decimal (display only)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, want_float=True):
-        if want_float:
-            p.add_argument(
-                "--float",
-                action="store_true",
-                help="also print a 15-significant-digit decimal (display only)",
-            )
 
-    p = sub.add_parser("sep-prob", help="separation probability for one cycle type")
-    p.add_argument("--lambda", dest="lam", required=True, help="cycle type, e.g. 2,2")
-    p.add_argument("--alpha", required=True, help="block sizes, e.g. 1,1")
+def _add_method(p) -> None:
     p.add_argument(
         "--method", choices=("formula", "oracle", "both"), default="formula"
     )
-    add_common(p)
+
+
+def _add_sep_prob(p) -> None:
+    p.add_argument("--lambda", dest="lam", required=True, help="cycle type, e.g. 2,2")
+    p.add_argument("--alpha", required=True, help="block sizes, e.g. 1,1")
+    _add_method(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_sep_prob)
 
-    p = sub.add_parser("ncycle", help="product of two uniform full cycles")
+
+def _add_ncycle(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_ncycle)
 
-    p = sub.add_parser("pcycles", help="left factor uniform with p cycles")
+
+def _add_pcycles(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_pcycles)
 
-    p = sub.add_parser(
-        "involution", help="left factor a uniform fixed-point-free involution"
-    )
+
+def _add_involution(p) -> None:
     p.add_argument("--N", dest="pairs", type=int, required=True, help="number of 2-cycles")
     p.add_argument("--alpha", required=True)
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_involution)
 
-    p = sub.add_parser("lift", help="add fixed points to the cycle type")
+
+def _add_lift(p) -> None:
     p.add_argument("--lambda", dest="lam", required=True, help="base type, parts >= 2")
     p.add_argument("--r", type=int, required=True, help="fixed points to add")
     p.add_argument("--alpha", required=True)
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("strong", help="strong separation probability table")
+
+def _add_strong(p) -> None:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--m", type=int, required=True, help="total block size")
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_strong)
 
-    p = sub.add_parser("connection", help="full-cycle factorization count")
+
+def _add_connection(p) -> None:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--alpha", required=True, help="cycle type of the product, size n")
-    add_common(p, want_float=False)
     p.set_defaults(func=_cmd_connection)
 
-    p = sub.add_parser("gtable", help="dump the generating-series coefficient table")
+
+def _add_gtable(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p, want_float=False)
     p.set_defaults(func=_cmd_gtable)
 
-    p = sub.add_parser("hz", help="one-face map vertex polynomial")
+
+def _add_hz(p) -> None:
     p.add_argument("--N", dest="pairs", type=int, required=True, help="number of edges")
-    add_common(p, want_float=False)
     p.set_defaults(func=_cmd_hz)
 
-    p = sub.add_parser("verify", help="run the cross-verification suites")
+
+def _add_verify(p) -> None:
     p.add_argument(
         "--suite",
         default="all",
@@ -484,7 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("table", help="batch separation probabilities")
+
+def _add_table(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", default=None, help="cycle type (default: one n-cycle)")
     p.add_argument(
@@ -493,21 +498,52 @@ def _build_parser() -> argparse.ArgumentParser:
         help='"all" or semicolon-separated block profiles, e.g. "1,1;2,1"',
     )
     p.add_argument("--max-m", dest="max_m", type=int, default=None)
-    p.add_argument(
-        "--method", choices=("formula", "oracle", "both"), default="formula"
-    )
+    _add_method(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p)
+    _add_float(p)
     p.set_defaults(func=_cmd_table)
 
+
+# (name, help, add-arguments function), in the order ``--help`` lists them.
+_SUBCOMMANDS = (
+    ("sep-prob", "separation probability for one cycle type", _add_sep_prob),
+    ("ncycle", "product of two uniform full cycles", _add_ncycle),
+    ("pcycles", "left factor uniform with p cycles", _add_pcycles),
+    ("involution", "left factor a uniform fixed-point-free involution", _add_involution),
+    ("lift", "add fixed points to the cycle type", _add_lift),
+    ("strong", "strong separation probability table", _add_strong),
+    ("connection", "full-cycle factorization count", _add_connection),
+    ("gtable", "dump the generating-series coefficient table", _add_gtable),
+    ("hz", "one-face map vertex polynomial", _add_hz),
+    ("verify", "run the cross-verification suites", _add_verify),
+    ("table", "batch separation probabilities", _add_table),
+)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with just the subcommand named ``only``, or with all of
+    them when ``only`` names none; its help and error text are the same
+    either way."""
+    parser = argparse.ArgumentParser(
+        prog="permsep",
+        description="Exact separation probabilities for products of random permutations.",
+    )
+    chosen = [entry for entry in _SUBCOMMANDS if entry[0] == only]
+    # Built alone, a subcommand still lists every name in the top-level
+    # usage line, which argparse prints for an unrecognized argument.
+    names = ",".join(name for name, _, _ in _SUBCOMMANDS)
+    metavar = f"{{{names}}}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments in chosen or _SUBCOMMANDS:
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # Counts can run past CPython's int-to-str limit (4,300 digits by

@@ -28,10 +28,9 @@ cross-checked against brute-force enumeration in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvariantError
 from .partitions import (
@@ -48,7 +47,7 @@ from .partitions import (
     perfect_matching_count,
     stirling_first_unsigned,
 )
-from .polynomials import BinomialPolynomial, Poly, poly_add, poly_scale
+from .polynomials import BinomialPolynomial, FrozenRecord, Poly, poly_add, poly_scale
 
 # ---------------------------------------------------------------------------
 # Colored factorization counts
@@ -130,8 +129,7 @@ def marked_composition_count_direct(n: int, alpha: Iterable[int], r: int) -> int
 # The generating series table
 
 
-@dataclass(frozen=True)
-class GenSeriesTable:
+class GenSeriesTable(FrozenRecord):
     """Coefficient table of the separated-pair series at degree n.
 
     ``entries[(lam, r)]`` is the integer coefficient of m_lam * C(t, r) in
@@ -140,10 +138,16 @@ class GenSeriesTable:
     depend on the block sizes only through (m, k).
     """
 
-    n: int
-    m: int
-    k: int
-    entries: Mapping[tuple[Partition, int], int] = field(default_factory=dict)
+    __slots__ = ("n", "m", "k", "entries")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        k: int,
+        entries: Mapping[tuple[Partition, int], int] | None = None,
+    ):
+        self._init(n, m, k, {} if entries is None else entries)
 
     def coefficient(self, lam: Iterable[int], r: int) -> int:
         return self.entries.get((as_partition(lam), r), 0)
@@ -184,6 +188,8 @@ def gen_series_entry(n: int, m: int, k: int, length: int, r: int) -> int:
 @lru_cache(maxsize=None)
 def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
     """The explicit coefficient table for given degree and block profile (m, k)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     if not 0 <= k <= m:
@@ -272,8 +278,7 @@ def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
 # Probabilities
 
 
-@dataclass(frozen=True)
-class SepResult:
+class SepResult(NamedTuple):
     """A separation count/probability with its provenance."""
 
     count: int | None

@@ -26,10 +26,9 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 from .partitions import (
@@ -60,8 +59,7 @@ OMEGA_FIRST = "omega-first"  # sigma = pi * omega (the full cycle acts first)
 PI_FIRST = "pi-first"  # sigma = omega * pi
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Hard limits for exhaustive enumeration.
 
     ``max_n`` caps the ground-set size, ``max_objects`` the number of

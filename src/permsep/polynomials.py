@@ -1,17 +1,22 @@
 """Exact univariate polynomial helpers and the binomial-coefficient basis.
 
-Dense polynomials are lists of Fractions, lowest degree first.  A
+Dense polynomials are tuples of Fractions, lowest degree first.  A
 ``BinomialPolynomial`` stores a finite combination sum_r c_r * C(t, r); the
 generating series in this package have nonnegative integer coefficients in
-this basis because each coefficient counts colored objects.
+this basis because each coefficient counts colored objects.  Conversion to
+monomials and evaluation at an integer run in integers: the conversion nests
+the basis Horner-style and divides exactly once at the end, in O(R^2)
+integer operations for top index R, and evaluation keeps C(t, r) as a
+running integer binomial.
+
+`FrozenRecord` is the base of the package's immutable records whose
+constructor normalises its input; the plain records are ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 Poly = tuple[Fraction, ...]
@@ -68,58 +73,95 @@ def poly_shift(coeffs: Iterable[Fraction], delta: Fraction | int) -> Poly:
     return result
 
 
-@lru_cache(maxsize=None)
-def binomial_basis_poly(r: int) -> Poly:
-    """Monomial coefficients of C(t, r) = t(t-1)...(t-r+1)/r!.
+class FrozenRecord:
+    """Base of the immutable records whose constructor normalises its input.
 
-    The falling factorial is expanded in integers and divided by r! once.
+    A subclass lists its fields in ``__slots__`` and sets them once with
+    `_init`; instances compare equal field by field, are unhashable (their
+    fields hold dicts), reject assignment and print as ``Name(field=value,
+    ...)``.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    falling = [1]
-    for i in range(r):
-        # (t - i) * P: the t^j coefficient is P[j-1] - i * P[j]
-        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
-    scale = math.factorial(r)
-    return tuple(Fraction(c, scale) for c in falling)
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class BinomialPolynomial:
-    """A polynomial written as sum_r coeffs[r] * C(t, r)."""
+class BinomialPolynomial(FrozenRecord):
+    """A polynomial written as sum_r coeffs[r] * C(t, r); ``coeffs`` keeps
+    only the nonzero coefficients, as Fractions."""
 
-    coeffs: Mapping[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
         cleaned = {}
-        for r, c in self.coeffs.items():
+        for r, c in (coeffs or {}).items():
             if r < 0:
                 raise ValueError("binomial-basis support must be nonnegative")
             c = Fraction(c)
             if c:
                 cleaned[int(r)] = c
-        object.__setattr__(self, "coeffs", cleaned)
+        self._init(cleaned)
 
     def coefficient(self, r: int) -> Fraction:
         return self.coeffs.get(r, Fraction(0))
 
     def evaluate(self, t: Fraction | int) -> Fraction:
-        """Exact value at ``t`` via the product formula for C(t, r)."""
+        """Exact value at ``t``, with C(t, r) = C(t, r-1) (t - r + 1) / r kept
+        running (in integers when t is one)."""
         t = Fraction(t)
+        if t.denominator == 1:
+            t = t.numerator
         total = Fraction(0)
-        for r, c in self.coeffs.items():
-            term = Fraction(1)
-            for i in range(r):
-                term *= t - i
-            total += c * term / math.factorial(r)
+        binom = 1
+        for r in range(max(self.coeffs, default=-1) + 1):
+            if r:
+                binom *= t - r + 1
+                binom = binom // r if type(t) is int else binom / r
+            if r in self.coeffs:
+                total += self.coeffs[r] * binom
         return total
 
     def to_monomial(self) -> Poly:
-        """Dense monomial coefficients, lowest degree first."""
-        out: Poly = ()
-        for r, c in self.coeffs.items():
-            out = poly_add(out, poly_scale(binomial_basis_poly(r), c))
-        return out
+        """Dense monomial coefficients, lowest degree first.
+
+        With R the top index and D the common denominator, the nested integer
+        scheme A_r = D c_r R!/r! + (t - r) A_{r+1} gives A_0 = D R! * P(t), so
+        the only division is the exact one by D R! at the end.
+        """
+        if not self.coeffs:
+            return ()
+        top = max(self.coeffs)
+        scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        acc: list[int] = []
+        weight = 1  # R!/r!
+        for r in range(top, -1, -1):
+            c = self.coeffs.get(r)
+            # (t - r) * A_{r+1}: the t^j coefficient is A[j-1] - r * A[j]
+            acc = [a - r * b for a, b in zip([0] + acc, acc + [0])]
+            if c is not None:
+                acc[0] += c.numerator * (scale // c.denominator) * weight
+            weight *= r or 1
+        return poly_trim(Fraction(a, scale * weight) for a in acc)
 
     def to_monomial_shifted(self, delta: Fraction | int) -> Poly:
         """Monomial coefficients of P(t + delta)."""

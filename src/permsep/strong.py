@@ -20,10 +20,9 @@ as an always-integer rescaling of the strong probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantError
 from .formulas import _length_profile, separated_pair_count
@@ -92,8 +91,7 @@ def flatten_segments(segments: Segmentation) -> Partition:
     return sorted_partition(parts)
 
 
-@dataclass(frozen=True)
-class RefinementMatrix:
+class RefinementMatrix(NamedTuple):
     """The weak-to-strong system over the partitions of one total size.
 
     Rows and columns are indexed by `partitions(size)` (reverse-lexicographic,
@@ -104,7 +102,7 @@ class RefinementMatrix:
 
     size: int
     index: tuple[Partition, ...]
-    rows: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    rows: tuple[tuple[int, ...], ...] = ()
 
     def entry(self, coarse: Iterable[int], fine: Iterable[int]) -> int:
         i = self.index.index(as_partition(coarse))

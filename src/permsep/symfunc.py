@@ -18,9 +18,8 @@ checks in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvariantError
 from .partitions import (
@@ -31,31 +30,35 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
+from .polynomials import FrozenRecord
 
-@dataclass(frozen=True)
-class SymFuncVector:
+
+class SymFuncVector(FrozenRecord):
     """A symmetric function of fixed degree in a fixed basis.
 
     ``coeffs`` maps partitions of ``degree`` to nonzero Fractions; absent
     partitions have coefficient zero.
     """
 
-    degree: int
-    basis: str
-    coeffs: Mapping[Partition, Fraction] = field(default_factory=dict)
+    __slots__ = ("degree", "basis", "coeffs")
 
-    def __post_init__(self):
-        if self.basis not in ("m", "p"):
-            raise ValueError(f"basis must be 'm' or 'p', got {self.basis!r}")
+    def __init__(
+        self,
+        degree: int,
+        basis: str,
+        coeffs: Mapping[Partition, Fraction] | None = None,
+    ):
+        if basis not in ("m", "p"):
+            raise ValueError(f"basis must be 'm' or 'p', got {basis!r}")
         cleaned = {}
-        for lam, value in self.coeffs.items():
+        for lam, value in (coeffs or {}).items():
             lam = as_partition(lam)
-            if sum(lam) != self.degree:
-                raise ValueError(f"index {lam} does not have size {self.degree}")
+            if sum(lam) != degree:
+                raise ValueError(f"index {lam} does not have size {degree}")
             value = Fraction(value)
             if value:
                 cleaned[lam] = value
-        object.__setattr__(self, "coeffs", cleaned)
+        self._init(degree, basis, cleaned)
 
     def coefficient(self, lam: Iterable[int]) -> Fraction:
         return self.coeffs.get(as_partition(lam), Fraction(0))
@@ -92,8 +95,7 @@ def expand_power_sum_in_monomials(lam: Iterable[int]) -> dict[Partition, int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class TransitionMatrices:
+class TransitionMatrices(NamedTuple):
     """Exact transition matrices between power sums and monomials at one degree.
 
     Partitions are indexed in reverse-lexicographic order (`partitions`).

@@ -15,9 +15,8 @@ therefore the rendered report are identical for any thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import formulas as fm
 from . import oracles as orc
@@ -41,8 +40,7 @@ from .symfunc import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: str
     name: str
     passed: bool

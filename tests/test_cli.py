@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 
-from permsep.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from permsep.cli import _SUBCOMMANDS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -129,6 +133,17 @@ def test_hz_polynomial():
     assert details["binomial_basis"] == {"1": "3", "2": "12", "3": "12"}
 
 
+def test_hz_one_face_maps_at_600_edges():
+    pairs = 600
+    code, payload = run_json("hz", "--N", str(pairs))
+    assert code == EXIT_OK
+    monomial = [int(c) for c in payload["records"][0]["details"]["monomial"]]
+    assert len(monomial) == pairs + 2
+    # planar maps at t^(N+1), and every gluing of the 2N-gon once
+    assert monomial[pairs + 1] == math.comb(2 * pairs, pairs) // (pairs + 1)
+    assert sum(monomial) == math.prod(range(1, 2 * pairs, 2))
+
+
 def test_table_csv_and_json_agree():
     args = ("table", "--n", "4", "--alphas", "1,1;2,1", "--method", "both")
     code_json, payload = run_json(*args, "--format", "json")
@@ -199,6 +214,8 @@ def test_invalid_arguments_exit_2():
     assert code == EXIT_USAGE
     code, _ = run_cli("gtable", "--n", "3", "--m", "4", "--k", "1")
     assert code == EXIT_USAGE
+    code, text = run_cli("gtable", "--n", "0", "--m", "0", "--k", "0")
+    assert code == EXIT_USAGE and text == ""
     code, text = run_cli("pcycles", "--n", "3", "--p", "0", "--alpha", "5")
     assert code == EXIT_USAGE and text == ""
     for max_m in ("0", "-1", "6"):
@@ -237,3 +254,38 @@ def test_json_round_trip_lossless():
 
     assert math.gcd(int(num), int(den)) == 1
     assert Fraction(record["probability"]) == Fraction(int(num), int(den))
+
+
+def parse_output(parser, argv):
+    """(exit code, stdout, stderr) of one ``parse_args`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_help_lists_every_subcommand():
+    code, text, _ = parse_output(_build_parser(), ["--help"])
+    assert code == 0
+    names = [name for name, _, _ in _SUBCOMMANDS]
+    assert len(names) == 11
+    assert all(f"    {name} " in text for name in names), text
+    assert text.index("sep-prob") < text.index("table ")
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _SUBCOMMANDS])
+def test_subcommand_text_same_alone_or_with_all(name):
+    alone, full = _build_parser(name), _build_parser()
+    assert list(alone._subparsers._group_actions[0].choices) == [name]
+    code, text, _ = parse_output(alone, [name, "--help"])
+    assert code == 0 and text.startswith(f"usage: permsep {name} ")
+    # a missing required option, or (for verify, which has none) an unknown
+    # one, which the top-level parser reports with its own usage line
+    code, _, error = parse_output(alone, [name] if name != "verify" else [name, "--bogus"])
+    assert code == EXIT_USAGE and "error: " in error
+    for argv in ([name, "--help"], [name], [name, "--bogus"]):
+        assert parse_output(alone, argv) == parse_output(full, argv), argv

@@ -279,6 +279,38 @@ def test_one_face_map_series():
         assert series.evaluate(1) == math.prod(range(1, 2 * pairs, 2))
 
 
+def face_map_counts(pairs):
+    """eps_g(N), the one-face maps with N edges and genus g, for g = 0, 1, ...:
+    the hz coefficient at t^(N + 1 - 2g)."""
+    monomial = fm.one_face_map_series(pairs).to_monomial()
+    return [int(monomial[pairs + 1 - 2 * g]) for g in range(pairs // 2 + 1)]
+
+
+def test_one_face_maps_beyond_brute_force():
+    counts = {pairs: face_map_counts(pairs) for pairs in range(1, 121)}
+    counts[0] = [1]
+    for pairs in range(1, 121):
+        eps = counts[pairs]
+        assert eps[0] == math.comb(2 * pairs, pairs) // (pairs + 1)  # Catalan
+        assert sum(eps) == math.prod(range(1, 2 * pairs, 2))  # (2N-1)!!
+        if pairs < 2:
+            continue
+        # Harer-Zagier: (N+1) eps_g(N) = 2(2N-1) eps_g(N-1)
+        #                                + (N-1)(2N-1)(2N-3) eps_{g-1}(N-2)
+        previous, before = counts[pairs - 1], counts[pairs - 2]
+        for g, value in enumerate(eps):
+            right = 2 * (2 * pairs - 1) * (previous[g] if g < len(previous) else 0)
+            if g:
+                right += (pairs - 1) * (2 * pairs - 1) * (2 * pairs - 3) * before[g - 1]
+            assert (pairs + 1) * value == right, (pairs, g)
+
+
+def test_gen_series_table_needs_positive_degree():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            fm.gen_series_table(n, 0, 0)
+
+
 def test_add_fixed_points_examples():
     assert fm.add_fixed_points_count((2,), 1, (1, 1)) == 12
     assert fm.add_fixed_points_count((2, 2), 0, (1, 1)) == 20

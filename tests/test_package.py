@@ -13,6 +13,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Modules that only verification, the oracles or the strong layer need.
 HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.strong")
+# Standard-library modules that no subcommand needs: ``dataclasses`` alone
+# costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
+# ``dis``.
+SLOW_STDLIB = ("dataclasses", "inspect")
 
 
 def run_fresh(code: str) -> str:
@@ -77,12 +81,14 @@ def test_import_permsep_loads_only_errors_and_partitions():
 
 
 def loaded_by(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and the permsep and `SLOW_STDLIB` modules loaded by one call."""
     out = run_fresh(
         f"""
         import io, json, sys
         from permsep.cli import main
         code = main({argv!r}, stdout=io.StringIO())
-        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("permsep"))]))
+        names = [m for m in sys.modules if m.startswith("permsep") or m in {SLOW_STDLIB!r}]
+        print(json.dumps([code, sorted(names)]))
         """
     )
     code, modules = json.loads(out)
@@ -98,13 +104,15 @@ def loaded_by(argv: list[str]) -> tuple[int, list[str]]:
         ["pcycles", "--n", "7", "--p", "3", "--alpha", "2,2"],
         ["involution", "--N", "4", "--alpha", "2,1"],
         ["hz", "--N", "6"],
+        ["gtable", "--n", "5", "--m", "2", "--k", "1"],
+        ["table", "--n", "5", "--alphas", "2,1;1,1"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_formula_subcommands_never_load_the_heavy_layers(argv):
     code, modules = loaded_by(argv)
     assert code == 0
-    assert not set(HEAVY) & set(modules), modules
+    assert not set(HEAVY + SLOW_STDLIB) & set(modules), modules
 
 
 def test_oracle_and_verify_subcommands_load_what_they_run():
@@ -113,6 +121,19 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
     )
     assert code == 0
     assert {"permsep.oracles", "permsep.separation"} <= set(modules)
-    code, modules = loaded_by(["verify", "--suite", "strong", "--max-n", "4"])
+    assert not set(SLOW_STDLIB) & set(modules), modules
+    code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4"])
     assert code == 0
-    assert {"permsep.verification", "permsep.strong"} <= set(modules)
+    assert {"permsep.verification", "permsep.strong", "permsep.symfunc"} <= set(modules)
+    assert not set(SLOW_STDLIB) & set(modules), modules
+    for argv in (
+        ["strong", "--lambda", "4,3", "--m", "4"],
+        ["connection", "--lambda", "4,3", "--alpha", "5,2"],
+    ):
+        code, modules = loaded_by(argv)
+        assert code == 0
+        assert "permsep.strong" in modules
+        assert not {"permsep.oracles", "permsep.verification", "permsep.symfunc"} & set(
+            modules
+        ), modules
+        assert not set(SLOW_STDLIB) & set(modules), modules

@@ -4,7 +4,6 @@ import pytest
 
 from permsep.polynomials import (
     BinomialPolynomial,
-    binomial_basis_poly,
     poly_add,
     poly_eval,
     poly_mul,
@@ -13,10 +12,13 @@ from permsep.polynomials import (
 
 
 def test_binomial_basis_poly():
-    assert binomial_basis_poly(0) == (Fraction(1),)
-    assert binomial_basis_poly(1) == (Fraction(0), Fraction(1))
+    def basis(r):
+        return BinomialPolynomial({r: 1}).to_monomial()
+
+    assert basis(0) == (Fraction(1),)
+    assert basis(1) == (Fraction(0), Fraction(1))
     # C(t, 2) = (t^2 - t)/2
-    assert binomial_basis_poly(2) == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+    assert basis(2) == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_poly_helpers():

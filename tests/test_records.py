@@ -1,0 +1,145 @@
+"""The package's record types: keyword construction, defaults, immutability,
+equality, hashing and repr text, one test per type."""
+
+from fractions import Fraction
+
+import pytest
+
+from permsep.formulas import GenSeriesTable, SepResult
+from permsep.oracles import OracleBudget
+from permsep.polynomials import BinomialPolynomial
+from permsep.strong import RefinementMatrix
+from permsep.symfunc import SymFuncVector, TransitionMatrices
+from permsep.verification import CheckResult
+
+
+def assert_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def assert_unhashable(record):
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_sep_result():
+    res = SepResult(count=3, probability=Fraction(1, 2), method="m")
+    assert (res.count, res.probability, res.method, res.warnings) == (
+        3, Fraction(1, 2), "m", ()
+    )
+    assert res == SepResult(3, Fraction(1, 2), "m", ())
+    assert res != SepResult(3, Fraction(1, 2), "m", ("note",))
+    assert hash(res) == hash(SepResult(3, Fraction(1, 2), "m"))
+    assert_immutable(res, "count")
+    assert repr(res) == (
+        "SepResult(count=3, probability=Fraction(1, 2), method='m', warnings=())"
+    )
+
+
+def test_gen_series_table():
+    table = GenSeriesTable(n=2, m=1, k=1)
+    assert (table.n, table.m, table.k, table.entries) == (2, 1, 1, {})
+    assert table.entries is not GenSeriesTable(2, 1, 1).entries
+    entries = {((2,), 0): 4}
+    assert GenSeriesTable(2, 1, 1, entries) == GenSeriesTable(n=2, m=1, k=1, entries=entries)
+    assert GenSeriesTable(2, 1, 1, entries) != table
+    assert table != GenSeriesTable(3, 1, 1)
+    assert_unhashable(table)
+    assert_immutable(table, "entries")
+    assert repr(GenSeriesTable(2, 1, 1, entries)) == (
+        "GenSeriesTable(n=2, m=1, k=1, entries={((2,), 0): 4})"
+    )
+
+
+def test_binomial_polynomial():
+    poly = BinomialPolynomial(coeffs={2: 3, 0: Fraction(1, 2), 5: 0})
+    assert poly.coeffs == {2: Fraction(3), 0: Fraction(1, 2)}  # zeros dropped
+    assert BinomialPolynomial().coeffs == {}
+    assert BinomialPolynomial({1: 0}) == BinomialPolynomial()
+    assert poly == BinomialPolynomial({0: Fraction(1, 2), 2: Fraction(3)})
+    assert poly != BinomialPolynomial({2: 3})
+    with pytest.raises(ValueError):
+        BinomialPolynomial({-1: 1})
+    assert_unhashable(poly)
+    assert_immutable(poly, "coeffs")
+    assert repr(BinomialPolynomial({1: 2})) == (
+        "BinomialPolynomial(coeffs={1: Fraction(2, 1)})"
+    )
+
+
+def test_oracle_budget():
+    budget = OracleBudget(max_n=5)
+    assert (budget.max_n, budget.max_objects, budget.max_seconds) == (5, None, None)
+    assert budget == OracleBudget(5, None, None)
+    assert budget != OracleBudget(5, max_objects=10)
+    assert hash(budget) == hash(OracleBudget(max_n=5))
+    assert_immutable(budget, "max_n")
+    assert repr(OracleBudget(8, max_seconds=1.5)) == (
+        "OracleBudget(max_n=8, max_objects=None, max_seconds=1.5)"
+    )
+
+
+def test_refinement_matrix():
+    matrix = RefinementMatrix(size=2, index=((2,), (1, 1)))
+    assert matrix.rows == ()
+    rows = ((1, 1), (0, 1))
+    full = RefinementMatrix(2, ((2,), (1, 1)), rows)
+    assert full == RefinementMatrix(size=2, index=((2,), (1, 1)), rows=rows)
+    assert full != matrix
+    assert hash(full) == hash(RefinementMatrix(2, ((2,), (1, 1)), rows))
+    assert full.entry((2,), (1, 1)) == 1
+    assert_immutable(full, "rows")
+    assert repr(full) == (
+        "RefinementMatrix(size=2, index=((2,), (1, 1)), rows=((1, 1), (0, 1)))"
+    )
+
+
+def test_sym_func_vector():
+    vec = SymFuncVector(degree=2, basis="p", coeffs={(1, 1): 2, (2,): 0})
+    assert (vec.degree, vec.basis, vec.coeffs) == (2, "p", {(1, 1): Fraction(2)})
+    assert SymFuncVector(2, "m").coeffs == {}
+    assert vec == SymFuncVector(2, "p", {(1, 1): Fraction(2)})
+    assert vec != SymFuncVector(2, "m", {(1, 1): Fraction(2)})
+    with pytest.raises(ValueError):
+        SymFuncVector(2, "e")
+    with pytest.raises(ValueError):
+        SymFuncVector(2, "m", {(3,): 1})
+    assert_unhashable(vec)
+    assert_immutable(vec, "coeffs")
+    assert repr(vec) == (
+        "SymFuncVector(degree=2, basis='p', coeffs={(1, 1): Fraction(2, 1)})"
+    )
+
+
+def test_transition_matrices():
+    tm = TransitionMatrices(
+        degree=1,
+        index=((1,),),
+        power_to_monomial=((1,),),
+        monomial_to_power=((Fraction(1),),),
+    )
+    assert tm == TransitionMatrices(1, ((1,),), ((1,),), ((Fraction(1),),))
+    assert tm != TransitionMatrices(1, ((1,),), ((2,),), ((Fraction(1, 2),),))
+    assert hash(tm) == hash(TransitionMatrices(1, ((1,),), ((1,),), ((Fraction(1),),)))
+    assert tm.position((1,)) == 0
+    assert_immutable(tm, "index")
+    assert repr(tm) == (
+        "TransitionMatrices(degree=1, index=((1,),), power_to_monomial=((1,),), "
+        "monomial_to_power=((Fraction(1, 1),),))"
+    )
+
+
+def test_check_result():
+    result = CheckResult(criterion="4", name="symmetry", passed=True, checks=7)
+    assert result.failures == ()
+    assert result == CheckResult("4", "symmetry", True, 7, ())
+    assert result != CheckResult("4", "symmetry", False, 7, ("x",))
+    assert hash(result) == hash(CheckResult("4", "symmetry", True, 7))
+    assert result.render() == "PASS criterion-4 symmetry [7 checks]"
+    assert_immutable(result, "passed")
+    assert repr(result) == (
+        "CheckResult(criterion='4', name='symmetry', passed=True, checks=7, failures=())"
+    )
