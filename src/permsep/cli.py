@@ -110,6 +110,8 @@ def _sep_records(
     lam, alpha, method: str, with_float: bool, base_warnings: list[str]
 ) -> tuple[list[dict], bool]:
     """Records for one separation query; returns (records, mismatch flag)."""
+    if sum(alpha) > sum(lam):
+        raise ValueError("total block size exceeds n")
     records = []
     results: list[fm.SepResult] = []
     if method in ("formula", "both"):

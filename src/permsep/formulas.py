@@ -47,7 +47,7 @@ from .partitions import (
     perfect_matching_count,
     stirling_first_unsigned,
 )
-from .polynomials import BinomialPolynomial, FrozenRecord, Poly, poly_add, poly_scale
+from .polynomials import BinomialPolynomial, FrozenRecord, Poly
 
 # ---------------------------------------------------------------------------
 # Colored factorization counts
@@ -539,20 +539,22 @@ def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> 
     n, m, k = sum(lam), sum(alpha), len(alpha)
     if m > n + r:
         raise ValueError("total block size exceeds n + r")
-    total = Fraction(0)
+    total = 0  # n times the count: every weight has denominator n
     for p in range(m - k + 1):
         if m - p > n:
             continue  # base blocks cannot fit: the base count is zero
         base = separated_pair_count(lam, (m - k - p + 1,) + (1,) * (k - 1))
         if base == 0:
             continue
-        weight = Fraction(n + p, n) * binomial(n + m + r - p, n + m) + Fraction(
-            m - p, n
-        ) * binomial(n + m + r - p - 1, n + m)
+        weight = (n + p) * binomial(n + m + r - p, n + m) + (m - p) * binomial(
+            n + m + r - p - 1, n + m
+        )
         total += weight * binomial(m - k, p) * base
-    if total.denominator != 1 or total < 0:
-        raise InvariantError(f"lifted separated count not integral: {total}")
-    return int(total)
+    if total % n or total < 0:
+        raise InvariantError(
+            f"lifted separated count not integral: {Fraction(total, n)}"
+        )
+    return total // n
 
 
 def add_fixed_points_probability(
@@ -579,28 +581,26 @@ def binomial_sum_identity_holds(a: int, b: int) -> bool:
         sum_i x^i / (i+b+1) * C(a, i)
           = ((a+1))^-1 * ( 1 / (C(a+b+1, b) (-x)^(b+1))
                            - sum_i C(b, i) (x+1)^(a+i+1) / (C(a+i+1, i) (-x)^(i+1)) )
-    are multiplied by (a+1)(-x)^(b+1) and compared as exact polynomials.
+    are multiplied by (a+1)(-x)^(b+1) and by one common denominator, and
+    compared as integer coefficient lists.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
+    denoms = [binomial(a + i + 1, i) for i in range(b + 1)] + list(range(b + 1, a + b + 2))
+    scale = math.lcm(binomial(a + b + 1, b), *denoms)
     # left: (a+1) * (-1)^(b+1) * x^(b+1) * sum_i x^i C(a, i)/(i+b+1)
-    left = [Fraction(0)] * (b + 1) + [
-        Fraction((a + 1) * binomial(a, i), i + b + 1) for i in range(a + 1)
+    left = [0] * (b + 1) + [
+        (-1) ** (b + 1) * (a + 1) * binomial(a, i) * (scale // (i + b + 1))
+        for i in range(a + 1)
     ]
-    left = poly_scale(left, Fraction((-1) ** (b + 1)))
     # right: 1/C(a+b+1, b) - sum_i C(b,i) (x+1)^(a+i+1) (-x)^(b-i) / C(a+i+1, i)
-    right: Poly = (Fraction(1, binomial(a + b + 1, b)),)
+    right = [scale // binomial(a + b + 1, b)] + [0] * (a + b + 1)
     for i in range(b + 1):
         power = a + i + 1
-        expanded = [
-            Fraction(binomial(power, j) * (-1) ** (b - i), binomial(power, i))
-            for j in range(power + 1)
-        ]
-        term = poly_scale(
-            [Fraction(0)] * (b - i) + expanded, Fraction(-binomial(b, i))
-        )
-        right = poly_add(right, term)
-    return tuple(left) == tuple(right)
+        factor = (-1) ** (b - i) * binomial(b, i) * (scale // binomial(power, i))
+        for j in range(power + 1):
+            right[b - i + j] -= factor * binomial(power, j)
+    return left == right
 
 
 def stirling_sum_identity_holds(a: int, p: int) -> bool:

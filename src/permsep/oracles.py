@@ -8,12 +8,16 @@ enumerated as raw image tuples (`perms.class_images`) and the cycle type of
 each product with the full cycle is read straight off the tuple; connection
 coefficients tally the full cycles once per representative.  Separated block
 tuples are counted per cycle type by a block-first dynamic program over the
-untouched cycles.  Every histogram is a serial tally straight off the class
-stream: the joint (pi, product) tally over S_n is assembled from the cached
-per-class tallies, and the involution tally is the class (2, ..., 2).  The
-``*_literal`` variants go further and enumerate even the auxiliary structures
-one by one, as `Permutation` objects; they exist to validate the counting
-layer at tiny sizes.
+untouched cycles; its transitions (the placements of one block, given the
+untouched count of each distinct cycle length) are cached and shared by every
+cycle type and block profile that reaches the same state, and the marked
+coloring weights are cached per (product type, blocks, extra colors).  Every
+histogram is a serial tally straight off the class stream: the joint (pi,
+product) tally over S_n is assembled from the cached per-class tallies, and
+the involution tally is the class (2, ..., 2).  The ``*_literal`` variants go
+further and enumerate even the auxiliary structures one by one, as
+`Permutation` objects; they exist to validate the counting layer at tiny
+sizes.
 
 Budgets are explicit: an oracle either finishes exactly or raises
 BudgetExceededError.  Oracles that read a cached histogram tick the objects
@@ -195,6 +199,32 @@ def _covering_subset_count(size: int, lengths: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def _block_placements(
+    lengths: tuple[int, ...], free: tuple[int, ...], size: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Ways to place one block of ``size`` elements when free[i] cycles of
+    length lengths[i] are untouched, keyed by the untouched counts left.
+
+    The block picks u_i untouched cycles of each length (0 < sum u <= size),
+    in prod C(free_i, u_i) ways, and a ``size``-subset of their union meeting
+    every picked cycle.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for picked in itertools.product(*(range(min(f, size) + 1) for f in free)):
+        if not 0 < sum(picked) <= size:
+            continue
+        weight = _covering_subset_count(
+            size, tuple(s for s, u in zip(lengths, picked) for _ in range(u))
+        )
+        for f, u in zip(free, picked):
+            weight *= binomial(f, u)
+        if weight:
+            left = tuple(f - u for f, u in zip(free, picked))
+            out[left] = out.get(left, 0) + weight
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def _separated_tuple_histogram(
     cycle_sizes: Partition, block_sizes: Partition
 ) -> tuple[tuple[int, int], ...]:
@@ -202,27 +232,18 @@ def _separated_tuple_histogram(
     cycles have the given sizes, split by the number of untouched cycles.
 
     Blocks are placed one at a time.  The state is the number of untouched
-    cycles of each distinct length; a block of size a picks u_s untouched
-    cycles of each length s (0 < sum u <= a), in prod C(free_s, u_s) ways,
-    and an a-subset of their union meeting every picked cycle.  Separation
-    is exactly the rule that a touched cycle is never picked again.
+    cycles of each distinct length, and each step reads its transitions from
+    `_block_placements`, which every cycle type with the same distinct
+    lengths shares.  Separation is exactly the rule that a touched cycle is
+    never picked again.
     """
-    lengths = sorted(set(cycle_sizes))
+    lengths = tuple(sorted(set(cycle_sizes)))
     states = {tuple(cycle_sizes.count(s) for s in lengths): 1}
     for a in block_sizes:
         nxt: dict[tuple[int, ...], int] = {}
         for free, ways in states.items():
-            for picked in itertools.product(*(range(min(f, a) + 1) for f in free)):
-                if not 0 < sum(picked) <= a:
-                    continue
-                weight = _covering_subset_count(
-                    a, tuple(s for s, u in zip(lengths, picked) for _ in range(u))
-                )
-                for f, u in zip(free, picked):
-                    weight *= binomial(f, u)
-                if weight:
-                    left = tuple(f - u for f, u in zip(free, picked))
-                    nxt[left] = nxt.get(left, 0) + ways * weight
+            for left, weight in _block_placements(lengths, free, a):
+                nxt[left] = nxt.get(left, 0) + ways * weight
         states = nxt
     out: dict[int, int] = {}
     for free, ways in states.items():
@@ -275,6 +296,7 @@ def _profile_coloring_count(cycle_sizes: Partition, profile: Composition) -> int
     return _color_size_distribution(cycle_sizes, len(profile)).get(profile, 0)
 
 
+@lru_cache(maxsize=None)
 def _marked_surjective_coloring_count(
     cycle_sizes: Partition, alpha: Composition, extra_colors: int
 ) -> int:

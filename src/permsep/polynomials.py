@@ -1,11 +1,12 @@
-"""Exact univariate polynomial helpers and the binomial-coefficient basis.
+"""The binomial-coefficient basis, and the base of the normalising records.
 
-Dense polynomials are tuples of Fractions, lowest degree first.  A
-``BinomialPolynomial`` stores a finite combination sum_r c_r * C(t, r); the
+A ``BinomialPolynomial`` stores a finite combination sum_r c_r * C(t, r); the
 generating series in this package have nonnegative integer coefficients in
-this basis because each coefficient counts colored objects.  Conversion to
-monomials and evaluation at an integer run in integers: the conversion nests
-the basis Horner-style and divides exactly once at the end, in O(R^2)
+this basis because each coefficient counts colored objects.  Its monomial
+form is a dense ``Poly``, a tuple of Fractions, lowest degree first.  No
+Fraction polynomial arithmetic is left: conversion to monomials, shifted by
+any integer, and evaluation at an integer run in integers.  The conversion
+nests the basis Horner-style and divides exactly once at the end, in O(R^2)
 integer operations for top index R, and evaluation keeps C(t, r) as a
 running integer binomial.
 
@@ -17,60 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Poly = tuple[Fraction, ...]
-
-
-def poly_trim(coeffs: Iterable[Fraction]) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_add(a: Iterable[Fraction], b: Iterable[Fraction]) -> Poly:
-    a, b = list(a), list(b)
-    size = max(len(a), len(b))
-    a += [Fraction(0)] * (size - len(a))
-    b += [Fraction(0)] * (size - len(b))
-    return poly_trim(x + y for x, y in zip(a, b))
-
-
-def poly_scale(a: Iterable[Fraction], s: Fraction) -> Poly:
-    return poly_trim(Fraction(s) * x for x in a)
-
-
-def poly_mul(a: Iterable[Fraction], b: Iterable[Fraction]) -> Poly:
-    a, b = list(a), list(b)
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_eval(coeffs: Iterable[Fraction], x: Fraction | int) -> Fraction:
-    result = Fraction(0)
-    for c in reversed(list(coeffs)):
-        result = result * x + c
-    return Fraction(result)
-
-
-def poly_shift(coeffs: Iterable[Fraction], delta: Fraction | int) -> Poly:
-    """Coefficients of P(t + delta) given those of P(t)."""
-    result: Poly = ()
-    shifted_t = (Fraction(delta), Fraction(1))
-    power: Poly = (Fraction(1),)
-    for c in coeffs:
-        if c:
-            result = poly_add(result, poly_scale(power, c))
-        power = poly_mul(power, shifted_t)
-    return result
 
 
 class FrozenRecord:
@@ -142,11 +92,16 @@ class BinomialPolynomial(FrozenRecord):
         return total
 
     def to_monomial(self) -> Poly:
-        """Dense monomial coefficients, lowest degree first.
+        """Dense monomial coefficients, lowest degree first."""
+        return self.to_monomial_shifted(0)
+
+    def to_monomial_shifted(self, delta: int) -> Poly:
+        """Monomial coefficients of P(t + delta), for an integer ``delta``.
 
         With R the top index and D the common denominator, the nested integer
-        scheme A_r = D c_r R!/r! + (t - r) A_{r+1} gives A_0 = D R! * P(t), so
-        the only division is the exact one by D R! at the end.
+        scheme A_r = D c_r R!/r! + (t + delta - r) A_{r+1} gives A_0 =
+        D R! * P(t + delta), so the only division is the exact one by D R! at
+        the end.
         """
         if not self.coeffs:
             return ()
@@ -156,13 +111,11 @@ class BinomialPolynomial(FrozenRecord):
         weight = 1  # R!/r!
         for r in range(top, -1, -1):
             c = self.coeffs.get(r)
-            # (t - r) * A_{r+1}: the t^j coefficient is A[j-1] - r * A[j]
-            acc = [a - r * b for a, b in zip([0] + acc, acc + [0])]
+            # (t + delta - r) * A_{r+1}: the t^j coefficient is
+            # A[j-1] + (delta - r) * A[j]
+            acc = [a + (delta - r) * b for a, b in zip([0] + acc, acc + [0])]
             if c is not None:
                 acc[0] += c.numerator * (scale // c.denominator) * weight
             weight *= r or 1
-        return poly_trim(Fraction(a, scale * weight) for a in acc)
-
-    def to_monomial_shifted(self, delta: Fraction | int) -> Poly:
-        """Monomial coefficients of P(t + delta)."""
-        return poly_shift(self.to_monomial(), delta)
+        # the t^R coefficient is D c_R, so nothing needs trimming
+        return tuple(Fraction(a, scale * weight) for a in acc)

@@ -114,11 +114,17 @@ def check_two_cycle_closed_form(max_n: int) -> CheckResult:
 
 def check_symmetry(max_n: int) -> CheckResult:
     rec = _Recorder()
-    for n in range(1, min(7, max_n) + 1):
+    top = min(7, max_n)
+    profiles_of = {
+        (m, k): [a for a in partitions(m) if len(a) == k]
+        for m in range(1, top + 1)
+        for k in range(1, m + 1)
+    }
+    for n in range(1, top + 1):
         for lam in partitions(n):
             for m in range(1, n + 1):
                 for k in range(1, m + 1):
-                    profiles = [a for a in partitions(m) if len(a) == k]
+                    profiles = profiles_of[m, k]
                     counts = [orc.oracle_separated_pair_count(lam, a) for a in profiles]
                     formula = fm.separated_pair_count(lam, profiles[0])
                     for alpha, count in zip(profiles, counts):

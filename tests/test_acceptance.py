@@ -3,10 +3,12 @@
 Each test prints one PASS/FAIL line.  Criteria 1-11 delegate to the shared
 verification suites (the same code the ``verify`` CLI subcommand runs) at
 their stated bounds; criterion 12 runs the CLI itself twice and compares
-bytes.
+bytes.  The full ``verify --max-n 7`` report is pinned against the one
+recorded in ``tests/data/verify_golden.txt``.
 """
 
 import io
+import pathlib
 
 from permsep import verification as vf
 from permsep.cli import EXIT_OK, main
@@ -94,3 +96,11 @@ def test_criterion_12_deterministic_verify_output():
         f"[{len(outputs[0].splitlines())} lines]"
     )
     assert identical
+
+
+def test_verify_report_matches_the_recorded_check_counts():
+    # each line carries [N checks], so dropping a check instance fails here
+    golden = pathlib.Path(__file__).parent / "data" / "verify_golden.txt"
+    results = sorted(vf.run_suites(["all"], max_n=7), key=lambda r: int(r.criterion))
+    lines = [r.render() for r in results] + [f"OK ({len(results)} check groups)"]
+    assert lines == golden.read_text().splitlines()

@@ -224,6 +224,12 @@ def test_invalid_arguments_exit_2():
     for n in ("0", "-2"):
         code, text = run_cli("table", "--n", n)
         assert code == EXIT_USAGE and text == ""
+    # blocks larger than the ground set, whichever method would run
+    for method in ("formula", "oracle", "both"):
+        code, text = run_cli("sep-prob", "--lambda", "3", "--alpha", "4", "--method", method)
+        assert code == EXIT_USAGE and text == ""
+        code, text = run_cli("table", "--n", "3", "--alphas", "4", "--method", method)
+        assert code == EXIT_USAGE and text == ""
     for option, value in (("--max-n", "-1"), ("--threads", "0"), ("--threads", "-5")):
         code, text = run_cli("verify", "--suite", "lemmas", option, value)
         assert code == EXIT_USAGE and text == ""

@@ -225,6 +225,17 @@ def test_involution_series_examples():
             )
 
 
+def test_involution_series_monomial_at_120_pairs():
+    # the monomial form in t is the binomial-basis series at t - k
+    series = fm.involution_series(120, (2, 1))
+    monomial = fm.involution_series_monomial(120, (2, 1))
+    for t in (-3, 0, 1, 2, 5, 40):
+        value = Fraction(0)
+        for c in reversed(monomial):
+            value = value * t + c
+        assert value == series.evaluate(t - 2), t
+
+
 def test_involution_probability_and_printed_form():
     res = fm.separation_probability_involution(2, (1, 1))
     assert res.probability == Fraction(5, 9)
@@ -335,12 +346,46 @@ def test_add_fixed_points_blocks_larger_than_base():
     assert value == fm.separated_pair_count((2, 1, 1), (3, 1))
 
 
+def test_add_fixed_points_beyond_brute_force():
+    # the lift against the series path at n up to 46
+    for lam in ((30,), (20, 20), (12, 8, 6)):
+        for r in range(7):
+            lifted = lam + (1,) * r
+            for alpha in ((1,), (2, 1), (1, 1, 1), (3, 2, 1), (4, 4), (5, 1, 1, 1)):
+                assert fm.add_fixed_points_count(lam, r, alpha) == (
+                    fm.separated_pair_count(lifted, alpha)
+                ), (lam, r, alpha)
+
+
 def test_binomial_sum_identity():
     assert fm.binomial_sum_identity_holds(1, 0)
     assert fm.binomial_sum_identity_holds(0, 0)
     for a in range(7):
         for b in range(7):
             assert fm.binomial_sum_identity_holds(a, b)
+
+
+def test_binomial_sum_identity_sides_at_sample_points():
+    # both unexpanded sides evaluated as Fractions, independently of the
+    # integer coefficient comparison
+    def lhs(a, b, x):
+        return sum(Fraction(x**i * binomial(a, i), i + b + 1) for i in range(a + 1))
+
+    def rhs(a, b, x):
+        total = 1 / (binomial(a + b + 1, b) * (-x) ** (b + 1))
+        for i in range(b + 1):
+            total -= (
+                binomial(b, i)
+                * (x + 1) ** (a + i + 1)
+                / (binomial(a + i + 1, i) * (-x) ** (i + 1))
+            )
+        return total / (a + 1)
+
+    points = (Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 3))
+    for a in range(13):
+        for b in range(13):
+            sides_agree = all(lhs(a, b, x) == rhs(a, b, x) for x in points)
+            assert sides_agree and fm.binomial_sum_identity_holds(a, b), (a, b)
 
 
 def test_stirling_sum_identity():

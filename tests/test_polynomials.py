@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from permsep.polynomials import (
-    BinomialPolynomial,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_shift,
-)
+from permsep.polynomials import BinomialPolynomial
+
+
+def horner(coeffs, t):
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
 
 
 def test_binomial_basis_poly():
@@ -21,37 +22,27 @@ def test_binomial_basis_poly():
     assert basis(2) == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
 
 
-def test_poly_helpers():
-    a = (Fraction(1), Fraction(2))
-    b = (Fraction(0), Fraction(-2), Fraction(3))
-    assert poly_add(a, b) == (Fraction(1), Fraction(0), Fraction(3))
-    assert poly_mul(a, b) == (Fraction(0), Fraction(-2), Fraction(-1), Fraction(6))
-    assert poly_eval(poly_mul(a, b), 2) == poly_eval(a, 2) * poly_eval(b, 2)
-
-
-def test_poly_shift():
-    # P(t) = t^2 -> P(t+1) = t^2 + 2t + 1
-    assert poly_shift((Fraction(0), Fraction(0), Fraction(1)), 1) == (
-        Fraction(1),
-        Fraction(2),
-        Fraction(1),
-    )
-    coeffs = (Fraction(3), Fraction(-1), Fraction(2), Fraction(5))
-    assert poly_shift(poly_shift(coeffs, 4), -4) == coeffs
-
-
 def test_binomial_polynomial_evaluate_matches_monomial():
     poly = BinomialPolynomial({0: Fraction(3), 2: Fraction(5), 4: Fraction(-2)})
     mono = poly.to_monomial()
     for t in range(-4, 5):
-        assert poly.evaluate(t) == poly_eval(mono, t)
+        assert poly.evaluate(t) == horner(mono, t)
 
 
 def test_binomial_polynomial_shifted_monomial():
     poly = BinomialPolynomial({1: Fraction(2), 3: Fraction(1)})
     shifted = poly.to_monomial_shifted(-2)
     for t in range(-3, 4):
-        assert poly_eval(shifted, t) == poly.evaluate(t - 2)
+        assert horner(shifted, t) == poly.evaluate(t - 2)
+
+
+def test_shifted_monomial_for_either_sign_of_shift():
+    poly = BinomialPolynomial({0: Fraction(3), 2: Fraction(-1, 2), 5: Fraction(7, 3)})
+    for delta in (-4, 0, 3):
+        shifted = poly.to_monomial_shifted(delta)
+        assert len(shifted) == 6 and shifted[-1] != 0
+        for t in (-5, 0, 2, Fraction(1, 3)):
+            assert horner(shifted, t) == poly.evaluate(t + delta)
 
 
 def test_binomial_polynomial_validation():
