@@ -14,13 +14,13 @@ enumerate serially.
 Exit codes: 0 success, 1 verification mismatch (including ``--method both``
 disagreement), 2 invalid arguments, 3 oracle budget exceeded.
 
-Each subcommand imports the modules it runs when it runs: the formula
-subcommands never load the oracles, the verification suites, the strong
-layer or the symmetric-function matrices, so a fresh process pays only for
-its own subcommand.  The parser is built the same way: `_build_parser`
-iterates one table of (name, help, add-arguments function), and a call whose
-first argument names a subcommand builds only that subparser; no arguments,
-``-h`` or an unknown name build all of them.
+Each subcommand imports the modules it runs when it runs, so a fresh process
+pays only for its own subcommand: ``sep-prob`` loads `permsep.formulas`, and
+``--method oracle`` adds `permsep.oracles` and `permsep.perms`.  The parser
+is built the same way: `_build_parser` iterates one table of (name, help,
+add-arguments function), and a call whose first argument names a subcommand
+builds only that subparser; no arguments, ``-h`` or an unknown name build
+all of them.
 """
 
 from __future__ import annotations
@@ -66,6 +66,10 @@ def _parse_lambda(text: str, warnings: list[str]) -> tuple[int, ...]:
     return canonical
 
 
+def _parse_alpha(text: str) -> tuple[int, ...]:
+    return as_composition(_parse_parts(text, "--alpha"), allow_empty=False)
+
+
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -106,119 +110,113 @@ def _emit_json(records: list[dict], out: TextIO) -> None:
     out.write("\n")
 
 
-def _sep_records(
-    lam, alpha, method: str, with_float: bool, base_warnings: list[str]
+def _result_records(
+    operation: str,
+    parameters: dict,
+    results: list[fm.SepResult],
+    with_float: bool,
+    warnings: Iterable[str] = (),
 ) -> tuple[list[dict], bool]:
-    """Records for one separation query; returns (records, mismatch flag)."""
-    if sum(alpha) > sum(lam):
-        raise ValueError("total block size exceeds n")
-    records = []
-    results: list[fm.SepResult] = []
-    if method in ("formula", "both"):
-        results.append(fm.separation_probability(lam, alpha))
-    if method in ("oracle", "both"):
-        from .oracles import oracle_separated_pair_count
-        from .separation import block_tuple_count
-
-        count = oracle_separated_pair_count(lam, alpha)
-        space = block_tuple_count(sum(lam), alpha) * conjugacy_class_size(lam)
-        results.append(
-            fm.SepResult(
-                count=count, probability=Fraction(count, space), method="oracle"
-            )
-        )
+    """One record per result, and whether their probabilities disagree."""
     mismatch = len({r.probability for r in results}) > 1
+    records = []
     for res in results:
-        warnings = base_warnings + list(res.warnings)
+        notes = [*warnings, *res.warnings]
         if mismatch:
-            warnings.append("methods disagree; reporting all values")
+            notes.append("methods disagree; reporting all values")
         records.append(
             _record(
-                "sep-prob",
-                {"lambda": list(lam), "alpha": list(alpha)},
+                operation,
+                parameters,
                 method=res.method,
                 count=res.count,
                 probability=res.probability,
-                warnings=warnings,
+                warnings=notes,
                 with_float=with_float,
             )
         )
     return records, mismatch
 
 
-def _cmd_sep_prob(args, out: TextIO) -> int:
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
-    records, mismatch = _sep_records(lam, alpha, args.method, args.float, warnings)
+def _emit_results(
+    out: TextIO,
+    operation: str,
+    parameters: dict,
+    results: list[fm.SepResult],
+    with_float: bool,
+    warnings: Iterable[str] = (),
+) -> int:
+    """The one emitter of ``sep-prob``, ``ncycle``, ``pcycles``, ``lift`` and
+    ``connection``: a record per result, two only for ``sep-prob --method
+    both``, where disagreeing probabilities exit with `EXIT_MISMATCH`."""
+    records, mismatch = _result_records(
+        operation, parameters, results, with_float, warnings
+    )
     _emit_json(records, out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+def _sep_results(lam, alpha, method: str) -> list[fm.SepResult]:
+    """The results of one separation query, formula first."""
+    if sum(alpha) > sum(lam):
+        raise ValueError("total block size exceeds n")
+    results = []
+    if method in ("formula", "both"):
+        results.append(fm.separation_probability(lam, alpha))
+    if method in ("oracle", "both"):
+        from .oracles import oracle_separated_pair_count
+
+        count = oracle_separated_pair_count(lam, alpha)
+        space = fm.pair_space(sum(lam), alpha, conjugacy_class_size(lam))
+        results.append(fm.SepResult(count, Fraction(count, space), "oracle"))
+    return results
+
+
+def _cmd_sep_prob(args, out: TextIO) -> int:
+    warnings: list[str] = []
+    lam = _parse_lambda(args.lam, warnings)
+    alpha = _parse_alpha(args.alpha)
+    results = _sep_results(lam, alpha, args.method)
+    params = {"lambda": list(lam), "alpha": list(alpha)}
+    return _emit_results(out, "sep-prob", params, results, args.float, warnings)
+
+
 def _cmd_ncycle(args, out: TextIO) -> int:
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
+    alpha = _parse_alpha(args.alpha)
     res = fm.separation_probability_two_cycles(args.n, alpha)
-    _emit_json(
-        [
-            _record(
-                "ncycle",
-                {"n": args.n, "alpha": list(alpha)},
-                method=res.method,
-                count=res.count,
-                probability=res.probability,
-                warnings=res.warnings,
-                with_float=args.float,
-            )
-        ],
-        out,
-    )
-    return EXIT_OK
+    params = {"n": args.n, "alpha": list(alpha)}
+    return _emit_results(out, "ncycle", params, [res], args.float)
 
 
 def _cmd_pcycles(args, out: TextIO) -> int:
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
+    alpha = _parse_alpha(args.alpha)
     res = fm.separation_probability_p_cycles(args.n, args.p, alpha)
-    _emit_json(
-        [
-            _record(
-                "pcycles",
-                {"n": args.n, "p": args.p, "alpha": list(alpha)},
-                method=res.method,
-                count=res.count,
-                probability=res.probability,
-                warnings=res.warnings,
-                with_float=args.float,
-            )
-        ],
-        out,
-    )
-    return EXIT_OK
+    params = {"n": args.n, "p": args.p, "alpha": list(alpha)}
+    return _emit_results(out, "pcycles", params, [res], args.float)
 
 
 def _cmd_involution(args, out: TextIO) -> int:
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
+    from .polynomials import (
+        PRINTED_INVOLUTION_NOTE,
+        involution_probability_printed_form,
+        separation_probability_involution,
+    )
+
+    alpha = _parse_alpha(args.alpha)
     params = {"N": args.pairs, "alpha": list(alpha)}
-    res = fm.separation_probability_involution(args.pairs, alpha)
-    printed = fm.involution_probability_printed_form(args.pairs, alpha)
-    records = [
-        _record(
-            "involution",
-            params,
-            method=res.method,
-            count=res.count,
-            probability=res.probability,
-            warnings=res.warnings,
-            with_float=args.float,
-        ),
+    res = separation_probability_involution(args.pairs, alpha)
+    printed = involution_probability_printed_form(args.pairs, alpha)
+    records, _ = _result_records("involution", params, [res], args.float)
+    records.append(
         _record(
             "involution",
             params,
             method="printed-form",
             probability=printed,
-            warnings=[fm.PRINTED_INVOLUTION_NOTE] if printed != res.probability else [],
+            warnings=[PRINTED_INVOLUTION_NOTE] if printed != res.probability else [],
             with_float=args.float,
-        ),
-    ]
+        )
+    )
     _emit_json(records, out)
     return EXIT_OK
 
@@ -226,23 +224,10 @@ def _cmd_involution(args, out: TextIO) -> int:
 def _cmd_lift(args, out: TextIO) -> int:
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
+    alpha = _parse_alpha(args.alpha)
     res = fm.add_fixed_points_probability(lam, args.r, alpha)
-    _emit_json(
-        [
-            _record(
-                "lift",
-                {"lambda": list(lam), "r": args.r, "alpha": list(alpha)},
-                method=res.method,
-                count=res.count,
-                probability=res.probability,
-                warnings=warnings + list(res.warnings),
-                with_float=args.float,
-            )
-        ],
-        out,
-    )
-    return EXIT_OK
+    params = {"lambda": list(lam), "r": args.r, "alpha": list(alpha)}
+    return _emit_results(out, "lift", params, [res], args.float, warnings)
 
 
 def _cmd_strong(args, out: TextIO) -> int:
@@ -271,63 +256,40 @@ def _cmd_connection(args, out: TextIO) -> int:
 
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
-    alpha = as_composition(_parse_parts(args.alpha, "--alpha"), allow_empty=False)
-    value = connection_coefficient(lam, alpha)
-    _emit_json(
-        [
-            _record(
-                "connection",
-                {"lambda": list(lam), "alpha": list(alpha)},
-                method="strong-system",
-                count=value,
-                warnings=warnings,
-            )
-        ],
-        out,
-    )
-    return EXIT_OK
+    alpha = _parse_alpha(args.alpha)
+    res = fm.SepResult(connection_coefficient(lam, alpha), None, "strong-system")
+    params = {"lambda": list(lam), "alpha": list(alpha)}
+    return _emit_results(out, "connection", params, [res], False, warnings)
 
 
 def _cmd_gtable(args, out: TextIO) -> int:
-    table = fm.gen_series_table(args.n, args.m, args.k)
+    from .gentable import gen_series_table
+
+    table = gen_series_table(args.n, args.m, args.k)
     entries = [
         {"partition": list(lam), "r": r, "coefficient": str(c)}
         for (lam, r), c in sorted(
             table.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])
         )
     ]
-    _emit_json(
-        [
-            _record(
-                "gtable",
-                {"n": args.n, "m": args.m, "k": args.k},
-                method="generating-series",
-                details={"entries": entries},
-            )
-        ],
-        out,
-    )
+    params = {"n": args.n, "m": args.m, "k": args.k}
+    details = {"entries": entries}
+    record = _record("gtable", params, method="generating-series", details=details)
+    _emit_json([record], out)
     return EXIT_OK
 
 
 def _cmd_hz(args, out: TextIO) -> int:
-    series = fm.one_face_map_series(args.pairs)
+    from .polynomials import one_face_map_series
+
+    series = one_face_map_series(args.pairs)
     monomial = series.to_monomial()
     details = {
         "binomial_basis": {str(r): str(int(c)) for r, c in sorted(series.coeffs.items())},
         "monomial": [str(int(c)) for c in monomial],
     }
-    _emit_json(
-        [
-            _record(
-                "hz",
-                {"N": args.pairs},
-                method="one-face-maps",
-                details=details,
-            )
-        ],
-        out,
-    )
+    record = _record("hz", {"N": args.pairs}, method="one-face-maps", details=details)
+    _emit_json([record], out)
     return EXIT_OK
 
 
@@ -366,8 +328,12 @@ def _table_rows(args) -> tuple[list[dict], bool]:
     rows = []
     any_mismatch = False
     for alpha in alphas:
-        records, mismatch = _sep_records(
-            lam, alpha, args.method, args.float, list(warnings)
+        records, mismatch = _result_records(
+            "sep-prob",
+            {"lambda": list(lam), "alpha": list(alpha)},
+            _sep_results(lam, alpha, args.method),
+            args.float,
+            warnings,
         )
         any_mismatch = any_mismatch or mismatch
         rows.extend(records)

@@ -1,59 +1,28 @@
-"""The binomial-coefficient basis, and the base of the normalising records.
+"""The binomial-coefficient basis, and the series written in it.
 
-A ``BinomialPolynomial`` stores a finite combination sum_r c_r * C(t, r); the
-generating series in this package have nonnegative integer coefficients in
-this basis because each coefficient counts colored objects.  Its monomial
-form is a dense ``Poly``, a tuple of Fractions, lowest degree first.  No
-Fraction polynomial arithmetic is left: conversion to monomials, shifted by
-any integer, and evaluation at an integer run in integers.  The conversion
-nests the basis Horner-style and divides exactly once at the end, in O(R^2)
-integer operations for top index R, and evaluation keeps C(t, r) as a
-running integer binomial.
-
-`FrozenRecord` is the base of the package's immutable records whose
-constructor normalises its input; the plain records are ``NamedTuple``s.
+A ``BinomialPolynomial`` stores a finite combination sum_r c_r * C(t, r).
+Its monomial form is a dense ``Poly``, a tuple of Fractions, lowest degree
+first.  Conversion to monomials, shifted by any integer, nests the basis
+Horner-style in integers and divides exactly once at the end (O(R^2) for top
+index R); evaluation at an integer keeps C(t, r) as a running binomial.
+The series here have nonnegative integer coefficients in this basis: the
+fixed-point-free involution series, with its pair count, probability and
+printed form, and the one-face-map polynomial, which is the involution
+series with no blocks.  Only ``involution``, ``hz`` and ``verify`` load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
+
+from .errors import InvariantError
+from .formulas import SepResult, pair_space
+from .partitions import as_composition, binomial, perfect_matching_count
+from .records import FrozenRecord
 
 Poly = tuple[Fraction, ...]
-
-
-class FrozenRecord:
-    """Base of the immutable records whose constructor normalises its input.
-
-    A subclass lists its fields in ``__slots__`` and sets them once with
-    `_init`; instances compare equal field by field, are unhashable (their
-    fields hold dicts), reject assignment and print as ``Name(field=value,
-    ...)``.
-    """
-
-    __slots__ = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class BinomialPolynomial(FrozenRecord):
@@ -119,3 +88,117 @@ class BinomialPolynomial(FrozenRecord):
             weight *= r or 1
         # the t^R coefficient is D c_R, so nothing needs trimming
         return tuple(Fraction(a, scale * weight) for a in acc)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point-free involutions and one-face maps
+
+
+def involution_series(pairs: int, alpha: Iterable[int]) -> BinomialPolynomial:
+    """Generating series, over separated pairs (pi, A) with pi a fixed-point-free
+    involution of 2 * pairs points, of t to the number of block-free cycles of
+    the product; expressed in the binomial basis of the shifted argument
+    (t + k).  Coefficients are nonnegative integers.
+    """
+    alpha = as_composition(alpha)
+    n = 2 * pairs
+    m, k = sum(alpha), len(alpha)
+    if pairs < 1:
+        raise ValueError("need pairs >= 1")
+    if m > n:
+        raise ValueError("total block size exceeds 2 * pairs")
+    coeffs: dict[int, Fraction] = {}
+    for r in range(min(n - m, pairs - k + 1) + 1):
+        value = (
+            pairs
+            * binomial(n + k - 1, n - m - r)
+            * Fraction(2 ** (k + r), 2**pairs)
+            * Fraction(
+                math.factorial(n - k - r), math.factorial(pairs - k - r + 1)
+            )
+        )
+        if value.denominator != 1 or value < 0:
+            raise InvariantError(f"involution series coefficient not integral: {value}")
+        if value:
+            coeffs[r] = value
+    return BinomialPolynomial(coeffs)
+
+
+def involution_pair_count(pairs: int, alpha: Iterable[int]) -> int:
+    """Number of separated pairs (fixed-point-free involution, block tuple)."""
+    alpha = as_composition(alpha)
+    value = involution_series(pairs, alpha).evaluate(1 - len(alpha))
+    if value.denominator != 1 or value < 0:
+        raise InvariantError(f"involution pair count not integral: {value}")
+    return int(value)
+
+
+PRINTED_INVOLUTION_NOTE = (
+    "printed involution probability differs from the count-based value by "
+    "exactly (2N - m)!; the count-based value matches brute force"
+)
+
+
+def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fraction:
+    """Literal evaluation of the involution probability as usually quoted.
+
+    Kept verbatim for comparison: for m < 2N it is smaller than the
+    count-based probability by exactly (2N - m)! (see
+    ``separation_probability_involution``, which flags the discrepancy).
+    """
+    alpha = as_composition(alpha, allow_empty=False)
+    n = 2 * pairs
+    m, k = sum(alpha), len(alpha)
+    if m > n:
+        raise ValueError("total block size exceeds 2 * pairs")
+    total = Fraction(0)
+    for r in range(min(n - m, pairs - k + 1) + 1):
+        total += (
+            binomial(1 - k, r)
+            * binomial(n + k - 1, n - m - r)
+            * Fraction(2 ** (k + r), 2 ** (pairs + 1))
+            * Fraction(math.factorial(n - k - r), math.factorial(pairs - k - r + 1))
+        )
+    prod_fact = math.prod(math.factorial(a) for a in alpha)
+    return (
+        Fraction(prod_fact, math.factorial(n - 1) * perfect_matching_count(pairs))
+        * total
+    )
+
+
+def separation_probability_involution(pairs: int, alpha: Iterable[int]) -> SepResult:
+    """Separation probability for the product of a uniform fixed-point-free
+    involution of 2 * pairs points with a uniform full cycle.
+
+    The authoritative value is pair count / (block tuples * involution count);
+    the printed closed form is also evaluated and a warning records the
+    (2N - m)! discrepancy whenever the two differ.
+    """
+    alpha = as_composition(alpha, allow_empty=False)
+    n = 2 * pairs
+    m = sum(alpha)
+    count = involution_pair_count(pairs, alpha)
+    prob = Fraction(count, pair_space(n, alpha, perfect_matching_count(pairs)))
+    warnings = ()
+    if involution_probability_printed_form(pairs, alpha) != prob:
+        warnings = (PRINTED_INVOLUTION_NOTE,)
+    return SepResult(
+        count=count, probability=prob, method="involution-series", warnings=warnings
+    )
+
+
+def one_face_map_series(pairs: int) -> BinomialPolynomial:
+    """Vertex generating polynomial of one-face maps with ``pairs`` edges:
+    (2N-1)!! * sum_r 2^r C(N, r) C(t, r+1).
+
+    Equals the empty-blocks involution series; the monomial coefficient of
+    t^v counts gluings of a 2N-gon with v vertices.
+    """
+    if pairs < 1:
+        raise ValueError("need pairs >= 1")
+    matchings = perfect_matching_count(pairs)
+    coeffs = {
+        r + 1: Fraction(matchings * 2**r * binomial(pairs, r))
+        for r in range(pairs + 1)
+    }
+    return BinomialPolynomial(coeffs)

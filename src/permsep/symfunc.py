@@ -30,7 +30,7 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .polynomials import FrozenRecord
+from .records import FrozenRecord
 
 
 class SymFuncVector(FrozenRecord):

@@ -18,9 +18,12 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
+from . import crosscheck as xc
 from . import formulas as fm
 from . import oracles as orc
+from . import polynomials as pl
 from . import strong as st
+from .gentable import gen_series_table
 from .partitions import (
     all_compositions,
     conjugacy_class_size,
@@ -100,7 +103,7 @@ def check_two_cycle_closed_form(max_n: int) -> CheckResult:
             closed = fm.separation_probability_two_cycles(n, alpha).probability
             rec.equal(
                 closed,
-                fm.singleton_blocks_probability(n, k),
+                xc.singleton_blocks_probability(n, k),
                 f"piecewise form n={n} k={k}",
             )
             if n <= min(7, max_n):
@@ -143,8 +146,8 @@ def check_colored_quadruples(max_n: int) -> CheckResult:
             for alpha in _block_profiles(n):
                 for r in range(n - sum(alpha) + 2):
                     rec.equal(
-                        orc.oracle_separated_colored_count(gamma, alpha, r),
-                        fm.separated_colored_count(
+                        xc.oracle_separated_colored_count(gamma, alpha, r),
+                        xc.separated_colored_count(
                             n, len(gamma), sum(alpha), len(alpha), r
                         ),
                         f"n={n} gamma={gamma} alpha={alpha} r={r}",
@@ -162,8 +165,8 @@ def check_colored_triples(max_n: int) -> CheckResult:
                 if not delta:
                     continue
                 rec.equal(
-                    orc.oracle_colored_factorization_count(gamma, delta),
-                    fm.colored_factorization_count(n, len(gamma), len(delta)),
+                    xc.oracle_colored_factorization_count(gamma, delta),
+                    xc.colored_factorization_count(n, len(gamma), len(delta)),
                     f"n={n} gamma={gamma} delta={delta}",
                 )
     return rec.result("4", "colored factorization formula")
@@ -205,9 +208,9 @@ def check_involution_series(max_n: int) -> CheckResult:
         n = 2 * pairs
         for alpha in _block_profiles(n):
             m, k = sum(alpha), len(alpha)
-            series = fm.involution_series(pairs, alpha)
-            histogram = orc.oracle_involution_series(pairs, alpha)
-            monomial = fm.involution_series_monomial(pairs, alpha)
+            series = pl.involution_series(pairs, alpha)
+            histogram = xc.oracle_involution_series(pairs, alpha)
+            monomial = xc.involution_series_monomial(pairs, alpha)
             size = max(len(monomial), max(histogram, default=-1) + 1)
             rec.equal(
                 _padded(monomial, size),
@@ -220,14 +223,14 @@ def check_involution_series(max_n: int) -> CheckResult:
                 Fraction(oracle_count),
                 f"pair count N={pairs} alpha={alpha}",
             )
-            sep = fm.separation_probability_involution(pairs, alpha)
+            sep = pl.separation_probability_involution(pairs, alpha)
             space = multinomial(list(alpha) + [n - m]) * perfect_matching_count(pairs)
             rec.equal(
                 sep.probability,
                 Fraction(oracle_count, space),
                 f"probability N={pairs} alpha={alpha}",
             )
-            printed = fm.involution_probability_printed_form(pairs, alpha)
+            printed = pl.involution_probability_printed_form(pairs, alpha)
             rec.equal(
                 printed * math.factorial(n - m),
                 sep.probability,
@@ -236,8 +239,8 @@ def check_involution_series(max_n: int) -> CheckResult:
         # the series is the all-twos power-sum slice of the general table
         for alpha in list(_block_profiles(n)) + [()]:
             m, k = sum(alpha), len(alpha)
-            table = fm.gen_series_table(n, m, k)
-            series = fm.involution_series(pairs, alpha)
+            table = gen_series_table(n, m, k)
+            series = pl.involution_series(pairs, alpha)
             for r in range(n - m + 1):
                 vec = SymFuncVector(
                     n,
@@ -253,8 +256,8 @@ def check_involution_series(max_n: int) -> CheckResult:
                     f"series slice N={pairs} alpha={alpha} r={r}",
                 )
     rec.expect(
-        fm.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
-        and fm.separation_probability_involution(2, (1, 1)).probability
+        pl.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
+        and pl.separation_probability_involution(2, (1, 1)).probability
         == Fraction(5, 9),
         "printed vs count-based value at N=2, alpha=(1,1)",
     )
@@ -288,13 +291,13 @@ def check_fixed_point_lift(max_n: int) -> CheckResult:
 def check_one_face_maps(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(5, max_n // 2) + 1):
-        series = fm.one_face_map_series(pairs)
+        series = pl.one_face_map_series(pairs)
         rec.equal(
             dict(series.coeffs),
-            dict(fm.involution_series(pairs, ()).coeffs),
+            dict(pl.involution_series(pairs, ()).coeffs),
             f"series equality N={pairs}",
         )
-        histogram = orc.oracle_involution_series(pairs, ())
+        histogram = xc.oracle_involution_series(pairs, ())
         monomial = series.to_monomial()
         expected = [Fraction(0)] * len(monomial)
         for j, ways in histogram.items():
@@ -313,8 +316,8 @@ def check_colored_matchings(max_n: int) -> CheckResult:
     for pairs in range(1, min(4, max_n // 2) + 1):
         for gamma in partitions(2 * pairs):
             rec.equal(
-                orc.oracle_colored_matching_count(pairs, gamma),
-                fm.colored_matching_count(pairs, len(gamma)),
+                xc.oracle_colored_matching_count(pairs, gamma),
+                xc.colored_matching_count(pairs, len(gamma)),
                 f"N={pairs} gamma={gamma}",
             )
     return rec.result("9", "colored one-face map refinement")
@@ -340,21 +343,21 @@ def check_lemma_identities(max_n: int) -> CheckResult:
     for a in range(13):
         for p in range(a + 2):
             rec.expect(
-                fm.stirling_sum_identity_holds(a, p),
+                xc.stirling_sum_identity_holds(a, p),
                 f"stirling sum identity a={a} p={p}",
             )
     for a in range(13):
         for b in range(13):
             rec.expect(
-                fm.binomial_sum_identity_holds(a, b),
+                xc.binomial_sum_identity_holds(a, b),
                 f"binomial sum identity a={a} b={b}",
             )
     for n in range(1, min(8, max_n) + 1):
         for alpha in _block_profiles(n):
             for r in range(n - sum(alpha) + 2):
                 rec.equal(
-                    fm.marked_composition_count_direct(n, alpha, r),
-                    fm.marked_composition_count(n, sum(alpha), len(alpha), r),
+                    xc.marked_composition_count_direct(n, alpha, r),
+                    xc.marked_composition_count(n, sum(alpha), len(alpha), r),
                     f"marked compositions n={n} alpha={alpha} r={r}",
                 )
     return rec.result("10", "supporting exact identities")
@@ -378,7 +381,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                         f"round trip lam={lam} profile={coarse}",
                     )
                 for beta, prob in table.items():
-                    count = orc.oracle_strong_pair_count(lam, beta)
+                    count = xc.oracle_strong_pair_count(lam, beta)
                     space = block_tuple_count(n, beta) * conjugacy_class_size(lam)
                     rec.equal(
                         prob,

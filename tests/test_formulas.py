@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsep import crosscheck as xc
 from permsep import formulas as fm
+from permsep import polynomials as pl
+from permsep.gentable import gen_series_table
 from permsep.partitions import (
     binomial,
     conjugacy_class_size,
@@ -19,41 +22,41 @@ from permsep.symfunc import power_sum_coefficient
 
 
 def test_colored_factorization_count_examples():
-    assert fm.colored_factorization_count(3, 1, 1) == 6
-    assert fm.colored_factorization_count(3, 2, 2) == 3
-    assert fm.colored_factorization_count(3, 3, 2) == 0  # l + l' > n + 1
+    assert xc.colored_factorization_count(3, 1, 1) == 6
+    assert xc.colored_factorization_count(3, 2, 2) == 3
+    assert xc.colored_factorization_count(3, 3, 2) == 0  # l + l' > n + 1
     with pytest.raises(ValueError):
-        fm.colored_factorization_count(3, 0, 1)
+        xc.colored_factorization_count(3, 0, 1)
 
 
 def test_separated_colored_count_examples():
-    assert fm.separated_colored_count(2, 1, 1, 1, 0) == 4
-    assert fm.separated_colored_count(2, 2, 1, 1, 0) == 4
-    assert fm.separated_colored_count(3, 3, 3, 3, 0) == 0  # slack negative
-    assert fm.separated_colored_count(4, 1, 2, 1, 5) == 0  # r > n - m
+    assert xc.separated_colored_count(2, 1, 1, 1, 0) == 4
+    assert xc.separated_colored_count(2, 2, 1, 1, 0) == 4
+    assert xc.separated_colored_count(3, 3, 3, 3, 0) == 0  # slack negative
+    assert xc.separated_colored_count(4, 1, 2, 1, 5) == 0  # r > n - m
 
 
 def test_marked_composition_count():
-    assert fm.marked_composition_count(12, 5, 3, 2) == binomial(14, 5) == 2002
-    assert fm.marked_composition_count_direct(2, (1,), 0) == 2
+    assert xc.marked_composition_count(12, 5, 3, 2) == binomial(14, 5) == 2002
+    assert xc.marked_composition_count_direct(2, (1,), 0) == 2
     for n in range(2, 7):
         for k in range(1, n + 1):
-            assert fm.marked_composition_count(n, n, k, 0) == 1
+            assert xc.marked_composition_count(n, n, k, 0) == 1
 
 
 def test_gen_series_table_frozen_example():
-    table = fm.gen_series_table(2, 1, 1)
+    table = gen_series_table(2, 1, 1)
     assert dict(table.entries) == {
         ((2,), 0): 4,
         ((1, 1), 0): 4,
         ((2,), 1): 2,
     }
-    assert fm.gen_series_table(2, 0, 0).coefficient((2,), 1) == 2
+    assert gen_series_table(2, 0, 0).coefficient((2,), 1) == 2
 
 
 def test_gen_series_table_support_constraints():
     for (n, m, k) in [(5, 3, 2), (6, 4, 1), (6, 0, 0), (7, 7, 3)]:
-        table = fm.gen_series_table(n, m, k)
+        table = gen_series_table(n, m, k)
         for (lam, r), value in table.entries.items():
             assert value > 0
             assert r <= n - m
@@ -62,9 +65,9 @@ def test_gen_series_table_support_constraints():
 
 def test_gen_series_table_validation():
     with pytest.raises(ValueError):
-        fm.gen_series_table(3, 4, 1)
+        gen_series_table(3, 4, 1)
     with pytest.raises(ValueError):
-        fm.gen_series_table(3, 2, 0)
+        gen_series_table(3, 2, 0)
 
 
 def test_separated_pair_count_examples():
@@ -98,7 +101,7 @@ def test_separated_pair_count_matches_matrix_route(n):
     # route to the same counts
     for m in range(1, n + 1):
         for k in range(1, m + 1):
-            vec = fm.gen_series_table(n, m, k).monomial_vector_at(1 - k)
+            vec = gen_series_table(n, m, k).monomial_vector_at(1 - k)
             for lam in partitions(n):
                 assert fm.separated_pair_count(lam, _profile(m, k)) == power_sum_coefficient(
                     vec, lam
@@ -173,13 +176,13 @@ def test_two_cycles_examples():
 
 
 def test_singleton_blocks_piecewise():
-    assert fm.singleton_blocks_probability(3, 2) == Fraction(1, 2)
-    assert fm.singleton_blocks_probability(4, 2) == Fraction(11, 18)
-    assert fm.singleton_blocks_probability(6, 3) == Fraction(1, 6)
+    assert xc.singleton_blocks_probability(3, 2) == Fraction(1, 2)
+    assert xc.singleton_blocks_probability(4, 2) == Fraction(11, 18)
+    assert xc.singleton_blocks_probability(6, 3) == Fraction(1, 6)
     for n in range(2, 10):
         for k in range(2, min(n, 6) + 1):
             closed = fm.separation_probability_two_cycles(n, (1,) * k).probability
-            assert closed == fm.singleton_blocks_probability(n, k)
+            assert closed == xc.singleton_blocks_probability(n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -195,7 +198,7 @@ def test_consistency_of_all_two_cycle_paths(n):
 def test_degree_ten_instance():
     # exercises the transition matrices at degree 10
     value = fm.separation_probability((10,), (1, 1)).probability
-    assert value == fm.singleton_blocks_probability(10, 2) == Fraction(14, 27)
+    assert value == xc.singleton_blocks_probability(10, 2) == Fraction(14, 27)
 
 
 def test_degree_ten_profile_symmetry():
@@ -208,17 +211,17 @@ def test_degree_ten_profile_symmetry():
 
 def test_involution_series_examples():
     # single pair, no blocks: the product is the identity on 2 points
-    assert fm.involution_series_monomial(1, ()) == (
+    assert xc.involution_series_monomial(1, ()) == (
         Fraction(0),
         Fraction(0),
         Fraction(1),
     )
-    assert fm.involution_pair_count(2, (1, 1)) == 20
+    assert pl.involution_pair_count(2, (1, 1)) == 20
     for pairs in range(1, 5):
         n = 2 * pairs
         for m in range(n + 1):
             alpha = (m,) if m else ()
-            series = fm.involution_series(pairs, alpha)
+            series = pl.involution_series(pairs, alpha)
             k = len(alpha)
             assert all(
                 r <= min(n - m, pairs - k + 1) for r in series.coeffs
@@ -227,8 +230,8 @@ def test_involution_series_examples():
 
 def test_involution_series_monomial_at_120_pairs():
     # the monomial form in t is the binomial-basis series at t - k
-    series = fm.involution_series(120, (2, 1))
-    monomial = fm.involution_series_monomial(120, (2, 1))
+    series = pl.involution_series(120, (2, 1))
+    monomial = xc.involution_series_monomial(120, (2, 1))
     for t in (-3, 0, 1, 2, 5, 40):
         value = Fraction(0)
         for c in reversed(monomial):
@@ -237,16 +240,16 @@ def test_involution_series_monomial_at_120_pairs():
 
 
 def test_involution_probability_and_printed_form():
-    res = fm.separation_probability_involution(2, (1, 1))
+    res = pl.separation_probability_involution(2, (1, 1))
     assert res.probability == Fraction(5, 9)
     assert res.count == 20
     assert res.warnings  # the printed form disagrees here
-    assert fm.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
+    assert pl.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
     # with full coverage (m = 2N) the printed form is the true probability
     for pairs in (1, 2, 3):
         for alpha in partitions(2 * pairs):
-            res = fm.separation_probability_involution(pairs, alpha)
-            assert fm.involution_probability_printed_form(pairs, alpha) == res.probability
+            res = pl.separation_probability_involution(pairs, alpha)
+            assert pl.involution_probability_printed_form(pairs, alpha) == res.probability
             assert not res.warnings
 
 
@@ -255,36 +258,36 @@ def test_printed_form_off_by_remainder_factorial():
         n = 2 * pairs
         for m in range(1, n + 1):
             for alpha in partitions(m):
-                res = fm.separation_probability_involution(pairs, alpha)
-                printed = fm.involution_probability_printed_form(pairs, alpha)
+                res = pl.separation_probability_involution(pairs, alpha)
+                printed = pl.involution_probability_printed_form(pairs, alpha)
                 assert printed * math.factorial(n - m) == res.probability
 
 
 def test_colored_matching_count():
-    assert fm.colored_matching_count(1, 1) == 1
-    assert fm.colored_matching_count(1, 2) == 2
+    assert xc.colored_matching_count(1, 1) == 1
+    assert xc.colored_matching_count(1, 2) == 2
     # length N + 1 is still feasible: brute force gives 4 at two pairs
-    assert fm.colored_matching_count(2, 3) == 4
-    assert fm.colored_matching_count(2, 4) == 0  # length > N + 1
-    assert fm.colored_matching_count(3, 1) == 15  # all matchings, forced coloring
+    assert xc.colored_matching_count(2, 3) == 4
+    assert xc.colored_matching_count(2, 4) == 0  # length > N + 1
+    assert xc.colored_matching_count(3, 1) == 15  # all matchings, forced coloring
 
 
 def test_one_face_map_series():
-    assert fm.one_face_map_series(1).to_monomial() == (
+    assert pl.one_face_map_series(1).to_monomial() == (
         Fraction(0),
         Fraction(0),
         Fraction(1),
     )
     # two edges: two planar gluings (three vertices) and one toroidal (one vertex)
-    assert fm.one_face_map_series(2).to_monomial() == (
+    assert pl.one_face_map_series(2).to_monomial() == (
         Fraction(0),
         Fraction(1),
         Fraction(0),
         Fraction(2),
     )
     for pairs in range(1, 6):
-        series = fm.one_face_map_series(pairs)
-        assert dict(series.coeffs) == dict(fm.involution_series(pairs, ()).coeffs)
+        series = pl.one_face_map_series(pairs)
+        assert dict(series.coeffs) == dict(pl.involution_series(pairs, ()).coeffs)
         assert all(c.denominator == 1 and c > 0 for c in series.coeffs.values())
         # total number of gluings is (2N-1)!!
         assert series.evaluate(1) == math.prod(range(1, 2 * pairs, 2))
@@ -293,7 +296,7 @@ def test_one_face_map_series():
 def face_map_counts(pairs):
     """eps_g(N), the one-face maps with N edges and genus g, for g = 0, 1, ...:
     the hz coefficient at t^(N + 1 - 2g)."""
-    monomial = fm.one_face_map_series(pairs).to_monomial()
+    monomial = pl.one_face_map_series(pairs).to_monomial()
     return [int(monomial[pairs + 1 - 2 * g]) for g in range(pairs // 2 + 1)]
 
 
@@ -319,7 +322,7 @@ def test_one_face_maps_beyond_brute_force():
 def test_gen_series_table_needs_positive_degree():
     for n in (0, -1):
         with pytest.raises(ValueError):
-            fm.gen_series_table(n, 0, 0)
+            gen_series_table(n, 0, 0)
 
 
 def test_add_fixed_points_examples():
@@ -330,6 +333,14 @@ def test_add_fixed_points_examples():
     )
     with pytest.raises(ValueError):
         fm.add_fixed_points_count((2, 1), 1, (1, 1))  # base type has a fixed point
+
+
+@pytest.mark.parametrize("lift", [fm.add_fixed_points_count, fm.add_fixed_points_probability])
+def test_add_fixed_points_rejects_an_empty_base_type(lift):
+    # n = 0 used to reach the final division by n and raise ZeroDivisionError
+    for r in (0, 2):
+        with pytest.raises(ValueError, match="nonempty"):
+            lift((), r, (1,))
 
 
 def test_add_fixed_points_probability_normalization():
@@ -358,11 +369,11 @@ def test_add_fixed_points_beyond_brute_force():
 
 
 def test_binomial_sum_identity():
-    assert fm.binomial_sum_identity_holds(1, 0)
-    assert fm.binomial_sum_identity_holds(0, 0)
+    assert xc.binomial_sum_identity_holds(1, 0)
+    assert xc.binomial_sum_identity_holds(0, 0)
     for a in range(7):
         for b in range(7):
-            assert fm.binomial_sum_identity_holds(a, b)
+            assert xc.binomial_sum_identity_holds(a, b)
 
 
 def test_binomial_sum_identity_sides_at_sample_points():
@@ -385,15 +396,15 @@ def test_binomial_sum_identity_sides_at_sample_points():
     for a in range(13):
         for b in range(13):
             sides_agree = all(lhs(a, b, x) == rhs(a, b, x) for x in points)
-            assert sides_agree and fm.binomial_sum_identity_holds(a, b), (a, b)
+            assert sides_agree and xc.binomial_sum_identity_holds(a, b), (a, b)
 
 
 def test_stirling_sum_identity():
-    assert fm.stirling_sum_identity_holds(2, 1)  # 1 - 1 + 1/3 = c(3,1)/3!
-    assert fm.stirling_sum_identity_holds(0, 1)
+    assert xc.stirling_sum_identity_holds(2, 1)  # 1 - 1 + 1/3 = c(3,1)/3!
+    assert xc.stirling_sum_identity_holds(0, 1)
     for a in range(9):
         for p in range(a + 2):
-            assert fm.stirling_sum_identity_holds(a, p)
+            assert xc.stirling_sum_identity_holds(a, p)
 
 
 def test_probabilities_stay_in_unit_interval():
@@ -448,7 +459,7 @@ def _draw_involution(data):
     pairs = data.draw(st.integers(1, 10))
     alpha = _draw_alpha(data, 2 * pairs)
     space = block_tuple_count(2 * pairs, alpha) * conjugacy_class_size((2,) * pairs)
-    return fm.separation_probability_involution(pairs, alpha), space
+    return pl.separation_probability_involution(pairs, alpha), space
 
 
 def _draw_fixed_point_lift(data):

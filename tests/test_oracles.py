@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from permsep import crosscheck as xc
 from permsep import oracles as orc
 from permsep.errors import BudgetExceededError
 from permsep.partitions import (
@@ -41,16 +42,16 @@ def test_fast_oracle_matches_literal():
                         continue
                     assert orc.oracle_separated_pair_count(
                         lam, alpha
-                    ) == orc.oracle_separated_pair_count_literal(lam, alpha)
+                    ) == xc.oracle_separated_pair_count_literal(lam, alpha)
 
 
 def test_oracle_composition_order_irrelevant_literal():
     # genuinely re-enumerates with reordered blocks
     for alpha, beta in [((2, 1), (1, 2)), ((3, 1), (1, 3)), ((2, 1, 1), (1, 2, 1))]:
         for lam in partitions(sum(alpha) + 1):
-            assert orc.oracle_separated_pair_count_literal(
+            assert xc.oracle_separated_pair_count_literal(
                 lam, alpha
-            ) == orc.oracle_separated_pair_count_literal(lam, beta)
+            ) == xc.oracle_separated_pair_count_literal(lam, beta)
 
 
 def test_product_convention_independence():
@@ -72,41 +73,41 @@ def test_product_convention_independence_literal():
             for alpha in all_compositions(n):
                 if not alpha:
                     continue
-                assert orc.oracle_separated_pair_count_literal(
+                assert xc.oracle_separated_pair_count_literal(
                     lam, alpha, convention=orc.OMEGA_FIRST
-                ) == orc.oracle_separated_pair_count_literal(
+                ) == xc.oracle_separated_pair_count_literal(
                     lam, alpha, convention=orc.PI_FIRST
                 )
 
 
 def test_oracle_colored_factorizations():
-    assert orc.oracle_colored_factorization_count((3,), (3,)) == 6
-    assert orc.oracle_colored_factorization_count((2, 1), (2, 1)) == 3
-    assert orc.oracle_colored_factorization_count((1, 1, 1), (2, 1)) == 0
+    assert xc.oracle_colored_factorization_count((3,), (3,)) == 6
+    assert xc.oracle_colored_factorization_count((2, 1), (2, 1)) == 3
+    assert xc.oracle_colored_factorization_count((1, 1, 1), (2, 1)) == 0
     # order within the profiles never matters
-    assert orc.oracle_colored_factorization_count(
+    assert xc.oracle_colored_factorization_count(
         (2, 1, 1), (1, 3)
-    ) == orc.oracle_colored_factorization_count((1, 1, 2), (3, 1))
+    ) == xc.oracle_colored_factorization_count((1, 1, 2), (3, 1))
 
 
 def test_oracle_colored_quadruples():
-    assert orc.oracle_separated_colored_count((2,), (1,), 0) == 4
-    assert orc.oracle_separated_colored_count((1, 1), (1,), 0) == 4
+    assert xc.oracle_separated_colored_count((2,), (1,), 0) == 4
+    assert xc.oracle_separated_colored_count((1, 1), (1,), 0) == 4
     assert (
-        orc.oracle_separated_colored_count((1, 1, 1), (1, 1, 1), 0) == 0
+        xc.oracle_separated_colored_count((1, 1, 1), (1, 1, 1), 0) == 0
     )  # slack negative
     # profile order irrelevant
     for gamma, gamma2 in [((2, 1), (1, 2)), ((2, 1, 1), (1, 1, 2))]:
-        assert orc.oracle_separated_colored_count(
+        assert xc.oracle_separated_colored_count(
             gamma, (1,), 1
-        ) == orc.oracle_separated_colored_count(gamma2, (1,), 1)
+        ) == xc.oracle_separated_colored_count(gamma2, (1,), 1)
     # distinct profiles of equal length also agree (only the length matters)
     for gamma, gamma2 in [((2, 2), (3, 1)), ((3, 1, 1), (2, 2, 1))]:
         for alpha in [(1,), (2, 1)]:
             for r in range(3):
-                assert orc.oracle_separated_colored_count(
+                assert xc.oracle_separated_colored_count(
                     gamma, alpha, r
-                ) == orc.oracle_separated_colored_count(gamma2, alpha, r)
+                ) == xc.oracle_separated_colored_count(gamma2, alpha, r)
 
 
 def test_oracle_colored_quadruples_literal():
@@ -116,46 +117,46 @@ def test_oracle_colored_quadruples_literal():
             if sum(alpha) > n:
                 continue
             for r in range(3):
-                assert orc.oracle_separated_colored_count(
+                assert xc.oracle_separated_colored_count(
                     gamma, alpha, r
-                ) == orc.oracle_separated_colored_count_literal(gamma, alpha, r)
+                ) == xc.oracle_separated_colored_count_literal(gamma, alpha, r)
 
 
 def test_oracle_involution_series():
-    assert orc.oracle_involution_series(1, ()) == {2: 1}
-    assert orc.oracle_involution_series(2, ()) == {3: 2, 1: 1}
-    histogram = orc.oracle_involution_series(2, (1, 1))
+    assert xc.oracle_involution_series(1, ()) == {2: 1}
+    assert xc.oracle_involution_series(2, ()) == {3: 2, 1: 1}
+    histogram = xc.oracle_involution_series(2, (1, 1))
     assert sum(histogram.values()) == 20
     for pairs in (1, 2):
         for alpha in [(), (1,), (1, 1), (2,)]:
-            assert orc.oracle_involution_series(
+            assert xc.oracle_involution_series(
                 pairs, alpha
-            ) == orc.oracle_involution_series_literal(pairs, alpha)
+            ) == xc.oracle_involution_series_literal(pairs, alpha)
 
 
 def test_oracle_colored_matchings():
-    assert orc.oracle_colored_matching_count(1, (2,)) == 1
-    assert orc.oracle_colored_matching_count(1, (1, 1)) == 2
-    assert orc.oracle_colored_matching_count(2, (2, 1, 1)) == 4
-    assert orc.oracle_colored_matching_count(2, (1, 1, 1, 1)) == 0
+    assert xc.oracle_colored_matching_count(1, (2,)) == 1
+    assert xc.oracle_colored_matching_count(1, (1, 1)) == 2
+    assert xc.oracle_colored_matching_count(2, (2, 1, 1)) == 4
+    assert xc.oracle_colored_matching_count(2, (1, 1, 1, 1)) == 0
     # order irrelevant
-    assert orc.oracle_colored_matching_count(
+    assert xc.oracle_colored_matching_count(
         2, (1, 2, 1)
-    ) == orc.oracle_colored_matching_count(2, (2, 1, 1))
+    ) == xc.oracle_colored_matching_count(2, (2, 1, 1))
 
 
 def test_oracle_strong_pairs():
     # singleton blocks: strong coincides with weak
-    assert orc.oracle_strong_pair_count((3,), (1, 1)) == 6
-    assert orc.oracle_strong_pair_count((2, 1), (2,)) == 3
-    assert orc.oracle_strong_pair_count((3,), (3,)) == 1
+    assert xc.oracle_strong_pair_count((3,), (1, 1)) == 6
+    assert xc.oracle_strong_pair_count((2, 1), (2,)) == 3
+    assert xc.oracle_strong_pair_count((3,), (3,)) == 1
     for lam in [(3,), (2, 1), (2, 2), (3, 1)]:
         for alpha in [(2,), (2, 1), (1, 1)]:
             if sum(alpha) > sum(lam):
                 continue
-            assert orc.oracle_strong_pair_count(
+            assert xc.oracle_strong_pair_count(
                 lam, alpha
-            ) == orc.oracle_strong_pair_count_literal(lam, alpha)
+            ) == xc.oracle_strong_pair_count_literal(lam, alpha)
 
 
 def test_oracle_connection_coefficients():
@@ -205,21 +206,21 @@ def test_budget_max_n():
     with pytest.raises(BudgetExceededError):
         orc.oracle_separated_pair_count((9,), (1, 1))
     with pytest.raises(BudgetExceededError):
-        orc.oracle_colored_factorization_count((7,), (7,))
+        xc.oracle_colored_factorization_count((7,), (7,))
     with pytest.raises(BudgetExceededError):
-        orc.oracle_involution_series(6, ())
+        xc.oracle_involution_series(6, ())
 
 
 def test_budget_max_objects():
     tight = orc.OracleBudget(max_n=6, max_objects=10)
     with pytest.raises(BudgetExceededError):
-        orc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
+        xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
 
 
 def test_budget_max_seconds():
     frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
     with pytest.raises(BudgetExceededError):
-        orc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
+        xc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
 
 
 USED = re.compile(r"enumerated (\d+) objects in (\d+\.\d+) s")
@@ -228,13 +229,13 @@ USED = re.compile(r"enumerated (\d+) objects in (\d+\.\d+) s")
 def test_budget_errors_report_objects_and_seconds_used():
     tight = orc.OracleBudget(max_n=6, max_objects=10)
     with pytest.raises(BudgetExceededError, match="max_objects=10") as info:
-        orc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
+        xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
     used = USED.search(str(info.value))
     assert used and int(used.group(1)) == 11 and float(used.group(2)) >= 0
 
     frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
     with pytest.raises(BudgetExceededError, match="max_seconds=0.0") as info:
-        orc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
+        xc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
     used = USED.search(str(info.value))
     assert used and int(used.group(1)) == 1 and float(used.group(2)) >= 0
 
@@ -258,11 +259,11 @@ def test_budgets_hold_when_histograms_are_cached():
     cases = [
         (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), frozen),  # 90 in the class
         (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), tight),
-        (orc.oracle_strong_pair_count, ((4, 2), (2, 1)), tight),
-        (orc.oracle_colored_factorization_count, ((2, 2), (3, 1)), tight),  # 4! = 24
-        (orc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), tight),
-        (orc.oracle_involution_series, (3, (1, 1)), tight),  # 5!! = 15
-        (orc.oracle_colored_matching_count, (3, (4, 2)), tight),
+        (xc.oracle_strong_pair_count, ((4, 2), (2, 1)), tight),
+        (xc.oracle_colored_factorization_count, ((2, 2), (3, 1)), tight),  # 4! = 24
+        (xc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), tight),
+        (xc.oracle_involution_series, (3, (1, 1)), tight),  # 5!! = 15
+        (xc.oracle_colored_matching_count, (3, (4, 2)), tight),
     ]
     for oracle, args, budget in cases:
         oracle(*args)
@@ -278,7 +279,7 @@ def test_joint_histogram_matches_a_tally_over_s_n(n):
         (pi.cycle_type(), (pi * omega).cycle_type())
         for pi in map(Permutation, itertools.permutations(range(n)))
     )
-    assert orc.joint_type_histogram(n) == tuple(sorted(want.items()))
+    assert xc.joint_type_histogram(n) == tuple(sorted(want.items()))
 
 
 @pytest.mark.parametrize("pairs", range(1, 5))

@@ -13,6 +13,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Modules that only verification, the oracles or the strong layer need.
 HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.strong")
+# Modules that only verification and the tests need.
+VERIFY_ONLY = ("permsep.verification", "permsep.crosscheck", "permsep.symfunc")
+# Only the involution, hz and verify subcommands load the binomial basis.
+BINOMIAL_BASIS = "permsep.polynomials"
 # Standard-library modules that no subcommand needs: ``dataclasses`` alone
 # costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
 # ``dis``.
@@ -113,6 +117,7 @@ def test_formula_subcommands_never_load_the_heavy_layers(argv):
     code, modules = loaded_by(argv)
     assert code == 0
     assert not set(HEAVY + SLOW_STDLIB) & set(modules), modules
+    assert (BINOMIAL_BASIS in modules) == (argv[0] in ("involution", "hz")), modules
 
 
 def test_oracle_and_verify_subcommands_load_what_they_run():
@@ -120,8 +125,9 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
         ["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"]
     )
     assert code == 0
-    assert {"permsep.oracles", "permsep.separation"} <= set(modules)
-    assert not set(SLOW_STDLIB) & set(modules), modules
+    assert {"permsep.oracles", "permsep.perms"} <= set(modules)
+    unneeded = {"permsep.separation", BINOMIAL_BASIS, "permsep.strong", *VERIFY_ONLY}
+    assert not (unneeded | set(SLOW_STDLIB)) & set(modules), modules
     code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4"])
     assert code == 0
     assert {"permsep.verification", "permsep.strong", "permsep.symfunc"} <= set(modules)
@@ -133,7 +139,34 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
         code, modules = loaded_by(argv)
         assert code == 0
         assert "permsep.strong" in modules
-        assert not {"permsep.oracles", "permsep.verification", "permsep.symfunc"} & set(
-            modules
-        ), modules
+        assert not {"permsep.oracles", BINOMIAL_BASIS, *VERIFY_ONLY} & set(modules), modules
         assert not set(SLOW_STDLIB) & set(modules), modules
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1700),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 1200),
+    ],
+    ids=["sep-prob-both", "sep-prob"],
+)
+def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
+    # A cold query compiles every module it loads, unless bytecode is cached;
+    # the sum of their lines bounds what the query path makes it compile.
+    out = run_fresh(
+        f"""
+        import io, json, sys
+        from permsep.cli import main
+        code = main({argv!r}, stdout=io.StringIO())
+        files = [m.__file__ for name, m in sys.modules.items() if name.startswith("permsep")]
+        lines = 0
+        for path in files:
+            with open(path, encoding="utf-8") as source:
+                lines += sum(1 for _ in source)
+        print(json.dumps([code, lines]))
+        """
+    )
+    code, lines = json.loads(out)
+    assert code == 0
+    assert lines <= budget, lines

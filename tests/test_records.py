@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from permsep.formulas import GenSeriesTable, SepResult
+from permsep.formulas import SepResult
+from permsep.gentable import GenSeriesTable
 from permsep.oracles import OracleBudget
 from permsep.polynomials import BinomialPolynomial
 from permsep.strong import RefinementMatrix

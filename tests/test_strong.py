@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from permsep import crosscheck as xc
 from permsep import oracles as orc
 from permsep import strong as st
 from permsep.cli import main
@@ -105,7 +106,7 @@ def test_strong_probabilities_match_oracle():
             for m in range(1, n + 1):
                 table = st.strong_probability_table(lam, m)
                 for beta, prob in table.items():
-                    count = orc.oracle_strong_pair_count(lam, beta)
+                    count = xc.oracle_strong_pair_count(lam, beta)
                     assert prob == Fraction(
                         count, block_tuple_count(n, beta) * space_base
                     )
