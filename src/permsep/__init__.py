@@ -8,10 +8,11 @@ number of cycles, fixed-point-free involutions, fixed-point lifting, one-face
 map counts, strong separation and connection coefficients), and brute-force
 oracles that re-derive every count by exhaustive enumeration.
 
-The public names below load on first access (PEP 562), so importing the
-package runs only `permsep.errors` and `permsep.partitions`, whose names
-stay eager: ``permsep.partitions`` is both a function and a submodule, and a
-lazily bound function would be shadowed by the submodule once imported.
+The public names below are loaded on first access (PEP 562), so importing
+the package runs only `permsep.errors` and `permsep.partitions`.  The
+`permsep.partitions` names stay eager because ``permsep.partitions`` is both
+a function and a submodule: a lazily bound function would be shadowed by the
+submodule as soon as anything imported it.
 """
 
 from importlib import import_module
@@ -29,17 +30,23 @@ from .partitions import (
 
 __version__ = "0.1.0"
 
-# Each lazily exported name and the module that defines it.
+# Each lazily exported name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("SepResult", "separated_pair_count", "separation_probability"), "formulas"
-    ),
-    **dict.fromkeys(("add_fixed_points_count", "add_fixed_points_probability"), "formulas"),
-    **dict.fromkeys(
-        ("separation_probability_p_cycles", "separation_probability_two_cycles"), "formulas"
+        (
+            "SepResult",
+            "add_fixed_points_count",
+            "add_fixed_points_probability",
+            "separated_pair_count",
+            "separation_probability",
+            "separation_probability_p_cycles",
+            "separation_probability_two_cycles",
+        ),
+        "formulas",
     ),
     **dict.fromkeys(
         (
+            "gen_series_table",
             "involution_pair_count",
             "involution_series",
             "one_face_map_series",
@@ -57,20 +64,28 @@ _EXPORTS = {
         ),
         "crosscheck",
     ),
-    "gen_series_table": "gentable",
     **dict.fromkeys(("Permutation", "compose", "permutations_of_type"), "perms"),
     **dict.fromkeys(
         ("disjoint_block_tuples", "is_separated", "unmarked_cycle_count"), "separation"
     ),
-    **dict.fromkeys(("connection_coefficient", "refinement_coefficient"), "strong"),
     **dict.fromkeys(
-        ("strong_probability_table", "strong_separation_probability"), "strong"
+        (
+            "connection_coefficient",
+            "refinement_coefficient",
+            "strong_probability_table",
+            "strong_separation_probability",
+        ),
+        "strong",
     ),
     **dict.fromkeys(
-        ("SymFuncVector", "expand_power_sum_in_monomials", "power_sum_coefficient"),
+        (
+            "SymFuncVector",
+            "expand_power_sum_in_monomials",
+            "power_sum_coefficient",
+            "transition_matrices",
+        ),
         "symfunc",
     ),
-    "transition_matrices": "symfunc",
 }
 
 __all__ = [

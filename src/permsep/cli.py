@@ -146,9 +146,9 @@ def _emit_results(
     with_float: bool,
     warnings: Iterable[str] = (),
 ) -> int:
-    """The one emitter of ``sep-prob``, ``ncycle``, ``pcycles``, ``lift`` and
-    ``connection``: a record per result, two only for ``sep-prob --method
-    both``, where disagreeing probabilities exit with `EXIT_MISMATCH`."""
+    """The one emitter of ``sep-prob``, ``ncycle``, ``pcycles`` and ``lift``:
+    a record per result, two only for ``sep-prob --method both``, where
+    disagreeing probabilities exit with `EXIT_MISMATCH`."""
     records, mismatch = _result_records(
         operation, parameters, results, with_float, warnings
     )
@@ -257,13 +257,17 @@ def _cmd_connection(args, out: TextIO) -> int:
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
     alpha = _parse_alpha(args.alpha)
-    res = fm.SepResult(connection_coefficient(lam, alpha), None, "strong-system")
+    value = connection_coefficient(lam, alpha)
     params = {"lambda": list(lam), "alpha": list(alpha)}
-    return _emit_results(out, "connection", params, [res], False, warnings)
+    record = _record(
+        "connection", params, method="strong-system", count=value, warnings=warnings
+    )
+    _emit_json([record], out)
+    return EXIT_OK
 
 
 def _cmd_gtable(args, out: TextIO) -> int:
-    from .gentable import gen_series_table
+    from .polynomials import gen_series_table
 
     table = gen_series_table(args.n, args.m, args.k)
     entries = [

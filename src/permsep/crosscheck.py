@@ -237,18 +237,6 @@ def _products_by_left_type(
     return tuple((lam, product_type_histogram(lam, OMEGA_FIRST)) for lam in partitions(n))
 
 
-def joint_type_histogram(n: int) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
-    """Tally of (cycle type of pi, cycle type of pi * full cycle) over all of
-    S_n, one conjugacy class at a time."""
-    return tuple(
-        sorted(
-            ((lam, tau), count)
-            for lam, products in _products_by_left_type(n)
-            for tau, count in products
-        )
-    )
-
-
 @lru_cache(maxsize=None)
 def _strong_tuple_count(cycle_sizes: Partition, block_sizes: Partition) -> int:
     """Block tuples strongly separated: blocks injectively inside distinct cycles."""

@@ -131,11 +131,10 @@ def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
 
 
 class SepResult(NamedTuple):
-    """A separation count/probability with its provenance (the CLI also
-    reports a connection coefficient as one, with no probability)."""
+    """A separation count/probability with its provenance."""
 
     count: int | None
-    probability: Fraction | None
+    probability: Fraction
     method: str
     warnings: tuple[str, ...] = ()
 

@@ -8,21 +8,64 @@ index R); evaluation at an integer keeps C(t, r) as a running binomial.
 The series here have nonnegative integer coefficients in this basis: the
 fixed-point-free involution series, with its pair count, probability and
 printed form, and the one-face-map polynomial, which is the involution
-series with no blocks.  Only ``involution``, ``hz`` and ``verify`` load it.
+series with no blocks.  The module also holds `FrozenRecord`, the base of
+the records that normalise their input, and the whole coefficient table of
+the separated-pair series at one degree (``gtable``).  Only ``involution``,
+``hz``, ``gtable`` and ``verify`` load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
-from .formulas import SepResult, pair_space
-from .partitions import as_composition, binomial, perfect_matching_count
-from .records import FrozenRecord
+from .formulas import SepResult, gen_series_entry, pair_space
+from .partitions import (
+    Partition,
+    as_composition,
+    as_partition,
+    binomial,
+    partitions,
+    perfect_matching_count,
+)
 
 Poly = tuple[Fraction, ...]
+
+
+class FrozenRecord:
+    """Base of the immutable records whose constructor normalises its input.
+
+    A subclass lists its fields in ``__slots__`` and sets them once with
+    `_init`; instances compare equal field by field, are unhashable (their
+    fields hold dicts), reject assignment and print as ``Name(field=value,
+    ...)``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class BinomialPolynomial(FrozenRecord):
@@ -202,3 +245,70 @@ def one_face_map_series(pairs: int) -> BinomialPolynomial:
         for r in range(pairs + 1)
     }
     return BinomialPolynomial(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The whole coefficient table of the separated-pair series
+#
+# ``gtable`` prints it, and the verification suites change its basis through
+# `permsep.symfunc` as an independent check of the series path, which reads
+# the coefficients by number of parts (`formulas.gen_series_entry`) instead.
+
+
+class GenSeriesTable(FrozenRecord):
+    """Coefficient table of the separated-pair series at degree n.
+
+    ``entries[(lam, r)]`` is the integer coefficient of m_lam * C(t, r) in
+    the series written in the shifted variable (argument t + k).  Entries are
+    zero when r > n - m or when lam has more than n - k - r + 1 parts, and
+    depend on the block sizes only through (m, k).
+    """
+
+    __slots__ = ("n", "m", "k", "entries")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        k: int,
+        entries: Mapping[tuple[Partition, int], int] | None = None,
+    ):
+        self._init(n, m, k, {} if entries is None else entries)
+
+    def coefficient(self, lam: Iterable[int], r: int) -> int:
+        return self.entries.get((as_partition(lam), r), 0)
+
+    def monomial_vector_at(self, t: int) -> SymFuncVector:
+        """Collapse the C(t, r) direction at an integer t, leaving an m-basis vector.
+
+        Verification-only, like the rest of `permsep.symfunc`, which is
+        imported here so that the query path never loads it.
+        """
+        from .symfunc import SymFuncVector
+
+        coeffs: dict[Partition, Fraction] = {}
+        for (lam, r), c in self.entries.items():
+            w = binomial(t, r)
+            if w:
+                coeffs[lam] = coeffs.get(lam, Fraction(0)) + c * w
+        return SymFuncVector(self.n, "m", coeffs)
+
+
+@lru_cache(maxsize=None)
+def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
+    """The explicit coefficient table for given degree and block profile (m, k)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
+    if k == 0 and m != 0:
+        raise ValueError("k = 0 only makes sense with m = 0")
+    entries: dict[tuple[Partition, int], int] = {}
+    for r in range(n - m + 1):
+        by_length = [gen_series_entry(n, m, k, length, r) for length in range(n + 1)]
+        for lam in partitions(n):
+            if by_length[len(lam)]:
+                entries[(lam, r)] = by_length[len(lam)]
+    return GenSeriesTable(n=n, m=m, k=k, entries=entries)

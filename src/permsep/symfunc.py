@@ -30,7 +30,7 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .records import FrozenRecord
+from .polynomials import FrozenRecord
 
 
 class SymFuncVector(FrozenRecord):

@@ -23,7 +23,6 @@ from . import formulas as fm
 from . import oracles as orc
 from . import polynomials as pl
 from . import strong as st
-from .gentable import gen_series_table
 from .partitions import (
     all_compositions,
     conjugacy_class_size,
@@ -239,7 +238,7 @@ def check_involution_series(max_n: int) -> CheckResult:
         # the series is the all-twos power-sum slice of the general table
         for alpha in list(_block_profiles(n)) + [()]:
             m, k = sum(alpha), len(alpha)
-            table = gen_series_table(n, m, k)
+            table = pl.gen_series_table(n, m, k)
             series = pl.involution_series(pairs, alpha)
             for r in range(n - m + 1):
                 vec = SymFuncVector(

@@ -273,13 +273,19 @@ def test_budgets_hold_when_histograms_are_cached():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_joint_histogram_matches_a_tally_over_s_n(n):
-    # built from the per-class tallies; checked against every permutation
+    # the per-class tallies the coloring oracles read, grouped by the type
+    # of pi; flattened and checked against every permutation
     omega = Permutation.full_cycle(n)
     want = Counter(
         (pi.cycle_type(), (pi * omega).cycle_type())
         for pi in map(Permutation, itertools.permutations(range(n)))
     )
-    assert xc.joint_type_histogram(n) == tuple(sorted(want.items()))
+    got = {
+        (lam, tau): count
+        for lam, products in xc._products_by_left_type(n)
+        for tau, count in products
+    }
+    assert got == want
 
 
 @pytest.mark.parametrize("pairs", range(1, 5))

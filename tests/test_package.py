@@ -15,7 +15,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.strong")
 # Modules that only verification and the tests need.
 VERIFY_ONLY = ("permsep.verification", "permsep.crosscheck", "permsep.symfunc")
-# Only the involution, hz and verify subcommands load the binomial basis.
+# Only the involution, hz, gtable and verify subcommands load the binomial basis.
 BINOMIAL_BASIS = "permsep.polynomials"
 # Standard-library modules that no subcommand needs: ``dataclasses`` alone
 # costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
@@ -117,7 +117,8 @@ def test_formula_subcommands_never_load_the_heavy_layers(argv):
     code, modules = loaded_by(argv)
     assert code == 0
     assert not set(HEAVY + SLOW_STDLIB) & set(modules), modules
-    assert (BINOMIAL_BASIS in modules) == (argv[0] in ("involution", "hz")), modules
+    loads_it = argv[0] in ("involution", "hz", "gtable")
+    assert (BINOMIAL_BASIS in modules) == loads_it, modules
 
 
 def test_oracle_and_verify_subcommands_load_what_they_run():

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from permsep.formulas import SepResult
-from permsep.gentable import GenSeriesTable
 from permsep.oracles import OracleBudget
-from permsep.polynomials import BinomialPolynomial
+from permsep.polynomials import BinomialPolynomial, GenSeriesTable
 from permsep.strong import RefinementMatrix
 from permsep.symfunc import SymFuncVector, TransitionMatrices
 from permsep.verification import CheckResult
