@@ -5,30 +5,32 @@ The queries compute each quantity one way and check it against one oracle
 auxiliary objects behind the derivations (colored factorizations, separated
 colored quadruples, marked compositions, colored matchings), the piecewise
 two-cycle form, the involution series in monomials, two polynomial
-identities, and the coloring, involution, colored-matching and strong
-oracles.  The ``*_literal`` oracles enumerate every structure one by one as
-`Permutation` objects, to validate the counting oracles at tiny sizes.  The
-coloring oracles read the joint (pi, product) tally of S_n grouped by the
-type of pi, so a left type with no coloring of the profile costs one step.
+identities, and the coloring, involution, colored-matching, strong and
+connection oracles.  The ``*_literal`` oracles enumerate every structure one
+by one as `Permutation` objects, to validate the counting oracles at tiny
+sizes.  The coloring oracles read the joint (pi, product) tally of S_n
+grouped by the type of pi, so a left type with no coloring of the profile
+costs one step.  Connection coefficients tally the full cycles once per
+representative.  Each oracle checks its `OracleBudget` once, before it
+enumerates anything; a literal oracle counts every (permutation, block
+tuple) pair it would visit, times the colorings it would try.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
+from .formulas import gen_series_entry
 from .oracles import (
-    COLORING_BUDGET,
-    INVOLUTION_BUDGET,
-    OMEGA_FIRST,
-    PI_FIRST,
-    STRONG_BUDGET,
     OracleBudget,
+    _cycle_type,
     _separated_tuple_histogram,
     product_type_histogram,
 )
@@ -45,9 +47,15 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .perms import Permutation, fixed_point_free_involutions, permutations_of_type
+from .perms import (
+    Permutation,
+    class_images,
+    fixed_point_free_involutions,
+    permutations_of_type,
+)
 from .polynomials import Poly, involution_series
 from .separation import (
+    block_tuple_count,
     disjoint_block_tuples,
     is_separated,
     is_strongly_separated,
@@ -84,23 +92,15 @@ def separated_colored_count(n: int, left_colors: int, m: int, k: int, r: int) ->
     blocks of total size m whose i-th block is colored i by the surjective
     right coloring in k + r colors.
 
-    Equals n (n-l)! (n-k-r)! / (n-k-l-r+1)! * C(n+k-1, n-m-r), 0 when the
-    factorial argument goes negative (and the binomial kills r > n - m).
+    This is the series entry `formulas.gen_series_entry` with l = left_colors:
+    n (n-l)! (n-k-r)! / (n-k-l-r+1)! * C(n+k-1, n-m-r), 0 when the factorial
+    argument goes negative (and the binomial kills r > n - m).
     """
     if not 1 <= left_colors <= n:
         raise ValueError("left color count must lie in [1, n]")
     if k < 1 or r < 0 or m < k or m > n:
         raise ValueError("need k >= 1, r >= 0, k <= m <= n")
-    slack = n - k - left_colors - r + 1
-    if slack < 0:
-        return 0
-    return (
-        n
-        * math.factorial(n - left_colors)
-        * math.factorial(n - k - r)
-        // math.factorial(slack)
-        * binomial(n + k - 1, n - m - r)
-    )
+    return gen_series_entry(n, m, k, left_colors, r)
 
 
 def marked_composition_count(n: int, m: int, k: int, r: int) -> int:
@@ -216,14 +216,14 @@ def stirling_sum_identity_holds(a: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Oracles that only verification runs
 
+COLORING_BUDGET = OracleBudget(max_n=6)
+INVOLUTION_BUDGET = OracleBudget(max_n=10)
+STRONG_BUDGET = OracleBudget(max_n=7)
+CONNECTION_BUDGET = OracleBudget(max_n=7)
 
-def _product(perm: Permutation, convention: str) -> Permutation:
-    omega = Permutation.full_cycle(perm.degree)
-    if convention == OMEGA_FIRST:
-        return perm * omega
-    if convention == PI_FIRST:
-        return omega * perm
-    raise ValueError(f"unknown convention {convention!r}")
+
+def _product(perm: Permutation) -> Permutation:
+    return perm * Permutation.full_cycle(perm.degree)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +234,7 @@ def _products_by_left_type(
     each class with the product-type tally of its members."""
     if n < 1:
         raise ValueError("full cycle needs n >= 1")
-    return tuple((lam, product_type_histogram(lam, OMEGA_FIRST)) for lam in partitions(n))
+    return tuple((lam, product_type_histogram(lam)) for lam in partitions(n))
 
 
 @lru_cache(maxsize=None)
@@ -302,25 +302,26 @@ def _marked_surjective_coloring_count(
     return total
 
 
+def _pair_objects(lam: Partition, alpha: Composition) -> int:
+    """The (pi, block tuple) pairs a literal pair oracle enumerates."""
+    return conjugacy_class_size(lam) * block_tuple_count(sum(lam), alpha)
+
+
 def oracle_separated_pair_count_literal(
     lam: Iterable[int],
     alpha: Iterable[int],
-    convention: str = OMEGA_FIRST,
     budget: OracleBudget | None = None,
 ) -> int:
     """Same count with both the class and the block tuples enumerated one by
     one and tested with the separation predicate."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    budget = budget or OracleBudget(max_n=6)
-    budget.check_n(sum(lam))
     n = sum(lam)
-    tracker = budget.tracker()
+    (budget or OracleBudget(max_n=6)).check(n, lambda: _pair_objects(lam, alpha))
     total = 0
     for pi in permutations_of_type(lam):
-        sigma = _product(pi, convention)
+        sigma = _product(pi)
         for blocks in disjoint_block_tuples(n, alpha):
-            tracker.tick()
             if is_separated(sigma, blocks):
                 total += 1
     return total
@@ -333,9 +334,7 @@ def _left_colored_total(
     gamma times ``right_weight`` of the product's cycle type.  The tally is
     read by left type, so a type with no such coloring costs one step."""
     n = sum(gamma)
-    budget = budget or COLORING_BUDGET
-    budget.check_n(n)
-    budget.tracker().tick(math.factorial(n))
+    (budget or COLORING_BUDGET).check(n, lambda: math.factorial(n))
     total = 0
     for tau_left, products in _products_by_left_type(n):
         left = _profile_coloring_count(tau_left, gamma)
@@ -392,15 +391,14 @@ def oracle_separated_colored_count_literal(
     gamma = as_composition(gamma, allow_empty=False)
     alpha = as_composition(alpha, allow_empty=False)
     n = sum(gamma)
-    budget = budget or OracleBudget(max_n=4)
-    budget.check_n(n)
-    k = len(alpha)
-    q = k + extra_colors
-    tracker = budget.tracker()
+    q = len(alpha) + extra_colors
+    (budget or OracleBudget(max_n=4)).check(
+        n, lambda: math.factorial(n) * block_tuple_count(n, alpha) * q**n
+    )
     total = 0
     for images in itertools.permutations(range(n)):
         pi = Permutation(images)
-        sigma = _product(pi, OMEGA_FIRST)
+        sigma = _product(pi)
         left_cycles = pi.cycles()
         left_count = 0
         for assignment in itertools.product(
@@ -416,7 +414,6 @@ def oracle_separated_colored_count_literal(
         right_cycles = sigma.cycles()
         for blocks in disjoint_block_tuples(n, alpha):
             for assignment in itertools.product(range(q), repeat=len(right_cycles)):
-                tracker.tick()
                 if len(set(assignment)) != q:
                     continue
                 color_of = {}
@@ -438,14 +435,12 @@ def oracle_involution_series(
     """Histogram {untouched cycle count: separated pairs} over all
     (fixed-point-free involution, block tuple) pairs."""
     alpha = as_composition(alpha)
-    budget = budget or INVOLUTION_BUDGET
-    budget.check_n(2 * pairs)
+    (budget or INVOLUTION_BUDGET).check(2 * pairs, lambda: perfect_matching_count(pairs))
     if sum(alpha) > 2 * pairs:
         raise ValueError("total block size exceeds 2 * pairs")
-    budget.tracker().tick(perfect_matching_count(pairs))
     blocks = sorted_partition(alpha)
     out: dict[int, int] = {}
-    for tau, count in product_type_histogram((2,) * pairs, OMEGA_FIRST):
+    for tau, count in product_type_histogram((2,) * pairs):
         for j, ways in _separated_tuple_histogram(tau, blocks):
             out[j] = out.get(j, 0) + count * ways
     return out
@@ -455,19 +450,18 @@ def oracle_involution_series_literal(
     pairs: int, alpha: Iterable[int], budget: OracleBudget | None = None
 ) -> dict[int, int]:
     alpha = as_composition(alpha)
-    budget = budget or OracleBudget(max_n=6)
-    budget.check_n(2 * pairs)
     n = 2 * pairs
-    tracker = budget.tracker()
+    (budget or OracleBudget(max_n=6)).check(
+        n, lambda: perfect_matching_count(pairs) * block_tuple_count(n, alpha)
+    )
     out: dict[int, int] = {}
     for pi in fixed_point_free_involutions(pairs):
-        sigma = _product(pi, OMEGA_FIRST)
+        sigma = _product(pi)
         if not alpha:
             j = sigma.cycle_count()
             out[j] = out.get(j, 0) + 1
             continue
         for blocks in disjoint_block_tuples(n, alpha):
-            tracker.tick()
             if is_separated(sigma, blocks):
                 j = unmarked_cycle_count(sigma, blocks)
                 out[j] = out.get(j, 0) + 1
@@ -483,12 +477,10 @@ def oracle_colored_matching_count(
     gamma = as_composition(gamma, allow_empty=False)
     if sum(gamma) != 2 * pairs:
         raise ValueError("gamma must have size 2 * pairs")
-    budget = budget or INVOLUTION_BUDGET
-    budget.check_n(2 * pairs)
-    budget.tracker().tick(perfect_matching_count(pairs))
+    (budget or INVOLUTION_BUDGET).check(2 * pairs, lambda: perfect_matching_count(pairs))
     return sum(
         count * _profile_coloring_count(tau, gamma)
-        for tau, count in product_type_histogram((2,) * pairs, OMEGA_FIRST)
+        for tau, count in product_type_histogram((2,) * pairs)
     )
 
 
@@ -501,12 +493,10 @@ def oracle_strong_pair_count(
     separated: each block inside its own cycle."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    budget = budget or STRONG_BUDGET
-    budget.check_n(sum(lam))
+    (budget or STRONG_BUDGET).check(sum(lam), lambda: conjugacy_class_size(lam))
     if sum(alpha) > sum(lam):
         return 0
-    budget.tracker().tick(conjugacy_class_size(lam))
-    hist = product_type_histogram(lam, OMEGA_FIRST)
+    hist = product_type_histogram(lam)
     blocks = sorted_partition(alpha)
     return sum(count * _strong_tuple_count(tau, blocks) for tau, count in hist)
 
@@ -516,15 +506,58 @@ def oracle_strong_pair_count_literal(
 ) -> int:
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    budget = budget or OracleBudget(max_n=6)
-    budget.check_n(sum(lam))
     n = sum(lam)
-    tracker = budget.tracker()
+    (budget or OracleBudget(max_n=6)).check(n, lambda: _pair_objects(lam, alpha))
     total = 0
     for pi in permutations_of_type(lam):
-        sigma = _product(pi, OMEGA_FIRST)
+        sigma = _product(pi)
         for blocks in disjoint_block_tuples(n, alpha):
-            tracker.tick()
             if is_strongly_separated(sigma, blocks):
                 total += 1
     return total
+
+
+def canonical_type_representative(alpha: Iterable[int]) -> Permutation:
+    """The permutation with cycles on consecutive blocks: (0 .. a1-1)(a1 ..) ..."""
+    alpha = as_composition(alpha, allow_empty=False)
+    n = sum(alpha)
+    cycles = []
+    start = 0
+    for a in alpha:
+        cycles.append(tuple(range(start, start + a)))
+        start += a
+    return Permutation.from_cycles(n, cycles)
+
+
+def oracle_connection_coefficient(
+    lam: Iterable[int],
+    alpha: Iterable[int],
+    representative: Permutation | None = None,
+    budget: OracleBudget | None = None,
+) -> int:
+    """Factorizations of a fixed permutation of cycle type ``alpha`` as
+    (class-of-lam element) * (full cycle), counted by enumerating full cycles.
+    """
+    lam = as_partition(lam)
+    alpha = as_composition(alpha, allow_empty=False)
+    n = sum(alpha)
+    if sum(lam) != n:
+        raise ValueError("lam and alpha must have equal size")
+    (budget or CONNECTION_BUDGET).check(n, lambda: math.factorial(n - 1))
+    phi = representative if representative is not None else canonical_type_representative(alpha)
+    if phi.cycle_type() != sorted_partition(alpha):
+        raise ValueError("representative does not have cycle type alpha")
+    return dict(_connection_histogram(phi.inverse().images)).get(lam, 0)
+
+
+@lru_cache(maxsize=None)
+def _connection_histogram(
+    phi_inverse: tuple[int, ...]
+) -> tuple[tuple[Partition, int], ...]:
+    """Cycle-type tally of phi * rho^-1 over the full cycles rho, read off
+    its inverse rho * phi^-1, which has the same cycle type."""
+    tally = Counter(
+        _cycle_type([rho[y] for y in phi_inverse])
+        for rho in class_images((len(phi_inverse),))
+    )
+    return tuple(sorted(tally.items()))

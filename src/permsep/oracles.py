@@ -7,23 +7,21 @@ with the closed-form code paths.  Classes are enumerated as raw image tuples
 is read straight off the tuple, and each class tally is cached.  Separated
 block tuples are counted per cycle type by a block-first dynamic program
 over the untouched cycles, whose one-block transitions are cached and shared
-by every cycle type and block profile that reaches the same state.
-Connection coefficients tally the full cycles once per representative.  The
+by every cycle type and block profile that reaches the same state.  The
 oracles that only verification runs live in `permsep.crosscheck`.
 
 Budgets are explicit: an oracle either finishes exactly or raises
-BudgetExceededError.  Oracles that read a cached histogram tick the objects
-it enumerates up front, so a cache hit never bypasses a budget.
+BudgetExceededError.  Every oracle checks its budget once, before it
+enumerates anything, against the object count its arguments imply, so a
+cache hit never bypasses a budget.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import time
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 from .partitions import (
@@ -34,62 +32,35 @@ from .partitions import (
     conjugacy_class_size,
     sorted_partition,
 )
-from .perms import Permutation, class_images
-
-OMEGA_FIRST = "omega-first"  # sigma = pi * omega (the full cycle acts first)
-PI_FIRST = "pi-first"  # sigma = omega * pi
+from .perms import class_images
 
 
 class OracleBudget(NamedTuple):
-    """Hard limits for exhaustive enumeration.
+    """Hard limits for exhaustive enumeration, checked before any work.
 
-    ``max_n`` caps the ground-set size, ``max_objects`` the number of
-    enumerated items, ``max_seconds`` the wall-clock time.  Exceeding any
-    limit raises BudgetExceededError before a partial count can escape.
+    ``max_n`` caps the ground-set size and ``max_objects`` the number of
+    objects an oracle would enumerate, which each oracle computes from its
+    arguments.  Exceeding either limit raises BudgetExceededError.  The
+    count is passed as a function, called only when ``max_objects`` is set
+    and n fits, so a huge ground set is refused without computing, say, a
+    million-digit factorial.
     """
 
     max_n: int
     max_objects: int | None = None
-    max_seconds: float | None = None
 
-    def check_n(self, n: int) -> None:
+    def check(self, n: int, objects: Callable[[], int]) -> None:
         if n > self.max_n:
             raise BudgetExceededError(
                 f"ground set of size {n} exceeds oracle budget max_n={self.max_n}"
             )
-
-    def tracker(self) -> "_BudgetTracker":
-        return _BudgetTracker(self)
-
-
-class _BudgetTracker:
-    def __init__(self, budget: OracleBudget):
-        self.budget = budget
-        self.count = 0
-        self.start = time.monotonic()
-
-    def tick(self, items: int = 1) -> None:
-        self.count += items
-        elapsed = time.monotonic() - self.start
-        used = f"enumerated {self.count} objects in {elapsed:.3f} s"
-        if (
-            self.budget.max_objects is not None
-            and self.count > self.budget.max_objects
-        ):
+        if self.max_objects is not None and (needed := objects()) > self.max_objects:
             raise BudgetExceededError(
-                f"{used}, budget max_objects={self.budget.max_objects}"
-            )
-        if self.budget.max_seconds is not None and elapsed > self.budget.max_seconds:
-            raise BudgetExceededError(
-                f"{used}, budget max_seconds={self.budget.max_seconds}"
+                f"needs {needed} objects, budget max_objects={self.max_objects}"
             )
 
 
 PAIR_BUDGET = OracleBudget(max_n=8)
-COLORING_BUDGET = OracleBudget(max_n=6)
-INVOLUTION_BUDGET = OracleBudget(max_n=10)
-STRONG_BUDGET = OracleBudget(max_n=7)
-CONNECTION_BUDGET = OracleBudget(max_n=7)
 
 
 def _cycle_type(images: Sequence[int]) -> Partition:
@@ -110,25 +81,14 @@ def _cycle_type(images: Sequence[int]) -> Partition:
     return tuple(lengths)
 
 
-def _product_type(images: tuple[int, ...], convention: str) -> Partition:
-    """Cycle type of pi * omega (omega-first) or omega * pi (pi-first), from
-    the image tuple of pi: omega shifts every point up by one, modulo n."""
-    if convention == OMEGA_FIRST:
-        return _cycle_type(images[1:] + images[:1])
-    n = len(images)
-    return _cycle_type([(y + 1) % n for y in images])
-
-
 @lru_cache(maxsize=None)
-def product_type_histogram(
-    lam: Partition, convention: str = OMEGA_FIRST
-) -> tuple[tuple[Partition, int], ...]:
-    """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``."""
-    if convention not in (OMEGA_FIRST, PI_FIRST):
-        raise ValueError(f"unknown convention {convention!r}")
+def product_type_histogram(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``:
+    omega shifts every point up by one, so the product's images are pi's
+    image tuple rotated by one place."""
     if sum(lam) < 1:
         raise ValueError("full cycle needs n >= 1")
-    tally = Counter(_product_type(images, convention) for images in class_images(lam))
+    tally = Counter(_cycle_type(images[1:] + images[:1]) for images in class_images(lam))
     return tuple(sorted(tally.items()))
 
 
@@ -211,19 +171,16 @@ def _separated_tuple_histogram(
 def oracle_separated_pair_count(
     lam: Iterable[int],
     alpha: Iterable[int],
-    convention: str = OMEGA_FIRST,
     budget: OracleBudget | None = None,
 ) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
     by exhaustive enumeration of the class."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    budget = budget or PAIR_BUDGET
-    budget.check_n(sum(lam))
+    (budget or PAIR_BUDGET).check(sum(lam), lambda: conjugacy_class_size(lam))
     if sum(alpha) > sum(lam):
         return 0
-    budget.tracker().tick(conjugacy_class_size(lam))
-    hist = product_type_histogram(lam, convention)
+    hist = product_type_histogram(lam)
     blocks = sorted_partition(alpha)
     return sum(
         count * ways
@@ -232,49 +189,11 @@ def oracle_separated_pair_count(
     )
 
 
-def canonical_type_representative(alpha: Iterable[int]) -> Permutation:
-    """The permutation with cycles on consecutive blocks: (0 .. a1-1)(a1 ..) ..."""
-    alpha = as_composition(alpha, allow_empty=False)
-    n = sum(alpha)
-    cycles = []
-    start = 0
-    for a in alpha:
-        cycles.append(tuple(range(start, start + a)))
-        start += a
-    return Permutation.from_cycles(n, cycles)
+def __getattr__(name: str):
+    # The connection oracle lives in `permsep.crosscheck`; the old import path
+    # keeps working without loading that module with this one.
+    if name == "oracle_connection_coefficient":
+        from .crosscheck import oracle_connection_coefficient
 
-
-def oracle_connection_coefficient(
-    lam: Iterable[int],
-    alpha: Iterable[int],
-    representative: Permutation | None = None,
-    budget: OracleBudget | None = None,
-) -> int:
-    """Factorizations of a fixed permutation of cycle type ``alpha`` as
-    (class-of-lam element) * (full cycle), counted by enumerating full cycles.
-    """
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
-    n = sum(alpha)
-    if sum(lam) != n:
-        raise ValueError("lam and alpha must have equal size")
-    budget = budget or CONNECTION_BUDGET
-    budget.check_n(n)
-    phi = representative if representative is not None else canonical_type_representative(alpha)
-    if phi.cycle_type() != sorted_partition(alpha):
-        raise ValueError("representative does not have cycle type alpha")
-    budget.tracker().tick(math.factorial(n - 1))
-    return dict(_connection_histogram(phi.inverse().images)).get(lam, 0)
-
-
-@lru_cache(maxsize=None)
-def _connection_histogram(
-    phi_inverse: tuple[int, ...]
-) -> tuple[tuple[Partition, int], ...]:
-    """Cycle-type tally of phi * rho^-1 over the full cycles rho, read off
-    its inverse rho * phi^-1, which has the same cycle type."""
-    tally = Counter(
-        _cycle_type([rho[y] for y in phi_inverse])
-        for rho in class_images((len(phi_inverse),))
-    )
-    return tuple(sorted(tally.items()))
+        return oracle_connection_coefficient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,9 @@ of ``i``.  Composition is right-to-left: ``(p * q)(x) = p(q(x))``, so the
 right factor acts first.  The distinguished full cycle ``omega`` maps
 ``0 -> 1 -> ... -> n-1 -> 0``; "the product of pi with a full cycle" always
 means ``pi * omega`` in this package (the right-to-left product applying
-omega first), a convention whose irrelevance for all counts is asserted by
-tests.
+omega first).  The other order gives the same counts, since
+omega * pi = omega (pi * omega) omega^-1 has the same cycle type; a test
+checks the class tallies both ways.
 
 Cycle decompositions are canonical: cycles are listed by increasing minimum
 element and each cycle starts at its minimum, which makes enumeration output

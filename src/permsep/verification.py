@@ -391,7 +391,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                 value = st.connection_coefficient(lam, alpha)
                 rec.equal(
                     value,
-                    orc.oracle_connection_coefficient(lam, alpha),
+                    xc.oracle_connection_coefficient(lam, alpha),
                     f"connection lam={lam} alpha={alpha}",
                 )
                 if n <= 5 and len(set(alpha)) > 1:
@@ -402,7 +402,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                         start += a
                     other = Permutation.from_cycles(n, blocks)
                     rec.equal(
-                        orc.oracle_connection_coefficient(
+                        xc.oracle_connection_coefficient(
                             lam, alpha, representative=other
                         ),
                         value,

@@ -1,6 +1,6 @@
 import itertools
 import math
-import re
+import types
 from collections import Counter
 
 import pytest
@@ -14,7 +14,11 @@ from permsep.partitions import (
     conjugacy_class_size,
     partitions,
 )
-from permsep.perms import Permutation, fixed_point_free_involutions
+from permsep.perms import (
+    Permutation,
+    fixed_point_free_involutions,
+    permutations_of_type,
+)
 from permsep.separation import (
     disjoint_block_tuples,
     is_separated,
@@ -54,30 +58,15 @@ def test_oracle_composition_order_irrelevant_literal():
             ) == xc.oracle_separated_pair_count_literal(lam, beta)
 
 
-def test_product_convention_independence():
-    # recomputed with the other composition order, for every type at n <= 6
+def test_product_type_histogram_matches_the_other_product_order():
+    # omega * pi is conjugate to pi * omega, so the class tallies agree
     for n in range(1, 7):
+        omega = Permutation.full_cycle(n)
         for lam in partitions(n):
-            for m in range(1, n + 1):
-                for alpha in partitions(m):
-                    assert orc.oracle_separated_pair_count(
-                        lam, alpha, convention=orc.OMEGA_FIRST
-                    ) == orc.oracle_separated_pair_count(
-                        lam, alpha, convention=orc.PI_FIRST
-                    )
-
-
-def test_product_convention_independence_literal():
-    for n in range(1, 5):
-        for lam in partitions(n):
-            for alpha in all_compositions(n):
-                if not alpha:
-                    continue
-                assert xc.oracle_separated_pair_count_literal(
-                    lam, alpha, convention=orc.OMEGA_FIRST
-                ) == xc.oracle_separated_pair_count_literal(
-                    lam, alpha, convention=orc.PI_FIRST
-                )
+            want = Counter(
+                (omega * pi).cycle_type() for pi in permutations_of_type(lam)
+            )
+            assert orc.product_type_histogram(lam) == tuple(sorted(want.items()))
 
 
 def test_oracle_colored_factorizations():
@@ -160,19 +149,19 @@ def test_oracle_strong_pairs():
 
 
 def test_oracle_connection_coefficients():
-    assert orc.oracle_connection_coefficient((3,), (1, 1, 1)) == 2
-    assert orc.oracle_connection_coefficient((3,), (2, 1)) == 0  # parity obstruction
+    assert xc.oracle_connection_coefficient((3,), (1, 1, 1)) == 2
+    assert xc.oracle_connection_coefficient((3,), (2, 1)) == 0  # parity obstruction
     # also a parity obstruction: transposition times 3-cycle is odd
-    assert orc.oracle_connection_coefficient((2, 1), (3,)) == 0
-    assert orc.oracle_connection_coefficient((2, 1), (2, 1)) == 2
-    assert orc.oracle_connection_coefficient((3,), (3,)) == 1
+    assert xc.oracle_connection_coefficient((2, 1), (3,)) == 0
+    assert xc.oracle_connection_coefficient((2, 1), (2, 1)) == 2
+    assert xc.oracle_connection_coefficient((3,), (3,)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connection_histogram_covers_every_full_cycle(n):
     for alpha in partitions(n):
-        phi = orc.canonical_type_representative(alpha)
-        hist = orc._connection_histogram(phi.inverse().images)
+        phi = xc.canonical_type_representative(alpha)
+        hist = xc._connection_histogram(phi.inverse().images)
         assert sum(count for _, count in hist) == math.factorial(n - 1)
         assert all(sum(lam) == n for lam, _ in hist)
 
@@ -180,7 +169,7 @@ def test_connection_histogram_covers_every_full_cycle(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_separated_tuple_histogram_matches_literal_tally(n):
     for tau in partitions(n):
-        sigma = orc.canonical_type_representative(tau)
+        sigma = xc.canonical_type_representative(tau)
         for m in range(n + 1):
             for alpha in partitions(m):
                 tally = {}
@@ -197,9 +186,9 @@ def test_oracle_connection_alternative_representative():
     blocks = [(2, 3, 4), (0, 1)]  # a (3, 2) element other than the canonical one
     other = Permutation.from_cycles(5, blocks)
     for lam in partitions(5):
-        assert orc.oracle_connection_coefficient(
+        assert xc.oracle_connection_coefficient(
             lam, (3, 2), representative=other
-        ) == orc.oracle_connection_coefficient(lam, (3, 2))
+        ) == xc.oracle_connection_coefficient(lam, (3, 2))
 
 
 def test_budget_max_n():
@@ -217,58 +206,94 @@ def test_budget_max_objects():
         xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
 
 
-def test_budget_max_seconds():
-    frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
+# Each oracle, its arguments, and the objects those arguments make it enumerate.
+HISTOGRAM_ORACLES = [
+    (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), 90),  # the class of (4, 2)
+    (xc.oracle_strong_pair_count, ((4, 2), (2, 1)), 90),
+    (xc.oracle_connection_coefficient, ((3, 1, 1), (2, 2, 1)), 24),  # 4! full cycles
+    (xc.oracle_colored_factorization_count, ((2, 2), (3, 1)), 24),  # 4! = |S_4|
+    (xc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), 24),
+    (xc.oracle_involution_series, (3, (1, 1)), 15),  # 5!! involutions
+    (xc.oracle_colored_matching_count, (3, (4, 2)), 15),
+]
+LITERAL_ORACLES = [
+    (xc.oracle_separated_pair_count_literal, ((3, 1), (1, 1)), 8 * 12),
+    (xc.oracle_strong_pair_count_literal, ((3, 2), (2, 1)), 20 * 30),
+    (xc.oracle_involution_series_literal, (3, ()), 15),  # no blocks: one per involution
+    # 3! permutations, 3 block tuples, at most 2**3 right colorings in 1 + 1 colors
+    (xc.oracle_separated_colored_count_literal, ((2, 1), (1,), 1), 6 * 3 * 8),
+]
+
+
+def _by_name(cases):
+    return pytest.mark.parametrize(
+        "oracle, args, objects", cases, ids=[case[0].__name__ for case in cases]
+    )
+
+
+@_by_name(HISTOGRAM_ORACLES + LITERAL_ORACLES)
+def test_budget_max_objects_is_the_count_the_arguments_imply(oracle, args, objects):
+    exact = orc.OracleBudget(max_n=8, max_objects=objects)
+    assert oracle(*args, budget=exact) == oracle(*args)
+    short = orc.OracleBudget(max_n=8, max_objects=objects - 1)
+    with pytest.raises(BudgetExceededError, match=f"needs {objects} objects"):
+        oracle(*args, budget=short)
+
+
+@_by_name(HISTOGRAM_ORACLES)
+def test_histogram_oracles_raise_before_building_a_histogram(oracle, args, objects):
+    histograms = (orc.product_type_histogram, xc._connection_histogram)
+    for histogram in histograms:
+        histogram.cache_clear()
     with pytest.raises(BudgetExceededError):
-        xc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
+        oracle(*args, budget=orc.OracleBudget(max_n=8, max_objects=objects - 1))
+    assert [histogram.cache_info().misses for histogram in histograms] == [0, 0]
 
 
-USED = re.compile(r"enumerated (\d+) objects in (\d+\.\d+) s")
+@_by_name(LITERAL_ORACLES)
+def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, args, objects):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("enumerated despite an exceeded budget")
+
+    for name in (
+        "permutations_of_type",
+        "fixed_point_free_involutions",
+        "disjoint_block_tuples",
+    ):
+        monkeypatch.setattr(xc, name, fail)
+    stubs = types.SimpleNamespace(permutations=fail, product=fail)
+    monkeypatch.setattr(xc, "itertools", stubs)
+    with pytest.raises(BudgetExceededError):
+        oracle(*args, budget=orc.OracleBudget(max_n=8, max_objects=objects - 1))
 
 
-def test_budget_errors_report_objects_and_seconds_used():
+def test_budget_errors_report_the_objects_needed():
     tight = orc.OracleBudget(max_n=6, max_objects=10)
-    with pytest.raises(BudgetExceededError, match="max_objects=10") as info:
+    with pytest.raises(BudgetExceededError) as info:
         xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
-    used = USED.search(str(info.value))
-    assert used and int(used.group(1)) == 11 and float(used.group(2)) >= 0
-
-    frozen = orc.OracleBudget(max_n=6, max_seconds=0.0)
-    with pytest.raises(BudgetExceededError, match="max_seconds=0.0") as info:
-        xc.oracle_strong_pair_count_literal((3, 2), (2, 1), budget=frozen)
-    used = USED.search(str(info.value))
-    assert used and int(used.group(1)) == 1 and float(used.group(2)) >= 0
+    # 8 permutations of type (3, 1) times 12 ordered pairs of points
+    assert str(info.value) == "needs 96 objects, budget max_objects=10"
 
 
 def test_budgets_hold_when_histograms_are_cached():
     tight = orc.OracleBudget(max_n=7, max_objects=10)  # 4! = 24 full cycles at n = 5
     with pytest.raises(BudgetExceededError):
-        orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
-    assert orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1)) == 8
+        xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
+    assert xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1)) == 8
     with pytest.raises(BudgetExceededError):
-        orc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
+        xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
 
     small = orc.OracleBudget(max_n=4)
     assert orc.oracle_separated_pair_count((3, 2), (1, 1)) > 0
     with pytest.raises(BudgetExceededError):
         orc.oracle_separated_pair_count((3, 2), (1, 1), budget=small)
 
-    # every histogram oracle ticks what its histogram enumerates, cached or not
-    frozen = orc.OracleBudget(max_n=8, max_objects=1, max_seconds=0.0)
+    # every histogram oracle checks what its histogram enumerates, cached or not
     tight = orc.OracleBudget(max_n=8, max_objects=10)
-    cases = [
-        (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), frozen),  # 90 in the class
-        (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), tight),
-        (xc.oracle_strong_pair_count, ((4, 2), (2, 1)), tight),
-        (xc.oracle_colored_factorization_count, ((2, 2), (3, 1)), tight),  # 4! = 24
-        (xc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), tight),
-        (xc.oracle_involution_series, (3, (1, 1)), tight),  # 5!! = 15
-        (xc.oracle_colored_matching_count, (3, (4, 2)), tight),
-    ]
-    for oracle, args, budget in cases:
+    for oracle, args, _ in HISTOGRAM_ORACLES:
         oracle(*args)
         with pytest.raises(BudgetExceededError):
-            oracle(*args, budget=budget)
+            oracle(*args, budget=tight)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -72,13 +72,13 @@ def test_binomial_polynomial():
 
 def test_oracle_budget():
     budget = OracleBudget(max_n=5)
-    assert (budget.max_n, budget.max_objects, budget.max_seconds) == (5, None, None)
-    assert budget == OracleBudget(5, None, None)
+    assert (budget.max_n, budget.max_objects) == (5, None)
+    assert budget == OracleBudget(5, None)
     assert budget != OracleBudget(5, max_objects=10)
     assert hash(budget) == hash(OracleBudget(max_n=5))
     assert_immutable(budget, "max_n")
-    assert repr(OracleBudget(8, max_seconds=1.5)) == (
-        "OracleBudget(max_n=8, max_objects=None, max_seconds=1.5)"
+    assert repr(OracleBudget(8, max_objects=15)) == (
+        "OracleBudget(max_n=8, max_objects=15)"
     )
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from permsep import crosscheck as xc
-from permsep import oracles as orc
 from permsep import strong as st
 from permsep.cli import main
 from permsep.formulas import separation_probability
@@ -126,7 +125,7 @@ def test_connection_matches_oracle():
             for alpha in partitions(n):
                 assert st.connection_coefficient(
                     lam, alpha
-                ) == orc.oracle_connection_coefficient(lam, alpha)
+                ) == xc.oracle_connection_coefficient(lam, alpha)
 
 
 def test_connection_reorder_invariant():
