@@ -1,14 +1,17 @@
 """Brute-force ground truth for the query path, at desk scale.
 
-Each oracle enumerates permutations exhaustively and counts block tuples by
-direct combinatorics on the actual cycles of each product - nothing shared
-with the closed-form code paths.  Classes are enumerated as raw image tuples
+Each oracle enumerates permutations and counts block tuples by direct
+combinatorics on the actual cycles of each product - nothing shared with
+the closed-form code paths.  Classes are enumerated as raw image tuples
 (`perms.class_images`), the cycle type of each product with the full cycle
-is read straight off the tuple, and each class tally is cached.  Separated
-block tuples are counted per cycle type by a block-first dynamic program
-over the untouched cycles, whose one-block transitions are cached and shared
-by every cycle type and block profile that reaches the same state.  The
-oracles that only verification runs live in `permsep.crosscheck`.
+is read straight off the tuple, and each class tally is cached.  Conjugating
+by the full cycle keeps both the class and the product's cycle type, so a
+tally walks only the members whose cycle through 0 has one chosen length
+and scales up.  Separated block tuples are counted per cycle type by a
+block-first dynamic program over the untouched cycles, whose one-block
+transitions are cached and shared by every cycle type and block profile
+that reaches the same state.  The oracles that only verification runs live
+in `permsep.crosscheck`.
 
 Budgets are explicit: an oracle either finishes exactly or raises
 BudgetExceededError.  Every oracle checks its budget once, before it
@@ -23,7 +26,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .partitions import (
     Partition,
     as_composition,
@@ -36,14 +39,14 @@ from .perms import class_images
 
 
 class OracleBudget(NamedTuple):
-    """Hard limits for exhaustive enumeration, checked before any work.
+    """Hard limits for brute-force counting, checked before any work.
 
-    ``max_n`` caps the ground-set size and ``max_objects`` the number of
-    objects an oracle would enumerate, which each oracle computes from its
-    arguments.  Exceeding either limit raises BudgetExceededError.  The
-    count is passed as a function, called only when ``max_objects`` is set
-    and n fits, so a huge ground set is refused without computing, say, a
-    million-digit factorial.
+    ``max_n`` caps the ground-set size and ``max_objects`` the class members
+    (times block tuples) the oracle's tally covers, which each oracle
+    computes from its arguments.  Exceeding either limit raises
+    BudgetExceededError.  The count is passed as a function, called only
+    when ``max_objects`` is set and n fits, so a huge ground set is refused
+    without computing, say, a million-digit factorial.
     """
 
     max_n: int
@@ -83,13 +86,29 @@ def _cycle_type(images: Sequence[int]) -> Partition:
 
 @lru_cache(maxsize=None)
 def product_type_histogram(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``:
+    """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``.
+
     omega shifts every point up by one, so the product's images are pi's
-    image tuple rotated by one place."""
-    if sum(lam) < 1:
+    image tuple rotated by one place.  Conjugating by omega maps the class
+    onto itself and keeps the product's cycle type, so each point lies in an
+    L-cycle equally often per product type: the tally is n / (L * m_L) times
+    that of the slice where 0 lies in an L-cycle.  L is the part length whose
+    m_L cycles cover the fewest points, which makes the slice smallest.
+    """
+    n = sum(lam)
+    if n < 1:
         raise ValueError("full cycle needs n >= 1")
-    tally = Counter(_cycle_type(images[1:] + images[:1]) for images in class_images(lam))
-    return tuple(sorted(tally.items()))
+    covered, first = min((size * lam.count(size), size) for size in set(lam))
+    tally = Counter(
+        _cycle_type(images[1:] + images[:1])
+        for images in class_images(lam, first=first)
+    )
+    members = sum(tally.values())
+    if members * n != conjugacy_class_size(lam) * covered:
+        raise InvariantError(f"{first}-cycle slice of {lam} has {members} members")
+    if any(n * count % covered for count in tally.values()):
+        raise InvariantError(f"{n}/{covered} times the slice tally of {lam} is not integral")
+    return tuple(sorted((tau, n * count // covered) for tau, count in tally.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +193,7 @@ def oracle_separated_pair_count(
     budget: OracleBudget | None = None,
 ) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
-    by exhaustive enumeration of the class."""
+    by enumerating a rotation slice of the class (`product_type_histogram`)."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
     (budget or PAIR_BUDGET).check(sum(lam), lambda: conjugacy_class_size(lam))

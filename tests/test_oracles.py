@@ -7,7 +7,7 @@ import pytest
 
 from permsep import crosscheck as xc
 from permsep import oracles as orc
-from permsep.errors import BudgetExceededError
+from permsep.errors import BudgetExceededError, InvariantError
 from permsep.partitions import (
     all_compositions,
     binomial,
@@ -67,6 +67,25 @@ def test_product_type_histogram_matches_the_other_product_order():
                 (omega * pi).cycle_type() for pi in permutations_of_type(lam)
             )
             assert orc.product_type_histogram(lam) == tuple(sorted(want.items()))
+
+
+def test_product_type_histogram_scales_the_slice_to_the_full_tally():
+    # the rotation slice, scaled up, against the whole class in the same order
+    for lam in partitions(8):
+        want = Counter(
+            orc._cycle_type(im[1:] + im[:1]) for im in orc.class_images(lam)
+        )
+        assert orc.product_type_histogram(lam) == tuple(sorted(want.items()))
+
+
+def test_product_type_histogram_checks_the_slice_size(monkeypatch):
+    stream = orc.class_images
+    monkeypatch.setattr(
+        orc, "class_images", lambda lam, first=None: list(stream(lam, first))[:-1]
+    )
+    orc.product_type_histogram.cache_clear()  # a failed call caches nothing
+    with pytest.raises(InvariantError, match="members"):
+        orc.product_type_histogram((3, 2, 1))
 
 
 def test_oracle_colored_factorizations():

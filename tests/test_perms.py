@@ -118,6 +118,29 @@ def test_class_images_follow_the_class_stream(n):
         assert len(images) == conjugacy_class_size(lam)
 
 
+def _zero_cycle_length(images):
+    length, x = 1, images[0]
+    while x != 0:
+        length, x = length + 1, images[x]
+    return length
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_image_slices_filter_the_class_stream(n):
+    for lam in partitions(n):
+        stream = reference_class_stream(lam)
+        for part in set(lam):
+            want = [im for im in stream if _zero_cycle_length(im) == part]
+            got = list(class_images(lam, first=part))
+            assert got == want
+            assert len(got) * n == conjugacy_class_size(lam) * part * lam.count(part)
+
+
+def test_class_image_slice_needs_a_part():
+    with pytest.raises(ValueError, match=r"first=2 is not a part of \(3, 1\)"):
+        class_images((3, 1), first=2)
+
+
 def test_class_images_construction_order():
     # smallest unplaced point starts a cycle, shorter cycles first, tails in
     # lexicographic order
