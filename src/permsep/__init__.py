@@ -79,7 +79,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "SymFuncVector",
             "expand_power_sum_in_monomials",
             "power_sum_coefficient",
             "transition_matrices",

@@ -273,7 +273,7 @@ def _cmd_gtable(args, out: TextIO) -> int:
     entries = [
         {"partition": list(lam), "r": r, "coefficient": str(c)}
         for (lam, r), c in sorted(
-            table.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])
+            table.items(), key=lambda kv: (kv[0][1], kv[0][0])
         )
     ]
     params = {"n": args.n, "m": args.m, "k": args.k}

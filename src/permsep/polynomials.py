@@ -8,10 +8,10 @@ index R); evaluation at an integer keeps C(t, r) as a running binomial.
 The series here have nonnegative integer coefficients in this basis: the
 fixed-point-free involution series, with its pair count, probability and
 printed form, and the one-face-map polynomial, which is the involution
-series with no blocks.  The module also holds `FrozenRecord`, the base of
-the records that normalise their input, and the whole coefficient table of
-the separated-pair series at one degree (``gtable``).  Only ``involution``,
-``hz``, ``gtable`` and ``verify`` load it.
+series with no blocks.  The module also holds the whole coefficient table
+of the separated-pair series at one degree (``gtable``), a read-only mapping
+keyed by (partition, r).  Only ``involution``, ``hz``, ``gtable`` and
+``verify`` load it.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvariantError
 from .formulas import SepResult, gen_series_entry, pair_space
 from .partitions import (
     Partition,
     as_composition,
-    as_partition,
     binomial,
     partitions,
     perfect_matching_count,
@@ -35,54 +35,11 @@ from .partitions import (
 Poly = tuple[Fraction, ...]
 
 
-class FrozenRecord:
-    """Base of the immutable records whose constructor normalises its input.
+class BinomialPolynomial(NamedTuple):
+    """A polynomial written as sum_r coeffs[r] * C(t, r); ``coeffs`` holds
+    only nonzero Fraction coefficients at r >= 0."""
 
-    A subclass lists its fields in ``__slots__`` and sets them once with
-    `_init`; instances compare equal field by field, are unhashable (their
-    fields hold dicts), reject assignment and print as ``Name(field=value,
-    ...)``.
-    """
-
-    __slots__ = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class BinomialPolynomial(FrozenRecord):
-    """A polynomial written as sum_r coeffs[r] * C(t, r); ``coeffs`` keeps
-    only the nonzero coefficients, as Fractions."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        cleaned = {}
-        for r, c in (coeffs or {}).items():
-            if r < 0:
-                raise ValueError("binomial-basis support must be nonnegative")
-            c = Fraction(c)
-            if c:
-                cleaned[int(r)] = c
-        self._init(cleaned)
+    coeffs: dict[int, Fraction]
 
     def coefficient(self, r: int) -> Fraction:
         return self.coeffs.get(r, Fraction(0))
@@ -250,53 +207,22 @@ def one_face_map_series(pairs: int) -> BinomialPolynomial:
 # ---------------------------------------------------------------------------
 # The whole coefficient table of the separated-pair series
 #
-# ``gtable`` prints it, and the verification suites change its basis through
-# `permsep.symfunc` as an independent check of the series path, which reads
-# the coefficients by number of parts (`formulas.gen_series_entry`) instead.
-
-
-class GenSeriesTable(FrozenRecord):
-    """Coefficient table of the separated-pair series at degree n.
-
-    ``entries[(lam, r)]`` is the integer coefficient of m_lam * C(t, r) in
-    the series written in the shifted variable (argument t + k).  Entries are
-    zero when r > n - m or when lam has more than n - k - r + 1 parts, and
-    depend on the block sizes only through (m, k).
-    """
-
-    __slots__ = ("n", "m", "k", "entries")
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        k: int,
-        entries: Mapping[tuple[Partition, int], int] | None = None,
-    ):
-        self._init(n, m, k, {} if entries is None else entries)
-
-    def coefficient(self, lam: Iterable[int], r: int) -> int:
-        return self.entries.get((as_partition(lam), r), 0)
-
-    def monomial_vector_at(self, t: int) -> SymFuncVector:
-        """Collapse the C(t, r) direction at an integer t, leaving an m-basis vector.
-
-        Verification-only, like the rest of `permsep.symfunc`, which is
-        imported here so that the query path never loads it.
-        """
-        from .symfunc import SymFuncVector
-
-        coeffs: dict[Partition, Fraction] = {}
-        for (lam, r), c in self.entries.items():
-            w = binomial(t, r)
-            if w:
-                coeffs[lam] = coeffs.get(lam, Fraction(0)) + c * w
-        return SymFuncVector(self.n, "m", coeffs)
+# ``gtable`` prints it.  Verification extracts its power-sum coefficients
+# through `permsep.symfunc`, a plain {partition: coefficient} mapping per r,
+# as an independent check of the series path, which reads the coefficients
+# by number of parts (`formulas.gen_series_entry`) instead.
 
 
 @lru_cache(maxsize=None)
-def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
-    """The explicit coefficient table for given degree and block profile (m, k)."""
+def gen_series_table(n: int, m: int, k: int) -> Mapping[tuple[Partition, int], int]:
+    """Coefficient table of the separated-pair series at degree n.
+
+    Entry ``(lam, r)`` is the integer coefficient of m_lam * C(t, r) in the
+    series written in the shifted variable (argument t + k); zero entries are
+    left out.  They vanish when r > n - m or when lam has more than
+    n - k - r + 1 parts, and depend on the block sizes only through (m, k).
+    The cached mapping is read-only, so callers can share it.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= m <= n:
@@ -311,4 +237,4 @@ def gen_series_table(n: int, m: int, k: int) -> GenSeriesTable:
         for lam in partitions(n):
             if by_length[len(lam)]:
                 entries[(lam, r)] = by_length[len(lam)]
-    return GenSeriesTable(n=n, m=m, k=k, entries=entries)
+    return MappingProxyType(entries)

@@ -1,12 +1,13 @@
 """Exact symmetric-function coefficients: power sums vs monomial basis.
 
 Only the two bases needed here are implemented.  A degree-n symmetric
-function is a finitely supported map from partitions of n to rationals,
-tagged with its basis ("m" for monomial, "p" for power sum).  The transition
-matrices between the bases are computed exactly: expanding each power sum
-into monomials gives an integer matrix that is lower triangular in the
-reverse-lexicographic partition order (a linear extension of dominance), and
-its inverse is obtained by exact forward substitution over Fractions.
+function in the monomial basis is a plain mapping from partitions of n to
+rationals, and `power_sum_coefficient` reads one power-sum coefficient off
+it.  The transition matrices between the bases are computed exactly:
+expanding each power sum into monomials gives an integer matrix that is
+lower triangular in the reverse-lexicographic partition order (a linear
+extension of dominance), and its inverse is obtained by exact forward
+substitution over Fractions.
 
 Matrices are cached in memory per degree.  Their cost grows with p(n)^2,
 so no query path builds them: `permsep.formulas` counts separated pairs
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvariantError
@@ -30,38 +32,6 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .polynomials import FrozenRecord
-
-
-class SymFuncVector(FrozenRecord):
-    """A symmetric function of fixed degree in a fixed basis.
-
-    ``coeffs`` maps partitions of ``degree`` to nonzero Fractions; absent
-    partitions have coefficient zero.
-    """
-
-    __slots__ = ("degree", "basis", "coeffs")
-
-    def __init__(
-        self,
-        degree: int,
-        basis: str,
-        coeffs: Mapping[Partition, Fraction] | None = None,
-    ):
-        if basis not in ("m", "p"):
-            raise ValueError(f"basis must be 'm' or 'p', got {basis!r}")
-        cleaned = {}
-        for lam, value in (coeffs or {}).items():
-            lam = as_partition(lam)
-            if sum(lam) != degree:
-                raise ValueError(f"index {lam} does not have size {degree}")
-            value = Fraction(value)
-            if value:
-                cleaned[lam] = value
-        self._init(degree, basis, cleaned)
-
-    def coefficient(self, lam: Iterable[int]) -> Fraction:
-        return self.coeffs.get(as_partition(lam), Fraction(0))
 
 
 def multiply_by_power_sum(coeffs: Mapping[Partition, int], k: int) -> dict[Partition, int]:
@@ -127,15 +97,11 @@ def _invert_lower_triangular(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[F
     return tuple(tuple(row) for row in inverse)
 
 
-_matrix_cache: dict[int, TransitionMatrices] = {}
-
-
+@lru_cache(maxsize=None)
 def transition_matrices(n: int) -> TransitionMatrices:
     """The exact transition-matrix pair for degree ``n`` (cached in memory)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n in _matrix_cache:
-        return _matrix_cache[n]
     index = tuple(partitions(n))
     position = {lam: i for i, lam in enumerate(index)}
     raw = []
@@ -149,57 +115,28 @@ def transition_matrices(n: int) -> TransitionMatrices:
     for i, row in enumerate(rows):
         if any(row[j] for j in range(i + 1, len(index))):
             raise InvariantError(f"power/monomial matrix not triangular at degree {n}")
-    result = TransitionMatrices(
+    return TransitionMatrices(
         degree=n,
         index=index,
         power_to_monomial=rows,
         monomial_to_power=_invert_lower_triangular(rows),
     )
-    _matrix_cache[n] = result
-    return result
 
 
-def to_power_sum_basis(vec: SymFuncVector) -> SymFuncVector:
-    """Convert a monomial-basis vector to the power-sum basis."""
-    if vec.basis != "m":
-        raise ValueError("expected a monomial-basis vector")
-    tm = transition_matrices(vec.degree)
-    out: dict[Partition, Fraction] = {}
-    for mu, c in vec.coeffs.items():
-        row = tm.monomial_to_power[tm.position(mu)]
-        for j, s in enumerate(row):
-            if s:
-                lam = tm.index[j]
-                out[lam] = out.get(lam, Fraction(0)) + c * s
-    return SymFuncVector(vec.degree, "p", out)
-
-
-def to_monomial_basis(vec: SymFuncVector) -> SymFuncVector:
-    """Convert a power-sum-basis vector to the monomial basis."""
-    if vec.basis != "p":
-        raise ValueError("expected a power-sum-basis vector")
-    tm = transition_matrices(vec.degree)
-    out: dict[Partition, Fraction] = {}
-    for lam, c in vec.coeffs.items():
-        row = tm.power_to_monomial[tm.position(lam)]
-        for j, r in enumerate(row):
-            if r:
-                mu = tm.index[j]
-                out[mu] = out.get(mu, Fraction(0)) + c * r
-    return SymFuncVector(vec.degree, "m", out)
-
-
-def power_sum_coefficient(vec: SymFuncVector, lam: Iterable[int]) -> Fraction:
-    """Extract the power-sum coefficient of ``lam`` from a monomial-basis vector."""
+def power_sum_coefficient(
+    coeffs: Mapping[Partition, Fraction], lam: Iterable[int]
+) -> Fraction:
+    """Power-sum coefficient of ``lam`` in the symmetric function with
+    monomial expansion ``coeffs`` ({partition: coefficient}), whose keys must
+    all have the size of ``lam``."""
     lam = as_partition(lam)
-    if vec.basis != "m":
-        raise ValueError("expected a monomial-basis vector")
-    if sum(lam) != vec.degree:
-        raise ValueError(f"degree mismatch: vector {vec.degree}, index {sum(lam)}")
-    tm = transition_matrices(vec.degree)
+    n = sum(lam)
+    tm = transition_matrices(n)
     col = tm.position(lam)
     total = Fraction(0)
-    for mu, c in vec.coeffs.items():
+    for mu, c in coeffs.items():
+        if sum(mu) != n:
+            raise ValueError(f"index {tuple(mu)} does not have size {n}")
         total += c * tm.monomial_to_power[tm.position(mu)][col]
     return total
 

@@ -26,16 +26,13 @@ from . import strong as st
 from .partitions import (
     all_compositions,
     conjugacy_class_size,
-    multinomial,
     partitions,
     perfect_matching_count,
     stirling_first_unsigned,
 )
 from .errors import InvariantError
 from .perms import Permutation
-from .separation import block_tuple_count
 from .symfunc import (
-    SymFuncVector,
     cycle_count_power_coefficient,
     involution_length_power_coefficient,
     power_sum_coefficient,
@@ -91,7 +88,7 @@ def _block_profiles(total_max: int) -> Iterable[tuple[int, ...]]:
 def _oracle_probability(lam, alpha) -> Fraction:
     n = sum(lam)
     count = orc.oracle_separated_pair_count(lam, alpha)
-    return Fraction(count, block_tuple_count(n, alpha) * conjugacy_class_size(lam))
+    return Fraction(count, fm.pair_space(n, alpha, conjugacy_class_size(lam)))
 
 
 def check_two_cycle_closed_form(max_n: int) -> CheckResult:
@@ -175,7 +172,6 @@ def check_p_cycles(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(7, max_n) + 1):
         for alpha in _block_profiles(n):
-            m, k = sum(alpha), len(alpha)
             for p in range(1, n + 1):
                 oracle_total = sum(
                     orc.oracle_separated_pair_count(lam, alpha)
@@ -185,9 +181,7 @@ def check_p_cycles(max_n: int) -> CheckResult:
                 count = fm.separated_count_p_cycles(n, p, alpha)
                 rec.equal(count, oracle_total, f"count n={n} p={p} alpha={alpha}")
                 prob = fm.separation_probability_p_cycles(n, p, alpha).probability
-                space = multinomial(list(alpha) + [n - m]) * stirling_first_unsigned(
-                    n, p
-                )
+                space = fm.pair_space(n, alpha, stirling_first_unsigned(n, p))
                 rec.equal(
                     prob,
                     Fraction(oracle_total, space),
@@ -223,7 +217,7 @@ def check_involution_series(max_n: int) -> CheckResult:
                 f"pair count N={pairs} alpha={alpha}",
             )
             sep = pl.separation_probability_involution(pairs, alpha)
-            space = multinomial(list(alpha) + [n - m]) * perfect_matching_count(pairs)
+            space = fm.pair_space(n, alpha, perfect_matching_count(pairs))
             rec.equal(
                 sep.probability,
                 Fraction(oracle_count, space),
@@ -241,16 +235,9 @@ def check_involution_series(max_n: int) -> CheckResult:
             table = pl.gen_series_table(n, m, k)
             series = pl.involution_series(pairs, alpha)
             for r in range(n - m + 1):
-                vec = SymFuncVector(
-                    n,
-                    "m",
-                    {
-                        lam: Fraction(table.coefficient(lam, r))
-                        for lam in partitions(n)
-                    },
-                )
+                coeffs = {lam: c for (lam, j), c in table.items() if j == r}
                 rec.equal(
-                    power_sum_coefficient(vec, (2,) * pairs),
+                    power_sum_coefficient(coeffs, (2,) * pairs),
                     series.coefficient(r),
                     f"series slice N={pairs} alpha={alpha} r={r}",
                 )
@@ -381,7 +368,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                     )
                 for beta, prob in table.items():
                     count = xc.oracle_strong_pair_count(lam, beta)
-                    space = block_tuple_count(n, beta) * conjugacy_class_size(lam)
+                    space = fm.pair_space(n, beta, conjugacy_class_size(lam))
                     rec.equal(
                         prob,
                         Fraction(count, space),

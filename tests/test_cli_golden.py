@@ -1,10 +1,13 @@
-"""Golden CLI corpus: formula queries at n = 10-14 must print exactly the
+"""Golden CLI corpus: formula queries at n = 8-14 must print exactly the
 recorded stdout.
 
-``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases
+``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
+The ``sep-prob``, ``lift``, ``strong``, ``connection`` and ``hz`` cases were
 recorded when every weak count still came from the full power-sum/monomial
-transition matrix.  Any change in a digit, a key order or a warning fails
-the comparison.
+transition matrix; the ``gtable`` and ``involution`` cases were recorded
+while the series table and the binomial-basis polynomial were still custom
+record classes.  Any change in a digit, a key order or a warning fails the
+comparison.
 """
 
 import io

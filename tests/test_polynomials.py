@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from permsep.polynomials import BinomialPolynomial
 
 
@@ -44,8 +42,3 @@ def test_shifted_monomial_for_either_sign_of_shift():
         for t in (-5, 0, 2, Fraction(1, 3)):
             assert horner(shifted, t) == poly.evaluate(t + delta)
 
-
-def test_binomial_polynomial_validation():
-    with pytest.raises(ValueError):
-        BinomialPolynomial({-1: Fraction(1)})
-    assert BinomialPolynomial({2: Fraction(0)}).coeffs == {}
