@@ -8,12 +8,11 @@ two-cycle form, the involution series in monomials, two polynomial
 identities, and the coloring, involution, colored-matching, strong and
 connection oracles.  The ``*_literal`` oracles enumerate every structure one
 by one as `Permutation` objects, to validate the counting oracles at tiny
-sizes.  The coloring oracles read the joint (pi, product) tally of S_n
-grouped by the type of pi, so a left type with no coloring of the profile
-costs one step.  Connection coefficients tally the full cycles once per
-representative.  Each oracle checks its `OracleBudget` once, before it
-enumerates anything; a literal oracle counts every (permutation, block
-tuple) pair it would visit, times the colorings it would try.
+sizes.  The coloring oracles read the product-type tally of each class of
+S_n (`oracles.product_type_histogram`), so a class with no coloring of the
+profile costs one step.  Connection coefficients tally the full cycles once
+per representative.  Each oracle has one fixed ground-set limit, a module
+constant, and checks it once, before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Iterable, Mapping
 from .errors import InvariantError
 from .formulas import gen_series_entry
 from .oracles import (
-    OracleBudget,
+    _check_size,
     _cycle_type,
     _separated_tuple_histogram,
     product_type_histogram,
@@ -41,9 +40,7 @@ from .partitions import (
     as_partition,
     binomial,
     compositions,
-    conjugacy_class_size,
     partitions,
-    perfect_matching_count,
     sorted_partition,
     stirling_first_unsigned,
 )
@@ -55,7 +52,6 @@ from .perms import (
 )
 from .polynomials import Poly, involution_series
 from .separation import (
-    block_tuple_count,
     disjoint_block_tuples,
     is_separated,
     is_strongly_separated,
@@ -216,25 +212,16 @@ def stirling_sum_identity_holds(a: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Oracles that only verification runs
 
-COLORING_BUDGET = OracleBudget(max_n=6)
-INVOLUTION_BUDGET = OracleBudget(max_n=10)
-STRONG_BUDGET = OracleBudget(max_n=7)
-CONNECTION_BUDGET = OracleBudget(max_n=7)
+COLORING_MAX_N = 6
+INVOLUTION_MAX_N = 10
+STRONG_MAX_N = 7
+CONNECTION_MAX_N = 7
+LITERAL_MAX_N = 6
+COLORED_LITERAL_MAX_N = 4
 
 
 def _product(perm: Permutation) -> Permutation:
     return perm * Permutation.full_cycle(perm.degree)
-
-
-@lru_cache(maxsize=None)
-def _products_by_left_type(
-    n: int,
-) -> tuple[tuple[Partition, tuple[tuple[Partition, int], ...]], ...]:
-    """The joint (pi, product) tally of S_n grouped by the cycle type of pi:
-    each class with the product-type tally of its members."""
-    if n < 1:
-        raise ValueError("full cycle needs n >= 1")
-    return tuple((lam, product_type_histogram(lam)) for lam in partitions(n))
 
 
 @lru_cache(maxsize=None)
@@ -302,22 +289,13 @@ def _marked_surjective_coloring_count(
     return total
 
 
-def _pair_objects(lam: Partition, alpha: Composition) -> int:
-    """The (pi, block tuple) pairs a literal pair oracle enumerates."""
-    return conjugacy_class_size(lam) * block_tuple_count(sum(lam), alpha)
-
-
-def oracle_separated_pair_count_literal(
-    lam: Iterable[int],
-    alpha: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> int:
+def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
     """Same count with both the class and the block tuples enumerated one by
     one and tested with the separation predicate."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
     n = sum(lam)
-    (budget or OracleBudget(max_n=6)).check(n, lambda: _pair_objects(lam, alpha))
+    _check_size(n, LITERAL_MAX_N)
     total = 0
     for pi in permutations_of_type(lam):
         sigma = _product(pi)
@@ -327,43 +305,34 @@ def oracle_separated_pair_count_literal(
     return total
 
 
-def _left_colored_total(
-    gamma: Composition, budget: OracleBudget | None, right_weight
-) -> int:
+def _left_colored_total(gamma: Composition, right_weight) -> int:
     """Sum over pi in S_n, n = |gamma|, of the colorings of pi with profile
     gamma times ``right_weight`` of the product's cycle type.  The tally is
-    read by left type, so a type with no such coloring costs one step."""
+    read class by class, so a class with no such coloring costs one step."""
     n = sum(gamma)
-    (budget or COLORING_BUDGET).check(n, lambda: math.factorial(n))
+    _check_size(n, COLORING_MAX_N)
     total = 0
-    for tau_left, products in _products_by_left_type(n):
-        left = _profile_coloring_count(tau_left, gamma)
+    for lam in partitions(n):
+        left = _profile_coloring_count(lam, gamma)
         if left:
-            total += left * sum(count * right_weight(tau) for tau, count in products)
+            total += left * sum(
+                count * right_weight(tau) for tau, count in product_type_histogram(lam)
+            )
     return total
 
 
-def oracle_colored_factorization_count(
-    gamma: Iterable[int],
-    delta: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> int:
+def oracle_colored_factorization_count(gamma: Iterable[int], delta: Iterable[int]) -> int:
     """Triples (pi, left coloring with profile gamma, right coloring with
     profile delta) over all of S_n."""
     gamma = as_composition(gamma, allow_empty=False)
     delta = as_composition(delta, allow_empty=False)
     if sum(gamma) != sum(delta):
         raise ValueError("gamma and delta must have equal size")
-    return _left_colored_total(
-        gamma, budget, lambda tau: _profile_coloring_count(tau, delta)
-    )
+    return _left_colored_total(gamma, lambda tau: _profile_coloring_count(tau, delta))
 
 
 def oracle_separated_colored_count(
-    gamma: Iterable[int],
-    alpha: Iterable[int],
-    extra_colors: int,
-    budget: OracleBudget | None = None,
+    gamma: Iterable[int], alpha: Iterable[int], extra_colors: int
 ) -> int:
     """Quadruples (pi, A, c1, c2): left coloring profile gamma, right coloring
     surjective in k + extra colors with block i inside color class i."""
@@ -375,26 +344,19 @@ def oracle_separated_colored_count(
     if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
     return _left_colored_total(
-        gamma,
-        budget,
-        lambda tau: _marked_surjective_coloring_count(tau, alpha, extra_colors),
+        gamma, lambda tau: _marked_surjective_coloring_count(tau, alpha, extra_colors)
     )
 
 
 def oracle_separated_colored_count_literal(
-    gamma: Iterable[int],
-    alpha: Iterable[int],
-    extra_colors: int,
-    budget: OracleBudget | None = None,
+    gamma: Iterable[int], alpha: Iterable[int], extra_colors: int
 ) -> int:
     """Quadruple count with every component enumerated literally (tiny n only)."""
     gamma = as_composition(gamma, allow_empty=False)
     alpha = as_composition(alpha, allow_empty=False)
     n = sum(gamma)
     q = len(alpha) + extra_colors
-    (budget or OracleBudget(max_n=4)).check(
-        n, lambda: math.factorial(n) * block_tuple_count(n, alpha) * q**n
-    )
+    _check_size(n, COLORED_LITERAL_MAX_N)
     total = 0
     for images in itertools.permutations(range(n)):
         pi = Permutation(images)
@@ -427,15 +389,11 @@ def oracle_separated_colored_count_literal(
     return total
 
 
-def oracle_involution_series(
-    pairs: int,
-    alpha: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> dict[int, int]:
+def oracle_involution_series(pairs: int, alpha: Iterable[int]) -> dict[int, int]:
     """Histogram {untouched cycle count: separated pairs} over all
     (fixed-point-free involution, block tuple) pairs."""
     alpha = as_composition(alpha)
-    (budget or INVOLUTION_BUDGET).check(2 * pairs, lambda: perfect_matching_count(pairs))
+    _check_size(2 * pairs, INVOLUTION_MAX_N)
     if sum(alpha) > 2 * pairs:
         raise ValueError("total block size exceeds 2 * pairs")
     blocks = sorted_partition(alpha)
@@ -446,14 +404,10 @@ def oracle_involution_series(
     return out
 
 
-def oracle_involution_series_literal(
-    pairs: int, alpha: Iterable[int], budget: OracleBudget | None = None
-) -> dict[int, int]:
+def oracle_involution_series_literal(pairs: int, alpha: Iterable[int]) -> dict[int, int]:
     alpha = as_composition(alpha)
     n = 2 * pairs
-    (budget or OracleBudget(max_n=6)).check(
-        n, lambda: perfect_matching_count(pairs) * block_tuple_count(n, alpha)
-    )
+    _check_size(n, LITERAL_MAX_N)
     out: dict[int, int] = {}
     for pi in fixed_point_free_involutions(pairs):
         sigma = _product(pi)
@@ -468,32 +422,24 @@ def oracle_involution_series_literal(
     return out
 
 
-def oracle_colored_matching_count(
-    pairs: int,
-    gamma: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> int:
+def oracle_colored_matching_count(pairs: int, gamma: Iterable[int]) -> int:
     """Pairs (fixed-point-free involution, right coloring with profile gamma)."""
     gamma = as_composition(gamma, allow_empty=False)
     if sum(gamma) != 2 * pairs:
         raise ValueError("gamma must have size 2 * pairs")
-    (budget or INVOLUTION_BUDGET).check(2 * pairs, lambda: perfect_matching_count(pairs))
+    _check_size(2 * pairs, INVOLUTION_MAX_N)
     return sum(
         count * _profile_coloring_count(tau, gamma)
         for tau, count in product_type_histogram((2,) * pairs)
     )
 
 
-def oracle_strong_pair_count(
-    lam: Iterable[int],
-    alpha: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> int:
+def oracle_strong_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     """Pairs (pi in the class of lam, block tuple) with the product strongly
     separated: each block inside its own cycle."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    (budget or STRONG_BUDGET).check(sum(lam), lambda: conjugacy_class_size(lam))
+    _check_size(sum(lam), STRONG_MAX_N)
     if sum(alpha) > sum(lam):
         return 0
     hist = product_type_histogram(lam)
@@ -501,13 +447,11 @@ def oracle_strong_pair_count(
     return sum(count * _strong_tuple_count(tau, blocks) for tau, count in hist)
 
 
-def oracle_strong_pair_count_literal(
-    lam: Iterable[int], alpha: Iterable[int], budget: OracleBudget | None = None
-) -> int:
+def oracle_strong_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
     n = sum(lam)
-    (budget or OracleBudget(max_n=6)).check(n, lambda: _pair_objects(lam, alpha))
+    _check_size(n, LITERAL_MAX_N)
     total = 0
     for pi in permutations_of_type(lam):
         sigma = _product(pi)
@@ -533,7 +477,6 @@ def oracle_connection_coefficient(
     lam: Iterable[int],
     alpha: Iterable[int],
     representative: Permutation | None = None,
-    budget: OracleBudget | None = None,
 ) -> int:
     """Factorizations of a fixed permutation of cycle type ``alpha`` as
     (class-of-lam element) * (full cycle), counted by enumerating full cycles.
@@ -543,7 +486,7 @@ def oracle_connection_coefficient(
     n = sum(alpha)
     if sum(lam) != n:
         raise ValueError("lam and alpha must have equal size")
-    (budget or CONNECTION_BUDGET).check(n, lambda: math.factorial(n - 1))
+    _check_size(n, CONNECTION_MAX_N)
     phi = representative if representative is not None else canonical_type_representative(alpha)
     if phi.cycle_type() != sorted_partition(alpha):
         raise ValueError("representative does not have cycle type alpha")

@@ -13,10 +13,9 @@ transitions are cached and shared by every cycle type and block profile
 that reaches the same state.  The oracles that only verification runs live
 in `permsep.crosscheck`.
 
-Budgets are explicit: an oracle either finishes exactly or raises
-BudgetExceededError.  Every oracle checks its budget once, before it
-enumerates anything, against the object count its arguments imply, so a
-cache hit never bypasses a budget.
+Each oracle has one fixed limit on the ground-set size, a module constant,
+and either finishes exactly or raises BudgetExceededError.  It checks the
+limit once, before any work, so a cache hit never bypasses it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvariantError
 from .partitions import (
@@ -38,32 +37,15 @@ from .partitions import (
 from .perms import class_images
 
 
-class OracleBudget(NamedTuple):
-    """Hard limits for brute-force counting, checked before any work.
-
-    ``max_n`` caps the ground-set size and ``max_objects`` the class members
-    (times block tuples) the oracle's tally covers, which each oracle
-    computes from its arguments.  Exceeding either limit raises
-    BudgetExceededError.  The count is passed as a function, called only
-    when ``max_objects`` is set and n fits, so a huge ground set is refused
-    without computing, say, a million-digit factorial.
-    """
-
-    max_n: int
-    max_objects: int | None = None
-
-    def check(self, n: int, objects: Callable[[], int]) -> None:
-        if n > self.max_n:
-            raise BudgetExceededError(
-                f"ground set of size {n} exceeds oracle budget max_n={self.max_n}"
-            )
-        if self.max_objects is not None and (needed := objects()) > self.max_objects:
-            raise BudgetExceededError(
-                f"needs {needed} objects, budget max_objects={self.max_objects}"
-            )
+PAIR_MAX_N = 8
 
 
-PAIR_BUDGET = OracleBudget(max_n=8)
+def _check_size(n: int, max_n: int) -> None:
+    """Refuse a ground set larger than an oracle's limit, before any work."""
+    if n > max_n:
+        raise BudgetExceededError(
+            f"ground set of size {n} exceeds oracle budget max_n={max_n}"
+        )
 
 
 def _cycle_type(images: Sequence[int]) -> Partition:
@@ -187,16 +169,12 @@ def _separated_tuple_histogram(
 # The query-path oracles
 
 
-def oracle_separated_pair_count(
-    lam: Iterable[int],
-    alpha: Iterable[int],
-    budget: OracleBudget | None = None,
-) -> int:
+def oracle_separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
     by enumerating a rotation slice of the class (`product_type_histogram`)."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    (budget or PAIR_BUDGET).check(sum(lam), lambda: conjugacy_class_size(lam))
+    _check_size(sum(lam), PAIR_MAX_N)
     if sum(alpha) > sum(lam):
         return 0
     hist = product_type_histogram(lam)

@@ -102,12 +102,7 @@ class RefinementMatrix(NamedTuple):
 
     size: int
     index: tuple[Partition, ...]
-    rows: tuple[tuple[int, ...], ...] = ()
-
-    def entry(self, coarse: Iterable[int], fine: Iterable[int]) -> int:
-        i = self.index.index(as_partition(coarse))
-        j = self.index.index(as_partition(fine))
-        return self.rows[i][j]
+    rows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)

@@ -240,11 +240,20 @@ def test_verify_unknown_suite_exit_2():
     assert code == EXIT_USAGE and text == ""
 
 
-def test_budget_exceeded_exit_3():
+def test_budget_exceeded_exit_3(capsys):
     code, _ = run_cli(
         "sep-prob", "--lambda", "11,1", "--alpha", "1,1", "--method", "oracle"
     )
     assert code == EXIT_BUDGET
+    # the pair oracle answers up to n = 8 and refuses n = 9 with one stderr
+    # line and nothing on stdout
+    oracle = ("--alpha", "1,1", "--method", "oracle")
+    assert run_cli("sep-prob", "--lambda", "8", *oracle)[0] == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("sep-prob", "--lambda", "9", *oracle) == (EXIT_BUDGET, "")
+    assert capsys.readouterr().err == (
+        "permsep: budget exceeded: ground set of size 9 exceeds oracle budget max_n=8\n"
+    )
 
 
 def test_json_round_trip_lossless():

@@ -219,58 +219,61 @@ def test_budget_max_n():
         xc.oracle_involution_series(6, ())
 
 
-def test_budget_max_objects():
-    tight = orc.OracleBudget(max_n=6, max_objects=10)
-    with pytest.raises(BudgetExceededError):
-        xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
-
-
-# Each oracle, its arguments, and the objects those arguments make it enumerate.
+# Each oracle, the module constant that limits its ground-set size, and its
+# arguments at size n.  The involution oracles take n / 2 pairs, rounded up.
 HISTOGRAM_ORACLES = [
-    (orc.oracle_separated_pair_count, ((4, 2), (1, 1)), 90),  # the class of (4, 2)
-    (xc.oracle_strong_pair_count, ((4, 2), (2, 1)), 90),
-    (xc.oracle_connection_coefficient, ((3, 1, 1), (2, 2, 1)), 24),  # 4! full cycles
-    (xc.oracle_colored_factorization_count, ((2, 2), (3, 1)), 24),  # 4! = |S_4|
-    (xc.oracle_separated_colored_count, ((2, 2), (1, 1), 1), 24),
-    (xc.oracle_involution_series, (3, (1, 1)), 15),  # 5!! involutions
-    (xc.oracle_colored_matching_count, (3, (4, 2)), 15),
+    (orc.oracle_separated_pair_count, orc, "PAIR_MAX_N", lambda n: ((1,) * n, (1, 1))),
+    (xc.oracle_strong_pair_count, xc, "STRONG_MAX_N", lambda n: ((1,) * n, (2, 1))),
+    (xc.oracle_connection_coefficient, xc, "CONNECTION_MAX_N", lambda n: ((n,), (n,))),
+    (xc.oracle_colored_factorization_count, xc, "COLORING_MAX_N", lambda n: ((n,), (n,))),
+    (xc.oracle_separated_colored_count, xc, "COLORING_MAX_N", lambda n: ((n,), (1, 1), 1)),
+    (xc.oracle_involution_series, xc, "INVOLUTION_MAX_N", lambda n: ((n + 1) // 2, (1, 1))),
+    (
+        xc.oracle_colored_matching_count,
+        xc,
+        "INVOLUTION_MAX_N",
+        lambda n: ((n + 1) // 2, (n + n % 2,)),
+    ),
 ]
 LITERAL_ORACLES = [
-    (xc.oracle_separated_pair_count_literal, ((3, 1), (1, 1)), 8 * 12),
-    (xc.oracle_strong_pair_count_literal, ((3, 2), (2, 1)), 20 * 30),
-    (xc.oracle_involution_series_literal, (3, ()), 15),  # no blocks: one per involution
-    # 3! permutations, 3 block tuples, at most 2**3 right colorings in 1 + 1 colors
-    (xc.oracle_separated_colored_count_literal, ((2, 1), (1,), 1), 6 * 3 * 8),
+    (xc.oracle_separated_pair_count_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (1, 1))),
+    (xc.oracle_strong_pair_count_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (2, 1))),
+    (xc.oracle_involution_series_literal, xc, "LITERAL_MAX_N", lambda n: ((n + 1) // 2, ())),
+    (
+        xc.oracle_separated_colored_count_literal,
+        xc,
+        "COLORED_LITERAL_MAX_N",
+        lambda n: ((n,), (1,), 1),
+    ),
 ]
 
 
 def _by_name(cases):
     return pytest.mark.parametrize(
-        "oracle, args, objects", cases, ids=[case[0].__name__ for case in cases]
+        "oracle, module, limit, args", cases, ids=[case[0].__name__ for case in cases]
     )
 
 
 @_by_name(HISTOGRAM_ORACLES + LITERAL_ORACLES)
-def test_budget_max_objects_is_the_count_the_arguments_imply(oracle, args, objects):
-    exact = orc.OracleBudget(max_n=8, max_objects=objects)
-    assert oracle(*args, budget=exact) == oracle(*args)
-    short = orc.OracleBudget(max_n=8, max_objects=objects - 1)
-    with pytest.raises(BudgetExceededError, match=f"needs {objects} objects"):
-        oracle(*args, budget=short)
+def test_oracle_answers_at_its_limit_and_refuses_above(oracle, module, limit, args):
+    max_n = getattr(module, limit)
+    oracle(*args(max_n))
+    with pytest.raises(BudgetExceededError, match=f"exceeds oracle budget max_n={max_n}$"):
+        oracle(*args(max_n + 1))
 
 
 @_by_name(HISTOGRAM_ORACLES)
-def test_histogram_oracles_raise_before_building_a_histogram(oracle, args, objects):
+def test_histogram_oracles_raise_before_building_a_histogram(oracle, module, limit, args):
     histograms = (orc.product_type_histogram, xc._connection_histogram)
     for histogram in histograms:
         histogram.cache_clear()
     with pytest.raises(BudgetExceededError):
-        oracle(*args, budget=orc.OracleBudget(max_n=8, max_objects=objects - 1))
+        oracle(*args(getattr(module, limit) + 1))
     assert [histogram.cache_info().misses for histogram in histograms] == [0, 0]
 
 
 @_by_name(LITERAL_ORACLES)
-def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, args, objects):
+def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, module, limit, args):
     def fail(*_args, **_kwargs):
         raise AssertionError("enumerated despite an exceeded budget")
 
@@ -283,36 +286,16 @@ def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, args, obj
     stubs = types.SimpleNamespace(permutations=fail, product=fail)
     monkeypatch.setattr(xc, "itertools", stubs)
     with pytest.raises(BudgetExceededError):
-        oracle(*args, budget=orc.OracleBudget(max_n=8, max_objects=objects - 1))
+        oracle(*args(getattr(module, limit) + 1))
 
 
-def test_budget_errors_report_the_objects_needed():
-    tight = orc.OracleBudget(max_n=6, max_objects=10)
-    with pytest.raises(BudgetExceededError) as info:
-        xc.oracle_separated_pair_count_literal((3, 1), (1, 1), budget=tight)
-    # 8 permutations of type (3, 1) times 12 ordered pairs of points
-    assert str(info.value) == "needs 96 objects, budget max_objects=10"
-
-
-def test_budgets_hold_when_histograms_are_cached():
-    tight = orc.OracleBudget(max_n=7, max_objects=10)  # 4! = 24 full cycles at n = 5
-    with pytest.raises(BudgetExceededError):
-        xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
-    assert xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1)) == 8
-    with pytest.raises(BudgetExceededError):
-        xc.oracle_connection_coefficient((3, 1, 1), (2, 2, 1), budget=tight)
-
-    small = orc.OracleBudget(max_n=4)
-    assert orc.oracle_separated_pair_count((3, 2), (1, 1)) > 0
-    with pytest.raises(BudgetExceededError):
-        orc.oracle_separated_pair_count((3, 2), (1, 1), budget=small)
-
-    # every histogram oracle checks what its histogram enumerates, cached or not
-    tight = orc.OracleBudget(max_n=8, max_objects=10)
-    for oracle, args, _ in HISTOGRAM_ORACLES:
-        oracle(*args)
-        with pytest.raises(BudgetExceededError):
-            oracle(*args, budget=tight)
+def test_budgets_hold_when_histograms_are_cached(monkeypatch):
+    # every histogram oracle checks its limit, with its tally cached or not
+    for oracle, module, limit, args in HISTOGRAM_ORACLES:
+        oracle(*args(4))
+        with monkeypatch.context() as patch, pytest.raises(BudgetExceededError):
+            patch.setattr(module, limit, 3)
+            oracle(*args(4))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -326,8 +309,8 @@ def test_joint_histogram_matches_a_tally_over_s_n(n):
     )
     got = {
         (lam, tau): count
-        for lam, products in xc._products_by_left_type(n)
-        for tau, count in products
+        for lam in partitions(n)
+        for tau, count in orc.product_type_histogram(lam)
     }
     assert got == want
 

@@ -147,7 +147,7 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1615),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1546),
         (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 1200),
         (["hz", "--N", "6"], 1396),
     ],

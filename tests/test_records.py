@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from permsep.formulas import SepResult
-from permsep.oracles import OracleBudget
 from permsep.polynomials import BinomialPolynomial
 from permsep.strong import RefinementMatrix
 from permsep.symfunc import TransitionMatrices
@@ -53,27 +52,15 @@ def test_binomial_polynomial():
     )
 
 
-def test_oracle_budget():
-    budget = OracleBudget(max_n=5)
-    assert (budget.max_n, budget.max_objects) == (5, None)
-    assert budget == OracleBudget(5, None)
-    assert budget != OracleBudget(5, max_objects=10)
-    assert hash(budget) == hash(OracleBudget(max_n=5))
-    assert_immutable(budget, "max_n")
-    assert repr(OracleBudget(8, max_objects=15)) == (
-        "OracleBudget(max_n=8, max_objects=15)"
-    )
-
-
 def test_refinement_matrix():
-    matrix = RefinementMatrix(size=2, index=((2,), (1, 1)))
-    assert matrix.rows == ()
+    with pytest.raises(TypeError):
+        RefinementMatrix(size=2, index=((2,), (1, 1)))  # rows has no default
     rows = ((1, 1), (0, 1))
     full = RefinementMatrix(2, ((2,), (1, 1)), rows)
     assert full == RefinementMatrix(size=2, index=((2,), (1, 1)), rows=rows)
-    assert full != matrix
+    assert full != RefinementMatrix(2, ((2,), (1, 1)), ((1, 0), (0, 1)))
     assert hash(full) == hash(RefinementMatrix(2, ((2,), (1, 1)), rows))
-    assert full.entry((2,), (1, 1)) == 1
+    assert full.rows[full.index.index((2,))][full.index.index((1, 1))] == 1
     assert_immutable(full, "rows")
     assert repr(full) == (
         "RefinementMatrix(size=2, index=((2,), (1, 1)), rows=((1, 1), (0, 1)))"

@@ -51,9 +51,10 @@ def test_refinement_matrix_is_unit_upper_triangular(m):
 def test_refinement_matrix_entries():
     matrix = st.refinement_matrix(3)
     assert matrix.index == ((3,), (2, 1), (1, 1, 1))
-    assert matrix.entry((3,), (2, 1)) == 3  # three ways to split a 3-set into 2+1
-    assert matrix.entry((3,), (1, 1, 1)) == 1
-    assert matrix.entry((2, 1), (1, 1, 1)) == 1
+    # rows and columns follow the index: (3,), (2, 1), (1, 1, 1)
+    assert matrix.rows[0][1] == 3  # three ways to split a 3-set into 2+1
+    assert matrix.rows[0][2] == 1
+    assert matrix.rows[1][2] == 1
 
 
 def test_strong_probability_tables_frozen():
