@@ -26,7 +26,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
-from .formulas import gen_series_entry
 from .oracles import (
     _check_size,
     _cycle_type,
@@ -50,7 +49,7 @@ from .perms import (
     fixed_point_free_involutions,
     permutations_of_type,
 )
-from .polynomials import Poly, involution_series
+from .polynomials import Poly, gen_series_entry, involution_series
 from .separation import (
     disjoint_block_tuples,
     is_separated,
@@ -88,7 +87,7 @@ def separated_colored_count(n: int, left_colors: int, m: int, k: int, r: int) ->
     blocks of total size m whose i-th block is colored i by the surjective
     right coloring in k + r colors.
 
-    This is the series entry `formulas.gen_series_entry` with l = left_colors:
+    This is the series entry `polynomials.gen_series_entry` with l = left_colors:
     n (n-l)! (n-k-r)! / (n-k-l-r+1)! * C(n+k-1, n-m-r), 0 when the factorial
     argument goes negative (and the binomial kills r > n - m).
     """

@@ -1,19 +1,38 @@
-"""The separated-pair series and the closed forms the queries evaluate.
+"""The separated-pair counts and the closed forms the queries evaluate.
 
-The central object is the generating series of separated pairs (pi, A): pi a
-permutation of fixed cycle type, A an ordered tuple of disjoint blocks, such
-that the product of pi with the canonical full cycle leaves every block in
-its own set of cycles.  Over monomial symmetric functions and the binomial
-basis C(t, r) its integer coefficients depend on the blocks only through
-their sum m and count k, and on the monomial index only through its number
-of parts.  The count for one cycle type lam is the p_lam coefficient of
-the series at t = 1 - k, which the length generating function
-sum_mu u^len(mu) m_mu = exp(sum_j p_j (1 - (1-u)^j) / j) turns into a
-polynomial product over the parts of lam: no p(n) x p(n) matrix is built.
-Dividing by `pair_space` turns counts into probabilities.  Besides that
-count the module holds only what ``sep-prob``, ``table``, ``lift``,
-``ncycle``, ``pcycles``, ``strong`` and ``connection`` evaluate: the
-p-cycle and two-full-cycle closed forms and the fixed-point lift.
+A separated pair (pi, A) is a permutation pi of cycle type lam, a partition
+of n, and an ordered tuple A of k disjoint blocks of total size m, such that
+the product of pi with the canonical full cycle omega leaves every block in
+its own set of cycles.  Let S_alpha(tau) count the block tuples of sizes
+alpha that tau separates (a class function) and chi_r be the hook character
+chi^(n-r, 1^r).  The count comes in four steps.
+
+1. Central characters.  For a class function f,
+   sum_{pi in C_lam} f(pi omega) = |C_lam| sum_chi <chi, f> chi(lam) chi(omega) / chi(1).
+   Only hooks survive at omega: chi_r(omega) = (-1)^r, chi_r(1) = C(n-1, r).
+   So count = |C_lam| sum_r chi_r(lam) g_r / C(n-1, r), g_r = (-1)^r <chi_r, S_alpha>.
+2. Exterior powers of the permutation representation:
+   sum_r chi_r(sigma) (-s)^r = prod_{cycles c of sigma} (1 - s^|c|) / (1 - s),
+   so chi_r(lam) = (-1)^r h_r, h_r = sum_{d <= r} [s^d] q_lam(s), where
+   q_lam(s) = prod_i (1 - s^lam_i).
+3. The exponential formula.  By step 2, (1 - s) sum_r g_r s^r is 1/n! times
+   the sum over the pairs (tau, A), tau separating A, of
+   prod_{cycles c of tau} (1 - s^|c|).  The cycle series with that weight is
+   C(z) = sum_l (1 - s^l) z^l / l = log((1 - sz) / (1 - z)); let H = e^C.
+   Each cycle meets the free points (x) and at most one block (y_i), so the
+   pairs have the series H(x)^(1-k) prod_i H(x + y_i), read at
+   x^(n-m) prod_i y_i^alpha_i.  As [y^a] H(x+y) = (1 - s)(1 - x)^(-a-1), a >= 1,
+   sum_r g_r s^r = (1 - s)^(k-1) [x^(n-m)] (1 - x)^(-m-1) (1 - sx)^(1-k)
+                 = (1 - s)^(k-1) sum_{j=0}^{n-m} C(k-2+j, j) C(n-j, m) s^j.
+4. The result depends on alpha only through (m, k): the paper's theorem.
+
+With |C_lam| = n! / z_lam,
+count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
+one small-integer product (`cycle_polynomial`) and one weight vector per
+(n, m, k).  Dividing by `pair_space` turns counts into probabilities.  The
+module also holds the rest of what ``sep-prob``, ``table``, ``lift``,
+``ncycle``, ``pcycles``, ``strong`` and ``connection`` evaluate: the p-cycle
+and two-full-cycle closed forms and the fixed-point lift.
 """
 
 from __future__ import annotations
@@ -21,6 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantError
@@ -37,79 +57,53 @@ from .partitions import (
 )
 
 # ---------------------------------------------------------------------------
-# The separated-pair series
+# Separated pairs by cycle type
 
 
-def gen_series_entry(n: int, m: int, k: int, length: int, r: int) -> int:
-    """Coefficient of m_lam * C(t, r) in the shifted series, for any lam of n
-    with ``length`` parts:
-    C(n+k-1, n-m-r) * n (n - length)! (n-k-r)! / (n-k-r-length+1)!,
-    and 0 when that factorial argument is negative."""
-    slack = n - k - r - length + 1
-    if slack < 0:
-        return 0
-    return (
-        binomial(n + k - 1, n - m - r)
-        * n
-        * math.factorial(n - length)
-        * math.factorial(n - k - r)
-        // math.factorial(slack)
-    )
+def cycle_polynomial(parts: tuple[int, ...]) -> list[int]:
+    """Coefficients of q(s) = prod_i (1 - s^part_i), lowest degree first.
 
-
-@lru_cache(maxsize=None)
-def _length_weights(n: int, m: int, k: int) -> tuple[int, ...]:
-    """F(l) = sum_r C(1-k, r) * gen_series_entry(n, m, k, l, r) for l = 0 .. n:
-    the monomial coefficient at t = 1 - k of any partition with l parts."""
-    return tuple(
-        sum(
-            binomial(1 - k, r) * gen_series_entry(n, m, k, length, r)
-            for r in range(n - m + 1)
-        )
-        for length in range(n + 1)
-    )
-
-
-def _length_profile(lam: Partition) -> tuple[int, ...]:
-    """Coefficients in t of prod_i (1 - (1-t)^lam_i), lowest degree first.
-
-    Divided by the centralizer order z_lam, the t^l coefficient is the
-    power-sum coefficient of p_lam in the sum of all m_mu with l parts: the
-    series sum_mu t^len(mu) m_mu equals exp(sum_j p_j (1 - (1-t)^j) / j)
-    (Macdonald, Symmetric Functions, I.2).
+    Each factor subtracts a shifted copy in place, over the degrees reached
+    so far: n * len(parts) small-integer steps at most.
     """
-    profile = [1]
-    for part in lam:
-        factor = _length_factor(part)
-        product = [0] * (len(profile) + part)
-        for i, a in enumerate(profile):
-            for j, b in enumerate(factor, start=i + 1):
-                product[j] += a * b
-        profile = product
-    return tuple(profile)
+    poly = [1] + [0] * sum(parts)
+    top = 0
+    for part in parts:
+        for degree in range(top, -1, -1):
+            poly[degree + part] -= poly[degree]
+        top += part
+    return poly
 
 
 @lru_cache(maxsize=None)
-def _length_factor(part: int) -> tuple[int, ...]:
-    """Coefficients of t^1 .. t^part in 1 - (1-t)^part."""
-    return tuple((-1) ** (j + 1) * binomial(part, j) for j in range(1, part + 1))
+def _hook_weights(n: int, m: int, k: int) -> tuple[int, ...]:
+    """g_0, g_1, ...: the coefficients of
+    (1 - s)^(k-1) sum_{j=0}^{n-m} C(k-2+j, j) C(n-j, m) s^j."""
+    weights = [binomial(k - 2 + j, j) * math.comb(n - j, m) for j in range(n - m + 1)]
+    weights += [0] * (k - 1)
+    for _ in range(k - 1):  # multiply by 1 - s
+        for i in range(len(weights) - 1, 0, -1):
+            weights[i] -= weights[i - 1]
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
 def _separated_count(lam: Partition, m: int, k: int) -> int:
-    """Separated pairs for one cycle type: the p_lam coefficient of the series
-    at t = 1 - k, whose monomial coefficients depend on lam only through its
-    number of parts, so count = z_lam^-1 * sum_l F(l) [t^l] prod_i (1 - (1-t)^lam_i)."""
-    weights = _length_weights(sum(lam), m, k)
-    value = Fraction(
-        sum(w * c for w, c in zip(weights, _length_profile(lam))),
-        centralizer_order(lam),
-    )
-    if value.denominator != 1 or value < 0:
+    """Separated pairs for one cycle type:
+    (n / z_lam) sum_r (-1)^r h_r g_r r! (n-1-r)!, h_r the partial sums of q_lam."""
+    n = sum(lam)
+    total = 0
+    hooks = accumulate(cycle_polynomial(lam))
+    for r, (h, g) in enumerate(zip(hooks, _hook_weights(n, m, k))):
+        if g and h:
+            total += (-1) ** r * h * g * math.factorial(r) * math.factorial(n - 1 - r)
+    count, remainder = divmod(n * total, centralizer_order(lam))
+    if remainder or count < 0:
+        value = Fraction(n * total, centralizer_order(lam))
         raise InvariantError(
             f"separated pair count for {lam} not a nonnegative integer: {value}"
         )
-    return int(value)
+    return count
 
 
 def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:

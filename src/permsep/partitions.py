@@ -83,11 +83,6 @@ def partitions(n: int) -> Iterator[Partition]:
             rem -= nxt
 
 
-def partitions_with_length(n: int, length: int) -> Iterator[Partition]:
-    """Partitions of ``n`` with exactly ``length`` parts, in `partitions` order."""
-    return (p for p in partitions(n) if len(p) == length)
-
-
 def compositions(total: int, length: int) -> Iterator[Composition]:
     """All compositions of ``total`` into exactly ``length`` positive parts.
 
@@ -194,18 +189,3 @@ def perfect_matching_count(pairs: int) -> int:
         result *= odd
     return result
 
-
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """True if ``lam`` is greater than or equal to ``mu`` in dominance order.
-
-    Both must be partitions of the same integer; comparison is by prefix sums.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of the same integer")
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True

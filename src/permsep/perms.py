@@ -128,12 +128,6 @@ def compose(left: Permutation, right: Permutation) -> Permutation:
     return left * right
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """Every element of the symmetric group, lexicographic by image tuple."""
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
-
-
 def class_images(
     partition: Iterable[int], first: int | None = None
 ) -> Iterator[tuple[int, ...]]:

@@ -8,10 +8,11 @@ index R); evaluation at an integer keeps C(t, r) as a running binomial.
 The series here have nonnegative integer coefficients in this basis: the
 fixed-point-free involution series, with its pair count, probability and
 printed form, and the one-face-map polynomial, which is the involution
-series with no blocks.  The module also holds the whole coefficient table
-of the separated-pair series at one degree (``gtable``), a read-only mapping
-keyed by (partition, r).  Only ``involution``, ``hz``, ``gtable`` and
-``verify`` load it.
+series with no blocks.  The module also holds the separated-pair series
+itself: its coefficient for a given number of parts (`gen_series_entry`)
+and its whole table at one degree (``gtable``), a read-only mapping keyed
+by (partition, r).  Only ``involution``, ``hz``, ``gtable`` and ``verify``
+load it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvariantError
-from .formulas import SepResult, gen_series_entry, pair_space
+from .formulas import SepResult, pair_space
 from .partitions import (
     Partition,
     as_composition,
@@ -205,12 +206,31 @@ def one_face_map_series(pairs: int) -> BinomialPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The whole coefficient table of the separated-pair series
+# The separated-pair series
 #
-# ``gtable`` prints it.  Verification extracts its power-sum coefficients
-# through `permsep.symfunc`, a plain {partition: coefficient} mapping per r,
-# as an independent check of the series path, which reads the coefficients
-# by number of parts (`formulas.gen_series_entry`) instead.
+# Its p_lam coefficient at t = 1 - k is the separated-pair count of lam,
+# which `permsep.formulas` computes from hook characters instead.  ``gtable``
+# prints the whole coefficient table, and verification extracts its
+# power-sum coefficients through `permsep.symfunc`, a plain
+# {partition: coefficient} mapping per r, as an independent check of that
+# count.
+
+
+def gen_series_entry(n: int, m: int, k: int, length: int, r: int) -> int:
+    """Coefficient of m_lam * C(t, r) in the shifted series, for any lam of n
+    with ``length`` parts:
+    C(n+k-1, n-m-r) * n (n - length)! (n-k-r)! / (n-k-r-length+1)!,
+    and 0 when that factorial argument is negative."""
+    slack = n - k - r - length + 1
+    if slack < 0:
+        return 0
+    return (
+        binomial(n + k - 1, n - m - r)
+        * n
+        * math.factorial(n - length)
+        * math.factorial(n - k - r)
+        // math.factorial(slack)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -20,12 +20,13 @@ as an always-integer rescaling of the strong probability.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantError
-from .formulas import _length_profile, separated_pair_count
+from .formulas import cycle_polynomial, separated_pair_count
 from .partitions import (
     Composition,
     Partition,
@@ -135,7 +136,9 @@ def strong_separation_probability(
     with probability N(m, j) (n-m)! prod s! / (n! |C_lam|), N(m, j) being the
     weak pair count of every j-part profile of size m.  With the Moebius
     weights prod (-1)^(k-1) (k-1)!, the refinements of a b-block into k
-    pieces sum to (b-1)! [x^k] (1 - (1-x)^b); values outside [0, 1] raise.
+    pieces sum to (b-1)! [x^k] (1 - (1-x)^b).  In s = 1 - x the sum over j
+    becomes sum_d [s^d] prod_i (1 - s^beta_i) * N'(d), with
+    N'(d) = sum_j (-1)^j C(d, j) N(m, j); values outside [0, 1] raise.
     """
     lam = as_partition(lam)
     beta = as_composition(beta, allow_empty=False)
@@ -157,24 +160,25 @@ def strong_probability_table(
 
 class _StrongSystem:
     """What every block profile of total m shares for one validated lam: the
-    m weak counts N(lam; m, j) and the scale (n-m)! / (n! |C_lam|)."""
+    m weak counts N(lam; m, j), turned into N'(d) = sum_j (-1)^j C(d, j) N(j)
+    for d = 0 .. m, and the scale (n-m)! / (n! |C_lam|)."""
 
     def __init__(self, lam: Partition, m: int):
         n = sum(lam)
-        self.weak = [0] + [
+        weak = [0] + [
             separated_pair_count(lam, (m - j + 1,) + (1,) * (j - 1))
             for j in range(1, m + 1)
+        ]
+        self.weak_s = [
+            sum((-1) ** j * math.comb(d, j) * weak[j] for j in range(d + 1))
+            for d in range(m + 1)
         ]
         self.scale = Fraction(
             math.factorial(n - m), math.factorial(n) * conjugacy_class_size(lam)
         )
 
     def probability(self, beta: Composition) -> Fraction:
-        signed = sum(
-            coeff * self.weak[j]
-            for j, coeff in enumerate(_length_profile(sorted_partition(beta)))
-            if coeff
-        )
+        signed = sum(map(operator.mul, cycle_polynomial(beta), self.weak_s))
         value = (
             self.scale * math.prod(math.factorial(b - 1) for b in beta) * signed
         )

@@ -31,7 +31,6 @@ from .partitions import (
     stirling_first_unsigned,
 )
 from .errors import InvariantError
-from .perms import Permutation
 from .symfunc import (
     cycle_count_power_coefficient,
     involution_length_power_coefficient,
@@ -382,12 +381,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                     f"connection lam={lam} alpha={alpha}",
                 )
                 if n <= 5 and len(set(alpha)) > 1:
-                    blocks = []
-                    start = 0
-                    for a in reversed(alpha):
-                        blocks.append(tuple(range(start, start + a)))
-                        start += a
-                    other = Permutation.from_cycles(n, blocks)
+                    other = xc.canonical_type_representative(tuple(reversed(alpha)))
                     rec.equal(
                         xc.oracle_connection_coefficient(
                             lam, alpha, representative=other

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: formula queries at n = 8-14 must print exactly the
+"""Golden CLI corpus: formula queries at n = 8-290 must print exactly the
 recorded stdout.
 
 ``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
@@ -6,8 +6,12 @@ The ``sep-prob``, ``lift``, ``strong``, ``connection`` and ``hz`` cases were
 recorded when every weak count still came from the full power-sum/monomial
 transition matrix; the ``gtable`` and ``involution`` cases were recorded
 while the series table and the binomial-basis polynomial were still custom
-record classes.  Any change in a digit, a key order or a warning fails the
-comparison.
+record classes.  The six cases at n = 30-290 (three ``sep-prob``, one
+``lift``, one ``strong``, one ``connection``, the last six in the corpus)
+were recorded while every weak count still summed a length-weight table
+against the t-profile of the cycle type, just before the hook-character
+sum replaced that route.  Any change in a digit, a key order or a warning
+fails the comparison.
 """
 
 import io

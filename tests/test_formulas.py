@@ -10,6 +10,7 @@ from permsep import formulas as fm
 from permsep import polynomials as pl
 from permsep.partitions import (
     binomial,
+    centralizer_order,
     conjugacy_class_size,
     multinomial,
     partitions,
@@ -121,6 +122,35 @@ def test_full_cycle_count_matches_two_cycle_closed_form(n):
             result = fm.separation_probability((n,), alpha)
             assert result.count == expected.count, (m, k)
             assert result.probability == expected.probability
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_full_cycle_count_matches_two_cycle_closed_form_at_large_n(n):
+    # far beyond any oracle: the hook sum against the alternating closed form
+    for m, k in ((1, 1), (2, 2), (6, 3), (40, 7), (n // 2, 2), (n // 2, n // 4),
+                 (n - 1, n - 1), (n, n // 2), (n, n)):
+        alpha = _profile(m, k)
+        expected = fm.separation_probability_two_cycles(n, alpha)
+        result = fm.separation_probability((n,), alpha)
+        assert result.count == expected.count, (m, k)
+        assert result.probability == expected.probability
+
+
+@pytest.mark.parametrize("pairs", [50, 120, 200])
+def test_involution_series_count_matches_hook_sum(pairs):
+    # two independent derivations of the pair count of the class 2^N
+    alphas = ((1,), (3, 2, 1), (2, 2, 2, 2), (pairs,), (pairs, pairs), (1,) * pairs)
+    for alpha in alphas:
+        assert pl.involution_pair_count(pairs, alpha) == fm.separated_pair_count(
+            (2,) * pairs, alpha
+        ), (pairs, alpha)
+
+
+def test_cycle_polynomial_examples():
+    assert fm.cycle_polynomial(()) == [1]
+    assert fm.cycle_polynomial((2, 1)) == [1, -1, -1, 1]
+    assert fm.cycle_polynomial((1, 1, 1)) == [1, -3, 3, -1]
+    assert fm.cycle_polynomial((3,)) == [1, 0, 0, -1]
 
 
 def test_p_cycle_sums_over_types_at_degree_twenty():
@@ -362,8 +392,8 @@ def test_add_fixed_points_blocks_larger_than_base():
 
 
 def test_add_fixed_points_beyond_brute_force():
-    # the lift against the series path at n up to 46
-    for lam in ((30,), (20, 20), (12, 8, 6)):
+    # the lift against the direct count at n up to 296
+    for lam in ((30,), (20, 20), (12, 8, 6), (150, 100, 40)):
         for r in range(7):
             lifted = lam + (1,) * r
             for alpha in ((1,), (2, 1), (1, 1, 1), (3, 2, 1), (4, 4), (5, 1, 1, 1)):
@@ -491,3 +521,36 @@ def test_every_sep_result_is_a_probability_of_its_pair_space(draw, data):
     result, space = draw(data)
     assert 0 <= result.probability <= 1
     assert result.count == result.probability * space
+
+
+def _series_route_count(lam, m, k):
+    """The count by the series route: at t = 1 - k the monomial coefficient
+    F(l) depends on the number of parts l alone, and the length generating
+    function sum_mu u^len(mu) m_mu = exp(sum_j p_j (1 - (1-u)^j) / j) gives
+    count = z_lam^-1 sum_l F(l) [u^l] prod_i (1 - (1-u)^lam_i)."""
+    n = sum(lam)
+    weights = [
+        sum(
+            binomial(1 - k, r) * pl.gen_series_entry(n, m, k, length, r)
+            for r in range(n - m + 1)
+        )
+        for length in range(n + 1)
+    ]
+    profile = [1]
+    for part in lam:
+        factor = [0] + [(-1) ** (j + 1) * binomial(part, j) for j in range(1, part + 1)]
+        product = [0] * (len(profile) + part)
+        for i, a in enumerate(profile):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        profile = product
+    return Fraction(sum(w * c for w, c in zip(weights, profile)), centralizer_order(lam))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hook_sum_matches_the_series_route(data):
+    lam = sorted_partition(_draw_parts(data, data.draw(st.integers(1, 20))))
+    m = data.draw(st.integers(1, sum(lam)))
+    k = data.draw(st.integers(1, m))
+    assert fm.separated_pair_count(lam, _profile(m, k)) == _series_route_count(lam, m, k)

@@ -148,10 +148,11 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
     "argv, budget",
     [
         (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1546),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 1200),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 1130),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1340),
         (["hz", "--N", "6"], 1396),
     ],
-    ids=["sep-prob-both", "sep-prob", "hz"],
+    ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )
 def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
     # A cold query compiles every module it loads, unless bytecode is cached;
