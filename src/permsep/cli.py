@@ -16,29 +16,28 @@ disagreement), 2 invalid arguments, 3 oracle budget exceeded.
 
 Each subcommand imports the modules it runs when it runs, so a fresh process
 pays only for its own subcommand: ``sep-prob`` loads `permsep.formulas`, and
-``--method oracle`` adds `permsep.oracles` and `permsep.perms`.  The parser
-is built the same way: `_build_parser` iterates one table of (name, help,
-add-arguments function), and a call whose first argument names a subcommand
-builds only that subparser; no arguments, ``-h`` or an unknown name build
-all of them.
+``--method oracle`` adds `permsep.oracles`.  This module holds only the four
+single-result queries (``sep-prob``, ``ncycle``, ``pcycles``, ``lift``) and
+what every subcommand shares; the other seven live in `permsep.subcommands`.
+The parser is built the same way: `_build_parser` iterates one table of
+(name, help, add-arguments function), and a call whose first argument names
+a subcommand builds only that subparser, importing `permsep.subcommands`
+only for one of its seven; no arguments, ``-h`` or an unknown name build all
+of them.  Records are written by a small encoder that prints the bytes of
+``json.dump(..., indent=2)`` one record at a time, so no subcommand imports
+`json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import formulas as fm
 from .errors import BudgetExceededError
-from .partitions import (
-    as_composition,
-    conjugacy_class_size,
-    partitions,
-    sorted_partition,
-)
+from .partitions import as_composition, conjugacy_class_size, sorted_partition
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,9 +59,7 @@ def _parse_lambda(text: str, warnings: list[str]) -> tuple[int, ...]:
     parts = _parse_parts(text, "--lambda")
     canonical = sorted_partition(parts)
     if canonical != parts:
-        warnings.append(
-            f"lambda {list(parts)} sorted to partition {list(canonical)}"
-        )
+        warnings.append(f"lambda {list(parts)} sorted to partition {list(canonical)}")
     return canonical
 
 
@@ -70,53 +67,89 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
     return as_composition(_parse_parts(text, "--alpha"), allow_empty=False)
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _float_str(value: Fraction) -> str:
-    return format(value.numerator / value.denominator, ".15g")
-
-
-def _record(
-    operation: str,
-    parameters: dict,
-    *,
-    method: str | None = None,
-    count: int | None = None,
-    probability: Fraction | None = None,
-    details: dict | None = None,
-    warnings: Iterable[str] = (),
-    with_float: bool = False,
-) -> dict:
+def _record(operation: str, parameters: dict, *, method: str | None = None,
+            count: int | None = None, probability: Fraction | None = None,
+            details: dict | None = None, warnings: Iterable[str] = (),
+            with_float: bool = False) -> dict:
     record: dict = {"operation": operation, "parameters": parameters}
     if method is not None:
         record["method"] = method
     if count is not None:
         record["count"] = str(count)
     if probability is not None:
-        record["probability"] = _frac_str(probability)
+        num, den = probability.numerator, probability.denominator
+        record["probability"] = f"{num}/{den}"
         if with_float:
-            record["probability_float"] = _float_str(probability)
+            record["probability_float"] = format(num / den, ".15g")
     if details is not None:
         record["details"] = details
     record["warnings"] = list(warnings)
     return record
 
 
-def _emit_json(records: list[dict], out: TextIO) -> None:
-    envelope = {"format": "permsep-records-v1", "records": records}
-    json.dump(envelope, out, indent=2)
-    out.write("\n")
+_SHORT_ESCAPES = {char: "\\" + code for char, code in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
 
 
-def _result_records(
-    operation: str,
-    parameters: dict,
-    results: list[fm.SepResult],
-    with_float: bool,
-    warnings: Iterable[str] = (),
-) -> tuple[list[dict], bool]:
+def _escape(char: str) -> str:
+    """One character as ``json.dumps`` writes it by default, in ASCII."""
+    if char in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a UTF-16 surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json_str(text: str) -> str:
+    """A JSON string literal; TypeError unless ``text`` is a str."""
+    if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'  # printable ASCII with nothing to escape, as records hold
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
+    ``indent``: str, int, bool and None in lists and str-keyed dicts; any
+    other type raises TypeError, as does a key that is not a str."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        brackets, items = "[]", [_json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [
+            f"{_json_str(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _emit_json(records: Iterable[dict], out: TextIO) -> None:
+    """The records envelope, byte for byte as ``json.dump(envelope, out,
+    indent=2)`` writes it, plus a newline; one write per record."""
+    out.write('{\n  "format": "permsep-records-v1",\n  "records": [')
+    separator = "\n    "
+    for record in records:
+        out.write(separator + _json_text(record, "    "))
+        separator = ",\n    "
+    out.write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
+
+
+def _result_records(operation: str, parameters: dict, results: list[fm.SepResult],
+                    with_float: bool, warnings: Iterable[str] = ()) -> tuple[list[dict], bool]:
     """One record per result, and whether their probabilities disagree."""
     mismatch = len({r.probability for r in results}) > 1
     records = []
@@ -125,33 +158,18 @@ def _result_records(
         if mismatch:
             notes.append("methods disagree; reporting all values")
         records.append(
-            _record(
-                operation,
-                parameters,
-                method=res.method,
-                count=res.count,
-                probability=res.probability,
-                warnings=notes,
-                with_float=with_float,
-            )
+            _record(operation, parameters, method=res.method, count=res.count,
+                    probability=res.probability, warnings=notes, with_float=with_float)
         )
     return records, mismatch
 
 
-def _emit_results(
-    out: TextIO,
-    operation: str,
-    parameters: dict,
-    results: list[fm.SepResult],
-    with_float: bool,
-    warnings: Iterable[str] = (),
-) -> int:
+def _emit_results(out: TextIO, operation: str, parameters: dict, results: list[fm.SepResult],
+                  with_float: bool, warnings: Iterable[str] = ()) -> int:
     """The one emitter of ``sep-prob``, ``ncycle``, ``pcycles`` and ``lift``:
     a record per result, two only for ``sep-prob --method both``, where
     disagreeing probabilities exit with `EXIT_MISMATCH`."""
-    records, mismatch = _result_records(
-        operation, parameters, results, with_float, warnings
-    )
+    records, mismatch = _result_records(operation, parameters, results, with_float, warnings)
     _emit_json(records, out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -195,32 +213,6 @@ def _cmd_pcycles(args, out: TextIO) -> int:
     return _emit_results(out, "pcycles", params, [res], args.float)
 
 
-def _cmd_involution(args, out: TextIO) -> int:
-    from .polynomials import (
-        PRINTED_INVOLUTION_NOTE,
-        involution_probability_printed_form,
-        separation_probability_involution,
-    )
-
-    alpha = _parse_alpha(args.alpha)
-    params = {"N": args.pairs, "alpha": list(alpha)}
-    res = separation_probability_involution(args.pairs, alpha)
-    printed = involution_probability_printed_form(args.pairs, alpha)
-    records, _ = _result_records("involution", params, [res], args.float)
-    records.append(
-        _record(
-            "involution",
-            params,
-            method="printed-form",
-            probability=printed,
-            warnings=[PRINTED_INVOLUTION_NOTE] if printed != res.probability else [],
-            with_float=args.float,
-        )
-    )
-    _emit_json(records, out)
-    return EXIT_OK
-
-
 def _cmd_lift(args, out: TextIO) -> int:
     warnings: list[str] = []
     lam = _parse_lambda(args.lam, warnings)
@@ -230,159 +222,13 @@ def _cmd_lift(args, out: TextIO) -> int:
     return _emit_results(out, "lift", params, [res], args.float, warnings)
 
 
-def _cmd_strong(args, out: TextIO) -> int:
-    from .strong import strong_probability_table
-
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
-    table = strong_probability_table(lam, args.m)
-    records = [
-        _record(
-            "strong",
-            {"lambda": list(lam), "m": args.m, "beta": list(beta)},
-            method="strong-system",
-            probability=prob,
-            warnings=warnings,
-            with_float=args.float,
-        )
-        for beta, prob in sorted(table.items(), key=lambda kv: kv[0], reverse=True)
-    ]
-    _emit_json(records, out)
-    return EXIT_OK
-
-
-def _cmd_connection(args, out: TextIO) -> int:
-    from .strong import connection_coefficient
-
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
-    alpha = _parse_alpha(args.alpha)
-    value = connection_coefficient(lam, alpha)
-    params = {"lambda": list(lam), "alpha": list(alpha)}
-    record = _record(
-        "connection", params, method="strong-system", count=value, warnings=warnings
-    )
-    _emit_json([record], out)
-    return EXIT_OK
-
-
-def _cmd_gtable(args, out: TextIO) -> int:
-    from .polynomials import gen_series_table
-
-    table = gen_series_table(args.n, args.m, args.k)
-    entries = [
-        {"partition": list(lam), "r": r, "coefficient": str(c)}
-        for (lam, r), c in sorted(
-            table.items(), key=lambda kv: (kv[0][1], kv[0][0])
-        )
-    ]
-    params = {"n": args.n, "m": args.m, "k": args.k}
-    details = {"entries": entries}
-    record = _record("gtable", params, method="generating-series", details=details)
-    _emit_json([record], out)
-    return EXIT_OK
-
-
-def _cmd_hz(args, out: TextIO) -> int:
-    from .polynomials import one_face_map_series
-
-    series = one_face_map_series(args.pairs)
-    monomial = series.to_monomial()
-    details = {
-        "binomial_basis": {str(r): str(int(c)) for r, c in sorted(series.coeffs.items())},
-        "monomial": [str(int(c)) for c in monomial],
-    }
-    record = _record("hz", {"N": args.pairs}, method="one-face-maps", details=details)
-    _emit_json([record], out)
-    return EXIT_OK
-
-
-def _cmd_verify(args, out: TextIO) -> int:
-    from .verification import run_suites
-
-    results = run_suites([args.suite], max_n=args.max_n, threads=args.threads)
-    results = sorted(results, key=lambda r: int(r.criterion))
-    for result in results:
-        out.write(result.render() + "\n")
-    failed = sum(1 for r in results if not r.passed)
-    if failed:
-        out.write(f"FAILED ({failed} of {len(results)} check groups)\n")
-        return EXIT_MISMATCH
-    out.write(f"OK ({len(results)} check groups)\n")
-    return EXIT_OK
-
-
-def _table_rows(args) -> tuple[list[dict], bool]:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings) if args.lam else (args.n,)
-    if sum(lam) != args.n:
-        raise ValueError("--lambda must be a partition of --n")
-    if args.max_m is not None and not 1 <= args.max_m <= args.n:
-        raise ValueError("--max-m must lie in 1..n")
-    if args.alphas == "all":
-        max_m = args.max_m or args.n
-        alphas = [a for m in range(1, max_m + 1) for a in partitions(m)]
-    else:
-        alphas = [
-            as_composition(_parse_parts(piece, "--alphas"), allow_empty=False)
-            for piece in args.alphas.split(";")
-        ]
-    rows = []
-    any_mismatch = False
-    for alpha in alphas:
-        records, mismatch = _result_records(
-            "sep-prob",
-            {"lambda": list(lam), "alpha": list(alpha)},
-            _sep_results(lam, alpha, args.method),
-            args.float,
-            warnings,
-        )
-        any_mismatch = any_mismatch or mismatch
-        rows.extend(records)
-    return rows, any_mismatch
-
-
-def _cmd_table(args, out: TextIO) -> int:
-    rows, mismatch = _table_rows(args)
-    if args.format == "json":
-        _emit_json(rows, out)
-    else:
-        import csv
-
-        writer = csv.writer(out)
-        writer.writerow(
-            ["lambda", "alpha", "m", "k", "count", "probability", "method"]
-        )
-        for record in rows:
-            alpha = record["parameters"]["alpha"]
-            writer.writerow(
-                [
-                    ",".join(str(p) for p in record["parameters"]["lambda"]),
-                    ",".join(str(p) for p in alpha),
-                    sum(alpha),
-                    len(alpha),
-                    record.get("count", ""),
-                    record.get("probability", ""),
-                    record.get("method", ""),
-                ]
-            )
-    return EXIT_MISMATCH if mismatch else EXIT_OK
-
-
 def _add_float(p) -> None:
-    p.add_argument(
-        "--float",
-        action="store_true",
-        help="also print a 15-significant-digit decimal (display only)",
-    )
+    float_help = "also print a 15-significant-digit decimal (display only)"
+    p.add_argument("--float", action="store_true", help=float_help)
 
 
 def _add_method(p) -> None:
-    p.add_argument(
-        "--method", choices=("formula", "oracle", "both"), default="formula"
-    )
+    p.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
 
 
 def _add_sep_prob(p) -> None:
@@ -408,13 +254,6 @@ def _add_pcycles(p) -> None:
     p.set_defaults(func=_cmd_pcycles)
 
 
-def _add_involution(p) -> None:
-    p.add_argument("--N", dest="pairs", type=int, required=True, help="number of 2-cycles")
-    p.add_argument("--alpha", required=True)
-    _add_float(p)
-    p.set_defaults(func=_cmd_involution)
-
-
 def _add_lift(p) -> None:
     p.add_argument("--lambda", dest="lam", required=True, help="base type, parts >= 2")
     p.add_argument("--r", type=int, required=True, help="fixed points to add")
@@ -423,72 +262,20 @@ def _add_lift(p) -> None:
     p.set_defaults(func=_cmd_lift)
 
 
-def _add_strong(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--m", type=int, required=True, help="total block size")
-    _add_float(p)
-    p.set_defaults(func=_cmd_strong)
-
-
-def _add_connection(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--alpha", required=True, help="cycle type of the product, size n")
-    p.set_defaults(func=_cmd_connection)
-
-
-def _add_gtable(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_gtable)
-
-
-def _add_hz(p) -> None:
-    p.add_argument("--N", dest="pairs", type=int, required=True, help="number of edges")
-    p.set_defaults(func=_cmd_hz)
-
-
-def _add_verify(p) -> None:
-    p.add_argument(
-        "--suite",
-        default="all",
-        help='"all" or one suite name from permsep.verification.SUITE_ORDER',
-    )
-    p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker threads the checks are mapped over"
-    )
-    p.set_defaults(func=_cmd_verify)
-
-
-def _add_table(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default=None, help="cycle type (default: one n-cycle)")
-    p.add_argument(
-        "--alphas",
-        default="all",
-        help='"all" or semicolon-separated block profiles, e.g. "1,1;2,1"',
-    )
-    p.add_argument("--max-m", dest="max_m", type=int, default=None)
-    _add_method(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_float(p)
-    p.set_defaults(func=_cmd_table)
-
-
-# (name, help, add-arguments function), in the order ``--help`` lists them.
+# (name, help, add-arguments function or the name of one in
+# `permsep.subcommands`), in the order ``--help`` lists them.
 _SUBCOMMANDS = (
     ("sep-prob", "separation probability for one cycle type", _add_sep_prob),
     ("ncycle", "product of two uniform full cycles", _add_ncycle),
     ("pcycles", "left factor uniform with p cycles", _add_pcycles),
-    ("involution", "left factor a uniform fixed-point-free involution", _add_involution),
+    ("involution", "left factor a uniform fixed-point-free involution", "_add_involution"),
     ("lift", "add fixed points to the cycle type", _add_lift),
-    ("strong", "strong separation probability table", _add_strong),
-    ("connection", "full-cycle factorization count", _add_connection),
-    ("gtable", "dump the generating-series coefficient table", _add_gtable),
-    ("hz", "one-face map vertex polynomial", _add_hz),
-    ("verify", "run the cross-verification suites", _add_verify),
-    ("table", "batch separation probabilities", _add_table),
+    ("strong", "strong separation probability table", "_add_strong"),
+    ("connection", "full-cycle factorization count", "_add_connection"),
+    ("gtable", "dump the generating-series coefficient table", "_add_gtable"),
+    ("hz", "one-face map vertex polynomial", "_add_hz"),
+    ("verify", "run the cross-verification suites", "_add_verify"),
+    ("table", "batch separation probabilities", "_add_table"),
 )
 
 
@@ -507,6 +294,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     metavar = f"{{{names}}}" if chosen else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, add_arguments in chosen or _SUBCOMMANDS:
+        if isinstance(add_arguments, str):
+            from . import subcommands
+
+            add_arguments = getattr(subcommands, add_arguments)
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 

@@ -30,6 +30,7 @@ from .oracles import (
     _check_size,
     _cycle_type,
     _separated_tuple_histogram,
+    class_images,
     product_type_histogram,
 )
 from .partitions import (
@@ -45,7 +46,6 @@ from .partitions import (
 )
 from .perms import (
     Permutation,
-    class_images,
     fixed_point_free_involutions,
     permutations_of_type,
 )

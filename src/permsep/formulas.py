@@ -94,9 +94,12 @@ def _separated_count(lam: Partition, m: int, k: int) -> int:
     n = sum(lam)
     total = 0
     hooks = accumulate(cycle_polynomial(lam))
+    factorials = math.factorial(n - 1)  # r! (n-1-r)!, carried from r - 1
     for r, (h, g) in enumerate(zip(hooks, _hook_weights(n, m, k))):
+        if r:
+            factorials = factorials * r // (n - r)
         if g and h:
-            total += (-1) ** r * h * g * math.factorial(r) * math.factorial(n - 1 - r)
+            total += (-1) ** r * h * g * factorials
     count, remainder = divmod(n * total, centralizer_order(lam))
     if remainder or count < 0:
         value = Fraction(n * total, centralizer_order(lam))

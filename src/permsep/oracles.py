@@ -3,15 +3,16 @@
 Each oracle enumerates permutations and counts block tuples by direct
 combinatorics on the actual cycles of each product - nothing shared with
 the closed-form code paths.  Classes are enumerated as raw image tuples
-(`perms.class_images`), the cycle type of each product with the full cycle
-is read straight off the tuple, and each class tally is cached.  Conjugating
-by the full cycle keeps both the class and the product's cycle type, so a
-tally walks only the members whose cycle through 0 has one chosen length
-and scales up.  Separated block tuples are counted per cycle type by a
-block-first dynamic program over the untouched cycles, whose one-block
-transitions are cached and shared by every cycle type and block profile
-that reaches the same state.  The oracles that only verification runs live
-in `permsep.crosscheck`.
+(`class_images`, which `perms` wraps in `Permutation` objects, so the
+oracle path never loads `perms`), the cycle type of each product with the
+full cycle is read straight off the tuple, and each class tally is cached.
+Conjugating by the full cycle keeps both the class and the product's cycle
+type, so a tally walks only the members whose cycle through 0 has one
+chosen length and scales up.  Separated block tuples are counted per cycle
+type by a block-first dynamic program over the untouched cycles, whose
+one-block transitions are cached and shared by every cycle type and block
+profile that reaches the same state.  The oracles that only verification
+runs live in `permsep.crosscheck`.
 
 Each oracle has one fixed limit on the ground-set size, a module constant,
 and either finishes exactly or raises BudgetExceededError.  It checks the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantError
 from .partitions import (
@@ -34,7 +35,6 @@ from .partitions import (
     conjugacy_class_size,
     sorted_partition,
 )
-from .perms import class_images
 
 
 PAIR_MAX_N = 8
@@ -64,6 +64,51 @@ def _cycle_type(images: Sequence[int]) -> Partition:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
+
+
+def class_images(
+    partition: Iterable[int], first: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The image tuples of all permutations with the given cycle type.
+
+    Deterministic construction order: the smallest unplaced element starts a
+    cycle; distinct cycle lengths are tried in increasing order, and the rest
+    of each cycle runs through arrangements of the remaining elements in
+    lexicographic order.  The stream length equals the conjugacy class size.
+    No Permutation is built: one image list is rewritten in place and a
+    tuple copy of it is yielded per member.
+
+    With ``first`` set to a part length L, only the members whose cycle
+    through 0 has length L are yielded, in the same order: the slice of
+    |class| * L * m_L / n members, m_L being the number of parts equal to L.
+    """
+    lam = as_partition(partition)
+    if first is not None and first not in lam:
+        raise ValueError(f"first={first} is not a part of {lam}")
+    images = list(range(sum(lam)))
+
+    def build(elements: tuple[int, ...], parts: tuple[int, ...], sizes=None):
+        head, rest = elements[0], elements[1:]
+        for size in sizes or sorted(set(parts)):
+            idx = parts.index(size)
+            remaining_parts = parts[:idx] + parts[idx + 1 :]
+            for tail in itertools.permutations(rest, size - 1):
+                prev = head
+                for y in tail:
+                    images[prev] = prev = y  # assigns images[prev] first
+                images[prev] = head
+                if remaining_parts and remaining_parts[0] > 1:
+                    tail_set = set(tail)
+                    yield from build(
+                        tuple(e for e in rest if e not in tail_set), remaining_parts
+                    )
+                    continue
+                if remaining_parts:
+                    for e in set(rest).difference(tail):  # the remaining fixed points
+                        images[e] = e
+                yield tuple(images)
+
+    return build(tuple(images), lam, first and (first,)) if lam else iter([()])
 
 
 @lru_cache(maxsize=None)

@@ -52,28 +52,32 @@ def as_composition(parts: Iterable[int], allow_empty: bool = True) -> Compositio
     return result
 
 
-def partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``n`` in reverse-lexicographic order.
+_partition_lists: dict[int, tuple[Partition, ...]] = {}
+
+
+def partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of ``n`` in reverse-lexicographic order, as one tuple
+    built on the first call and returned again on every later call with n.
 
     The order starts at ``(n,)`` and ends at ``(1, ..., 1)``; it is a linear
     extension of dominance order (larger in dominance comes earlier).
 
-    >>> list(partitions(4))
-    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    >>> partitions(4)
+    ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    part = [n]
+    if n in _partition_lists:
+        return _partition_lists[n]
+    found = []
+    part = [n] if n else []
     while True:
-        yield tuple(part)
+        found.append(tuple(part))
         i = len(part) - 1
         while i >= 0 and part[i] == 1:
             i -= 1
         if i < 0:
-            return
+            break
         part[i] -= 1
         rem = n - sum(part[: i + 1])
         del part[i + 1 :]
@@ -81,6 +85,8 @@ def partitions(n: int) -> Iterator[Partition]:
             nxt = min(part[-1], rem)
             part.append(nxt)
             rem -= nxt
+    _partition_lists[n] = found = tuple(found)
+    return found
 
 
 def compositions(total: int, length: int) -> Iterator[Composition]:

@@ -11,18 +11,18 @@ checks the class tallies both ways.
 
 Cycle decompositions are canonical: cycles are listed by increasing minimum
 element and each cycle starts at its minimum, which makes enumeration output
-reproducible.  A conjugacy class has one enumeration path, `class_images`,
-which yields bare image tuples for the oracles' hot loops, or with ``first``
-only the members whose cycle through 0 has that length;
-`permutations_of_type` wraps the whole stream in `Permutation` objects.
+reproducible.  A conjugacy class has one enumeration path,
+`oracles.class_images`, which yields bare image tuples and lives beside its
+hot loops, so the oracle path never loads this module;
+`permutations_of_type` wraps its whole stream in `Permutation` objects.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
-from .partitions import Partition, as_partition, sorted_partition
+from .oracles import class_images
+from .partitions import Partition, sorted_partition
 
 
 class Permutation:
@@ -126,51 +126,6 @@ class Permutation:
 def compose(left: Permutation, right: Permutation) -> Permutation:
     """Product with the right factor applied first: compose(p, q)(x) = p(q(x))."""
     return left * right
-
-
-def class_images(
-    partition: Iterable[int], first: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The image tuples of all permutations with the given cycle type.
-
-    Deterministic construction order: the smallest unplaced element starts a
-    cycle; distinct cycle lengths are tried in increasing order, and the rest
-    of each cycle runs through arrangements of the remaining elements in
-    lexicographic order.  The stream length equals the conjugacy class size.
-    No Permutation is built: one image list is rewritten in place and a
-    tuple copy of it is yielded per member.
-
-    With ``first`` set to a part length L, only the members whose cycle
-    through 0 has length L are yielded, in the same order: the slice of
-    |class| * L * m_L / n members, m_L being the number of parts equal to L.
-    """
-    lam = as_partition(partition)
-    if first is not None and first not in lam:
-        raise ValueError(f"first={first} is not a part of {lam}")
-    images = list(range(sum(lam)))
-
-    def build(elements: tuple[int, ...], parts: tuple[int, ...], sizes=None):
-        head, rest = elements[0], elements[1:]
-        for size in sizes or sorted(set(parts)):
-            idx = parts.index(size)
-            remaining_parts = parts[:idx] + parts[idx + 1 :]
-            for tail in itertools.permutations(rest, size - 1):
-                prev = head
-                for y in tail:
-                    images[prev] = prev = y  # assigns images[prev] first
-                images[prev] = head
-                if remaining_parts and remaining_parts[0] > 1:
-                    tail_set = set(tail)
-                    yield from build(
-                        tuple(e for e in rest if e not in tail_set), remaining_parts
-                    )
-                    continue
-                if remaining_parts:
-                    for e in set(rest).difference(tail):  # the remaining fixed points
-                        images[e] = e
-                yield tuple(images)
-
-    return build(tuple(images), lam, first and (first,)) if lam else iter([()])
 
 
 def permutations_of_type(partition: Iterable[int]) -> Iterator[Permutation]:

@@ -108,7 +108,7 @@ class RefinementMatrix(NamedTuple):
 
 @lru_cache(maxsize=None)
 def refinement_matrix(size: int) -> RefinementMatrix:
-    index = tuple(partitions(size))
+    index = partitions(size)
     position = {lam: i for i, lam in enumerate(index)}
     rows = []
     for coarse in index:

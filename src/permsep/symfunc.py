@@ -102,7 +102,7 @@ def transition_matrices(n: int) -> TransitionMatrices:
     """The exact transition-matrix pair for degree ``n`` (cached in memory)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    index = tuple(partitions(n))
+    index = partitions(n)
     position = {lam: i for i, lam in enumerate(index)}
     raw = []
     for lam in index:

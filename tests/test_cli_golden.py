@@ -1,5 +1,5 @@
-"""Golden CLI corpus: formula queries at n = 8-290 must print exactly the
-recorded stdout.
+"""Golden CLI corpus: queries at n = 5-290 must print exactly the recorded
+stdout.
 
 ``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
 The ``sep-prob``, ``lift``, ``strong``, ``connection`` and ``hz`` cases were
@@ -7,11 +7,16 @@ recorded when every weak count still came from the full power-sum/monomial
 transition matrix; the ``gtable`` and ``involution`` cases were recorded
 while the series table and the binomial-basis polynomial were still custom
 record classes.  The six cases at n = 30-290 (three ``sep-prob``, one
-``lift``, one ``strong``, one ``connection``, the last six in the corpus)
+``lift``, one ``strong``, one ``connection``, the six before the last five)
 were recorded while every weak count still summed a length-weight table
 against the t-profile of the cycle type, just before the hook-character
-sum replaced that route.  Any change in a digit, a key order or a warning
-fails the comparison.
+sum replaced that route.  The last five cases (``ncycle`` at n = 126, a
+four-block ``pcycles``, ``sep-prob --method both`` with the reordering
+warning, ``table --float`` and a CSV ``table --method both``) were recorded
+while every record was still written by ``json.dump(..., indent=2)`` and
+all eleven subcommands still lived in `permsep.cli`, just before the
+record writer and `permsep.subcommands` replaced them.  Any change in a
+digit, a key order or a warning fails the comparison.
 """
 
 import io

@@ -19,8 +19,8 @@ VERIFY_ONLY = ("permsep.verification", "permsep.crosscheck", "permsep.symfunc")
 BINOMIAL_BASIS = "permsep.polynomials"
 # Standard-library modules that no subcommand needs: ``dataclasses`` alone
 # costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
-# ``dis``.
-SLOW_STDLIB = ("dataclasses", "inspect")
+# ``dis``, and records are written without ``json``.
+SLOW_STDLIB = ("dataclasses", "inspect", "json")
 
 
 def run_fresh(code: str) -> str:
@@ -85,13 +85,15 @@ def test_import_permsep_loads_only_errors_and_partitions():
 
 
 def loaded_by(argv: list[str]) -> tuple[int, list[str]]:
-    """Exit code and the permsep and `SLOW_STDLIB` modules loaded by one call."""
+    """Exit code and the permsep and `SLOW_STDLIB` modules loaded by one call,
+    read before the harness itself imports ``json`` to print them."""
     out = run_fresh(
         f"""
-        import io, json, sys
+        import io, sys
         from permsep.cli import main
         code = main({argv!r}, stdout=io.StringIO())
         names = [m for m in sys.modules if m.startswith("permsep") or m in {SLOW_STDLIB!r}]
+        import json
         print(json.dumps([code, sorted(names)]))
         """
     )
@@ -119,6 +121,8 @@ def test_formula_subcommands_never_load_the_heavy_layers(argv):
     assert not set(HEAVY + SLOW_STDLIB) & set(modules), modules
     loads_it = argv[0] in ("involution", "hz", "gtable")
     assert (BINOMIAL_BASIS in modules) == loads_it, modules
+    single_result = argv[0] in ("sep-prob", "lift", "ncycle", "pcycles")
+    assert ("permsep.subcommands" in modules) != single_result, modules
 
 
 def test_oracle_and_verify_subcommands_load_what_they_run():
@@ -126,8 +130,9 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
         ["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"]
     )
     assert code == 0
-    assert {"permsep.oracles", "permsep.perms"} <= set(modules)
-    unneeded = {"permsep.separation", BINOMIAL_BASIS, "permsep.strong", *VERIFY_ONLY}
+    assert "permsep.oracles" in modules
+    unneeded = {"permsep.perms", "permsep.separation", BINOMIAL_BASIS, "permsep.strong",
+                "permsep.subcommands", *VERIFY_ONLY}
     assert not (unneeded | set(SLOW_STDLIB)) & set(modules), modules
     code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4"])
     assert code == 0
@@ -147,10 +152,10 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1546),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 1130),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1340),
-        (["hz", "--N", "6"], 1396),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1171),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 930),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1338),
+        (["hz", "--N", "6"], 1388),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )

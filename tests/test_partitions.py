@@ -33,6 +33,11 @@ def test_partition_stream_order_revlex():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     # deterministic: two runs agree element by element
     assert list(partitions(7)) == list(partitions(7))
+    # one tuple per n, built once and shared by every later call
+    assert isinstance(partitions(7), tuple) and partitions(7) is partitions(7)
+    assert partitions(0) == ((),)
+    with pytest.raises(ValueError):
+        partitions(-1)
 
 
 def test_partition_stream_exhaustive_and_valid():

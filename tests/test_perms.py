@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsep.oracles import class_images
 from permsep.partitions import conjugacy_class_size, partitions, perfect_matching_count
 from permsep.perms import (
     Permutation,
-    class_images,
     compose,
     fixed_point_free_involutions,
     permutations_of_type,
