@@ -7,9 +7,9 @@ can emit CSV instead.  Counts are decimal strings and probabilities are
 adds a 15-significant-digit decimal rendering (display only); counts of any
 length are rendered, whatever CPython's int-to-str digit limit.  ``verify``
 prints one PASS/FAIL line per criterion group and nothing else; ``--threads``
-is the number of worker threads its checks are mapped over, and the output is
-byte-identical for any value.  The oracle paths of ``sep-prob`` and ``table``
-enumerate serially.
+is the number of worker processes its checks are split over, the caller being
+one, and the output is byte-identical for any value.  The oracle paths of
+``sep-prob`` and ``table`` enumerate serially.
 
 Exit codes: 0 success, 1 verification mismatch (including ``--method both``
 disagreement), 2 invalid arguments, 3 oracle budget exceeded.
@@ -55,16 +55,17 @@ def _parse_parts(text: str, what: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_lambda(text: str, warnings: list[str]) -> tuple[int, ...]:
+def _parse_lambda(text: str) -> tuple[tuple[int, ...], list[str]]:
+    """The cycle type sorted into a partition, and the warning if that moved a part."""
     parts = _parse_parts(text, "--lambda")
     canonical = sorted_partition(parts)
     if canonical != parts:
-        warnings.append(f"lambda {list(parts)} sorted to partition {list(canonical)}")
-    return canonical
+        return canonical, [f"lambda {list(parts)} sorted to partition {list(canonical)}"]
+    return canonical, []
 
 
-def _parse_alpha(text: str) -> tuple[int, ...]:
-    return as_composition(_parse_parts(text, "--alpha"), allow_empty=False)
+def _parse_alpha(text: str, what: str = "--alpha") -> tuple[int, ...]:
+    return as_composition(_parse_parts(text, what), allow_empty=False)
 
 
 def _record(operation: str, parameters: dict, *, method: str | None = None,
@@ -191,8 +192,7 @@ def _sep_results(lam, alpha, method: str) -> list[fm.SepResult]:
 
 
 def _cmd_sep_prob(args, out: TextIO) -> int:
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
+    lam, warnings = _parse_lambda(args.lam)
     alpha = _parse_alpha(args.alpha)
     results = _sep_results(lam, alpha, args.method)
     params = {"lambda": list(lam), "alpha": list(alpha)}
@@ -214,8 +214,7 @@ def _cmd_pcycles(args, out: TextIO) -> int:
 
 
 def _cmd_lift(args, out: TextIO) -> int:
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
+    lam, warnings = _parse_lambda(args.lam)
     alpha = _parse_alpha(args.alpha)
     res = fm.add_fixed_points_probability(lam, args.r, alpha)
     params = {"lambda": list(lam), "r": args.r, "alpha": list(alpha)}

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import TextIO
 
 from .cli import EXIT_MISMATCH, EXIT_OK, _add_float, _add_method, _emit_json, _parse_alpha
-from .cli import _parse_lambda, _parse_parts, _record, _result_records, _sep_results
-from .partitions import as_composition, partitions
+from .cli import _parse_lambda, _record, _result_records, _sep_results
+from .partitions import partitions
 
 
 def _cmd_involution(args, out: TextIO) -> int:
@@ -34,8 +34,7 @@ def _cmd_involution(args, out: TextIO) -> int:
 def _cmd_strong(args, out: TextIO) -> int:
     from .strong import strong_probability_table
 
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
+    lam, warnings = _parse_lambda(args.lam)
     table = strong_probability_table(lam, args.m)
     records = (
         _record("strong", {"lambda": list(lam), "m": args.m, "beta": list(beta)},
@@ -50,8 +49,7 @@ def _cmd_strong(args, out: TextIO) -> int:
 def _cmd_connection(args, out: TextIO) -> int:
     from .strong import connection_coefficient
 
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings)
+    lam, warnings = _parse_lambda(args.lam)
     alpha = _parse_alpha(args.alpha)
     value = connection_coefficient(lam, alpha)
     params = {"lambda": list(lam), "alpha": list(alpha)}
@@ -103,11 +101,10 @@ def _cmd_verify(args, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _table_rows(args) -> tuple[list[dict], bool]:
+def _cmd_table(args, out: TextIO) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    warnings: list[str] = []
-    lam = _parse_lambda(args.lam, warnings) if args.lam else (args.n,)
+    lam, warnings = _parse_lambda(args.lam) if args.lam else ((args.n,), [])
     if sum(lam) != args.n:
         raise ValueError("--lambda must be a partition of --n")
     if args.max_m is not None and not 1 <= args.max_m <= args.n:
@@ -115,31 +112,34 @@ def _table_rows(args) -> tuple[list[dict], bool]:
     if args.alphas == "all":
         alphas = [a for m in range(1, (args.max_m or args.n) + 1) for a in partitions(m)]
     else:
-        pieces = [_parse_parts(piece, "--alphas") for piece in args.alphas.split(";")]
-        alphas = [as_composition(parts, allow_empty=False) for parts in pieces]
-    rows, any_mismatch = [], False
-    for alpha in alphas:
-        params = {"lambda": list(lam), "alpha": list(alpha)}
-        results = _sep_results(lam, alpha, args.method)
-        records, mismatch = _result_records("sep-prob", params, results, args.float, warnings)
-        rows.extend(records)
-        any_mismatch = any_mismatch or mismatch
-    return rows, any_mismatch
+        alphas = [_parse_alpha(piece, "--alphas") for piece in args.alphas.split(";")]
+        if any(sum(alpha) > args.n for alpha in alphas):
+            raise ValueError("total block size exceeds n")
+    if args.method != "formula":
+        from .oracles import PAIR_MAX_N, _check_size
+        _check_size(args.n, PAIR_MAX_N)
+    mismatch = False
 
+    def records():  # streamed, so every argument error is raised above
+        nonlocal mismatch
+        for alpha in alphas:
+            params = {"lambda": list(lam), "alpha": list(alpha)}
+            results = _sep_results(lam, alpha, args.method)
+            rows, disagree = _result_records("sep-prob", params, results, args.float, warnings)
+            mismatch = mismatch or disagree
+            yield from rows
 
-def _cmd_table(args, out: TextIO) -> int:
-    rows, mismatch = _table_rows(args)
     if args.format == "json":
-        _emit_json(rows, out)
+        _emit_json(records(), out)
     else:
         import csv
 
         writer = csv.writer(out)
         writer.writerow(["lambda", "alpha", "m", "k", "count", "probability", "method"])
-        for record in rows:
-            lam, alpha = record["parameters"]["lambda"], record["parameters"]["alpha"]
+        for record in records():
+            shape, blocks = record["parameters"]["lambda"], record["parameters"]["alpha"]
             writer.writerow(
-                [",".join(map(str, lam)), ",".join(map(str, alpha)), sum(alpha), len(alpha)]
+                [",".join(map(str, shape)), ",".join(map(str, blocks)), sum(blocks), len(blocks)]
                 + [record.get(key, "") for key in ("count", "probability", "method")]
             )
     return EXIT_MISMATCH if mismatch else EXIT_OK
@@ -180,7 +180,7 @@ def _add_verify(p) -> None:
     suite_help = '"all" or one suite name from permsep.verification.SUITE_ORDER'
     p.add_argument("--suite", default="all", help=suite_help)
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    threads_help = "worker threads the checks are mapped over"
+    threads_help = "worker processes the checks are split over, the caller being one"
     p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.set_defaults(func=_cmd_verify)
 

@@ -4,17 +4,25 @@ Each check sweeps a family of instances, comparing exact values (tolerance is
 zero everywhere) and returns a CheckResult.  The suites are shared between
 the command-line ``verify`` subcommand and the acceptance test module.
 
-Sweeps indexed by the ground-set size honor a ``max_n`` cap (involution
-checks use ``max_n // 2`` pairs); pure polynomial identities are cheap and
+Sweeps indexed by the ground-set size cap that size at ``max_n``
+(involution checks use ``max_n // 2`` pairs), with one exception: the
+fixed-point lift (criterion 7) caps only its base size n, then adds up to
+three fixed points, so at ``max_n`` 7 it runs the oracle at ground-set size
+8 and the series path at size 9.  Pure polynomial identities are cheap and
 always run at their full stated ranges.  Each check takes ``max_n`` only and
-runs serially; `run_suites` maps the requested checks over a pool of worker
-threads, and since every check builds its own result, the results and
-therefore the rendered report are identical for any thread count.
+runs serially.  `run_suites` splits the requested checks over ``threads``
+worker processes, the caller being one of them and the others forked, since
+the checks are pure Python and threads would only take turns holding the
+interpreter lock.  Every check builds its own result, so the results and
+therefore the rendered report are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import io
+import marshal
 import math
+import os
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -410,12 +418,78 @@ SUITES: dict[str, tuple[Callable[[int], CheckResult], ...]] = {
 SUITE_ORDER = ("symmetry", "formulas", "maps", "lemmas", "strong")
 
 
+def _fork_share(share: list[Callable[[int], CheckResult]], max_n: int) -> tuple[int, int]:
+    """Fork a worker that runs the checks of ``share`` in order and writes
+    each one's `CheckResult` fields to a pipe as soon as it has them, one
+    marshalled tuple per check; a check that raises writes its traceback as
+    a str instead and ends the share.  Return the worker's pid and the read
+    end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for check in share:
+                try:
+                    reply = tuple(check(max_n))
+                except Exception:
+                    import traceback
+
+                    reply = traceback.format_exc()
+                marshal.dump(reply, pipe)
+                pipe.flush()
+                if isinstance(reply, str):
+                    break
+        status = 0
+    finally:
+        # never return into the caller's code, nor flush its inherited buffers
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int) -> bytes:
+    """Everything a worker wrote, read to the end, once the worker is gone."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            return pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _decode(data: bytes, share: list[Callable[[int], CheckResult]]) -> list[CheckResult]:
+    stream = io.BytesIO(data)
+    results = []
+    for check in share:
+        try:
+            reply = marshal.load(stream)
+        except EOFError:
+            raise RuntimeError(
+                f"verify worker exited without reporting {check.__name__}"
+            ) from None
+        if isinstance(reply, str):
+            raise RuntimeError(f"{check.__name__} raised in a verify worker:\n{reply}")
+        results.append(CheckResult(*reply))
+    return results
+
+
 def run_suites(
     names: Iterable[str], max_n: int = 6, threads: int = 1
 ) -> list[CheckResult]:
     """Run the checks of the named suites ("all" for every suite), in suite
-    order, mapped over ``threads`` worker threads.  Each check returns its
-    own result, so the results do not depend on the thread count."""
+    order, split over ``threads`` worker processes, the caller being one.
+
+    With w = min(threads, number of checks) workers, worker i runs the
+    checks i, i + w, i + 2w, ...; the caller runs share 0 itself and forks
+    the others, so ``threads=1`` (or a platform without `os.fork`) forks
+    nothing.  The caller reads and reaps every worker even when its own
+    share raises; a worker whose check raised, or that exited before
+    reporting one, makes this raise a RuntimeError naming that check.  Each
+    check returns its own result, so the results do not depend on
+    ``threads``.  Forking is safe here because nothing in `permsep` starts a
+    thread; a caller that runs threads of its own should pass 1."""
     requested = list(names)
     if "all" in requested:
         requested = list(SUITE_ORDER)
@@ -432,7 +506,16 @@ def run_suites(
     checks = [
         check for suite in SUITE_ORDER if suite in requested for check in SUITES[suite]
     ]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda check: check(max_n), checks))
+    workers = min(threads, max(len(checks), 1)) if hasattr(os, "fork") else 1
+    children: list[tuple[int, int]] = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(checks[w::workers], max_n))
+        own = [check(max_n) for check in checks[::workers]]
+    finally:
+        replies = [_reap(pid, read_fd) for pid, read_fd in children]
+    results: list = [None] * len(checks)
+    results[::workers] = own
+    for w, data in enumerate(replies, 1):
+        results[w::workers] = _decode(data, checks[w::workers])
+    return results

@@ -10,7 +10,9 @@ import textwrap
 
 import pytest
 
-from permsep.cli import _SUBCOMMANDS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _build_parser, main
+from permsep.cli import (
+    _SUBCOMMANDS, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _build_parser, main,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -188,15 +190,30 @@ def test_verify_byte_identical_across_threads():
 
 
 def test_verify_fan_out_under_a_short_switch_interval():
-    # more workers than checks at max_n 5, switching threads every 10 us on
-    # cold caches, then the same suites serially on the now-warm caches
+    # more workers than checks at max_n 5, forked from a process that
+    # switches threads every 10 us, on cold caches; then the same suites
+    # serially on the now-warm caches.  Counting os.fork shows that the
+    # fan-out really forks (one worker per check beyond the caller's own)
+    # and that one worker forks nothing.
     code = """
-        import sys
-        from permsep.verification import run_suites
+        import os, sys
+        from permsep.verification import SUITE_ORDER, SUITES, run_suites
+        checks = sum(len(SUITES[name]) for name in SUITE_ORDER)
+        forks = []
+        real_fork = os.fork
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        os.fork = counting_fork
         sys.setswitchinterval(1e-5)
         stressed = [r.render() for r in run_suites(["all"], max_n=5, threads=16)]
         sys.setswitchinterval(0.005)
+        assert 1 <= len(forks) <= checks - 1, (len(forks), checks)
+        del forks[:]
         serial = [r.render() for r in run_suites(["all"], max_n=5, threads=1)]
+        assert forks == [], forks
         assert len(serial) == 11 and all(r.startswith("PASS") for r in serial), serial
         assert stressed == serial, (stressed, serial)
     """
@@ -205,6 +222,79 @@ def test_verify_fan_out_under_a_short_switch_interval():
         capture_output=True, text=True, env=fresh_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [
+        ("raise ValueError('no luck')", "RuntimeError: failing raised in a verify worker:\n"),
+        ("os._exit(1)", "RuntimeError: verify worker exited without reporting failing\n"),
+        ("sys.exit(0)", "RuntimeError: verify worker exited without reporting failing\n"),
+    ],
+    ids=["raises", "exits-without-writing", "raises-system-exit"],
+)
+def test_verify_worker_failure_names_the_check_and_leaves_no_child(failing, error):
+    # the failing check is the only one in worker 1's share; the caller's
+    # own share passes, so the error can only come from the worker's pipe
+    code = f"""
+        import os, sys
+        from permsep import verification as vf
+
+        def passing(max_n):
+            return vf.CheckResult("1", "passing", True, 1)
+
+        def failing(max_n):
+            {failing}
+
+        vf.SUITES["symmetry"] = (passing,)
+        vf.SUITES["lemmas"] = (failing,)
+        try:
+            vf.run_suites(["symmetry", "lemmas"], max_n=1, threads=2)
+        except RuntimeError as exc:
+            print(f"{{type(exc).__name__}}: {{exc}}")
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(error), proc.stdout
+    assert ("ValueError: no luck\n" in proc.stdout) == ("ValueError" in failing), proc.stdout
+    assert proc.stdout.endswith("\nno child left\n"), proc.stdout
+
+
+def test_verify_reaps_its_workers_when_its_own_share_raises():
+    code = """
+        import os
+        from permsep import verification as vf
+
+        def failing(max_n):
+            raise ValueError("the caller's own check")
+
+        def slow(max_n):
+            return vf.CheckResult("1", "slow", True, sum(range(10**6)))
+
+        vf.SUITES["symmetry"] = (failing,)
+        vf.SUITES["lemmas"] = (slow,)
+        try:
+            vf.run_suites(["symmetry", "lemmas"], max_n=1, threads=2)
+        except ValueError as exc:
+            print(exc)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the caller's own check\nno child left\n"
 
 
 def test_invalid_arguments_exit_2():
@@ -254,6 +344,41 @@ def test_budget_exceeded_exit_3(capsys):
     assert capsys.readouterr().err == (
         "permsep: budget exceeded: ground set of size 9 exceeds oracle budget max_n=8\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_refuses_before_its_first_record(fmt, capsys):
+    # table streams its records, so every refusal must come before the first
+    # byte: a block profile larger than n late in the list, and an oracle
+    # asked for a ground set beyond its limit
+    for method in ("formula", "oracle", "both"):
+        argv = ("table", "--n", "3", "--alphas", "1;4", "--method", method, "--format", fmt)
+        assert run_cli(*argv) == (EXIT_USAGE, "")
+    for method in ("oracle", "both"):
+        argv = ("table", "--n", "9", "--method", method, "--format", fmt)
+        assert run_cli(*argv) == (EXIT_BUDGET, "")
+    assert capsys.readouterr().err.endswith(
+        "permsep: budget exceeded: ground set of size 9 exceeds oracle budget max_n=8\n"
+    )
+
+
+def test_table_exit_code_reports_a_late_disagreement(monkeypatch):
+    import permsep.oracles as orc
+
+    real = orc.oracle_separated_pair_count
+
+    def off_by_one_at_the_end(lam, alpha):
+        return real(lam, alpha) + (tuple(alpha) == (3,))
+
+    monkeypatch.setattr(orc, "oracle_separated_pair_count", off_by_one_at_the_end)
+    code, text = run_cli("table", "--n", "4", "--alphas", "1;2;3", "--method", "both")
+    assert code == EXIT_MISMATCH
+    flagged = [
+        record["parameters"]["alpha"]
+        for record in json.loads(text)["records"]
+        if "methods disagree; reporting all values" in record["warnings"]
+    ]
+    assert flagged == [[3], [3]]
 
 
 def test_json_round_trip_lossless():

@@ -21,6 +21,8 @@ BINOMIAL_BASIS = "permsep.polynomials"
 # costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
 # ``dis``, and records are written without ``json``.
 SLOW_STDLIB = ("dataclasses", "inspect", "json")
+# Worker-pool packages: ``verify`` forks its workers with `os.fork` directly.
+POOLS = ("concurrent.futures", "multiprocessing")
 
 
 def run_fresh(code: str) -> str:
@@ -85,14 +87,14 @@ def test_import_permsep_loads_only_errors_and_partitions():
 
 
 def loaded_by(argv: list[str]) -> tuple[int, list[str]]:
-    """Exit code and the permsep and `SLOW_STDLIB` modules loaded by one call,
-    read before the harness itself imports ``json`` to print them."""
+    """Exit code and the permsep, `SLOW_STDLIB` and `POOLS` modules loaded by
+    one call, read before the harness itself imports ``json`` to print them."""
     out = run_fresh(
         f"""
         import io, sys
         from permsep.cli import main
         code = main({argv!r}, stdout=io.StringIO())
-        names = [m for m in sys.modules if m.startswith("permsep") or m in {SLOW_STDLIB!r}]
+        names = [m for m in sys.modules if m.startswith("permsep") or m in {SLOW_STDLIB + POOLS!r}]
         import json
         print(json.dumps([code, sorted(names)]))
         """
@@ -134,10 +136,10 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
     unneeded = {"permsep.perms", "permsep.separation", BINOMIAL_BASIS, "permsep.strong",
                 "permsep.subcommands", *VERIFY_ONLY}
     assert not (unneeded | set(SLOW_STDLIB)) & set(modules), modules
-    code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4"])
+    code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4", "--threads", "2"])
     assert code == 0
     assert {"permsep.verification", "permsep.strong", "permsep.symfunc"} <= set(modules)
-    assert not set(SLOW_STDLIB) & set(modules), modules
+    assert not set(SLOW_STDLIB + POOLS) & set(modules), modules
     for argv in (
         ["strong", "--lambda", "4,3", "--m", "4"],
         ["connection", "--lambda", "4,3", "--alpha", "5,2"],
@@ -152,10 +154,10 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1171),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 930),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1338),
-        (["hz", "--N", "6"], 1388),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1170),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 929),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1337),
+        (["hz", "--N", "6"], 1387),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )
