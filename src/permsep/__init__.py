@@ -71,7 +71,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "connection_coefficient",
-            "refinement_coefficient",
             "strong_probability_table",
             "strong_separation_probability",
         ),

@@ -4,15 +4,16 @@ The queries compute each quantity one way and check it against one oracle
 (`permsep.oracles`).  This module holds the rest: the closed forms of the
 auxiliary objects behind the derivations (colored factorizations, separated
 colored quadruples, marked compositions, colored matchings), the piecewise
-two-cycle form, the involution series in monomials, two polynomial
-identities, and the coloring, involution, colored-matching, strong and
-connection oracles.  The ``*_literal`` oracles enumerate every structure one
-by one as `Permutation` objects, to validate the counting oracles at tiny
-sizes.  The coloring oracles read the product-type tally of each class of
-S_n (`oracles.product_type_histogram`), so a class with no coloring of the
-profile costs one step.  Connection coefficients tally the full cycles once
-per representative.  Each oracle has one fixed ground-set limit, a module
-constant, and checks it once, before it enumerates anything.
+two-cycle form, the involution series in monomials, the weak-to-strong
+refinement matrix, two polynomial identities, and the coloring, involution,
+colored-matching, strong and connection oracles.  The ``*_literal`` oracles
+enumerate every structure one by one as `Permutation` objects, to validate
+the counting oracles at tiny sizes.  The coloring oracles read the
+product-type tally of each class of S_n (`oracles.product_type_histogram`),
+so a class with no coloring of the profile costs one step.  Connection
+coefficients tally the full cycles once per representative.  Each oracle has
+one fixed ground-set limit, a module constant, and checks it once, before it
+enumerates anything.
 """
 
 from __future__ import annotations
@@ -158,6 +159,52 @@ def involution_series_monomial(pairs: int, alpha: Iterable[int]) -> Poly:
     (undoing the t + k shift)."""
     alpha = as_composition(alpha)
     return involution_series(pairs, alpha).to_monomial_shifted(-len(alpha))
+
+
+@lru_cache(maxsize=None)
+def refinement_matrix(size: int) -> tuple[tuple[int, ...], ...]:
+    """The weak-to-strong system over the partitions of ``size``.
+
+    Entry (A, mu) counts the set partitions with piece sizes mu that refine a
+    fixed set partition with block sizes A; rows and columns follow
+    `partitions(size)` (reverse-lexicographic, dominance-compatible).  Each
+    row is built one part a of A at a time, over the states {piece type so
+    far: ways}: the part splits into pieces nu of a in
+    a! / (prod nu_i! prod mult_j(nu)!) ways.  The matrix is upper triangular
+    with unit diagonal, hence exactly invertible.
+    """
+    index = partitions(size)
+    position = {lam: i for i, lam in enumerate(index)}
+    splits = {
+        a: [
+            (
+                nu,
+                math.factorial(a)
+                // math.prod(math.factorial(k) for k in (*nu, *Counter(nu).values())),
+            )
+            for nu in partitions(a)
+        ]
+        for a in range(1, size + 1)
+    }
+    rows = []
+    for i, coarse in enumerate(index):
+        states: dict[Partition, int] = {(): 1}
+        for part in coarse:
+            grown: dict[Partition, int] = {}
+            for pieces, ways in states.items():
+                for nu, split in splits[part]:
+                    key = sorted_partition(pieces + nu)
+                    grown[key] = grown.get(key, 0) + ways * split
+            states = grown
+        row = [0] * len(index)
+        for mu, ways in states.items():
+            row[position[mu]] = ways
+        if row[i] != 1 or any(row[:i]):
+            raise InvariantError(
+                f"refinement matrix at size {size} is not unit upper triangular"
+            )
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

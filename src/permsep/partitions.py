@@ -112,10 +112,6 @@ def all_compositions(total: int) -> Iterator[Composition]:
         yield from compositions(total, length)
 
 
-def multiplicities(parts: Iterable[int]) -> Counter:
-    return Counter(parts)
-
-
 def centralizer_order(partition: Iterable[int]) -> int:
     """Order of the centralizer of a permutation with the given cycle type.
 
@@ -124,7 +120,7 @@ def centralizer_order(partition: Iterable[int]) -> int:
     """
     lam = sorted_partition(partition)
     result = 1
-    for size, mult in multiplicities(lam).items():
+    for size, mult in Counter(lam).items():
         result *= size**mult * math.factorial(mult)
     return result
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Composition, as_composition, multinomial
+from .partitions import Composition, as_composition
 from .perms import Permutation
 
 BlockTuple = tuple[frozenset[int], ...]
@@ -55,15 +55,6 @@ def disjoint_block_tuples(n: int, sizes: Iterable[int]) -> Iterator[BlockTuple]:
             acc.pop()
 
     yield from build(tuple(range(n)), sizes, [])
-
-
-def block_tuple_count(n: int, sizes: Iterable[int]) -> int:
-    """Number of ordered tuples of disjoint blocks with the given sizes."""
-    sizes = as_composition(sizes)
-    m = sum(sizes)
-    if m > n:
-        return 0
-    return multinomial(list(sizes) + [n - m])
 
 
 def is_separated(perm: Permutation, blocks: Sequence[frozenset[int]]) -> bool:

@@ -7,8 +7,8 @@ set partitions refining the blocks, of "that refinement strongly separated",
 so Moebius inversion on the set-partition lattice gives each strong
 probability in closed form from at most m weak pair counts.  The same
 relation grouped by refinement type, a unit upper-triangular matrix over the
-partitions of m, is kept only as the reference for the round trip of
-criterion 11 and the tests.
+partitions of m, is `permsep.crosscheck.refinement_matrix`: the reference
+for the round trip of criterion 11 and the tests, which no query builds.
 
 When the blocks cover the whole ground set, a strongly separated product has
 the blocks as its exact cycle sets, which ties the strong probability to the
@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from .errors import InvariantError
 from .formulas import cycle_polynomial, separated_pair_count
@@ -33,98 +32,9 @@ from .partitions import (
     as_composition,
     as_partition,
     conjugacy_class_size,
-    multiplicities,
     partitions,
     sorted_partition,
 )
-
-Segmentation = tuple[Partition, ...]
-
-
-def set_partition_count(block_size: int, piece_sizes: Iterable[int]) -> int:
-    """Number of set partitions of a block_size-set with the given piece sizes."""
-    pieces = as_partition(sorted(piece_sizes, reverse=True))
-    if sum(pieces) != block_size:
-        raise ValueError(
-            f"pieces {pieces} do not partition a block of size {block_size}"
-        )
-    ways = math.factorial(block_size)
-    for piece in pieces:
-        ways //= math.factorial(piece)
-    for mult in multiplicities(pieces).values():
-        ways //= math.factorial(mult)
-    return ways
-
-
-def refinement_coefficient(alpha: Iterable[int], segments: Segmentation) -> int:
-    """Ways of slicing each block of ``alpha`` into set pieces matching the
-    corresponding segment (a partition of that block's size)."""
-    alpha = as_composition(alpha, allow_empty=False)
-    if len(segments) != len(alpha):
-        raise ValueError("one segment per part of alpha is required")
-    ways = 1
-    for part, segment in zip(alpha, segments):
-        ways *= set_partition_count(part, segment)
-    return ways
-
-
-def segmented_refinements(alpha: Iterable[int]) -> Iterator[Segmentation]:
-    """All segmentations of ``alpha``: one partition per part, in stream order
-    of `partitions` within each part."""
-    alpha = as_composition(alpha, allow_empty=False)
-
-    def build(i: int, acc: list[Partition]) -> Iterator[Segmentation]:
-        if i == len(alpha):
-            yield tuple(acc)
-            return
-        for piece in partitions(alpha[i]):
-            acc.append(piece)
-            yield from build(i + 1, acc)
-            acc.pop()
-
-    return build(0, [])
-
-
-def flatten_segments(segments: Segmentation) -> Partition:
-    parts: list[int] = []
-    for segment in segments:
-        parts.extend(segment)
-    return sorted_partition(parts)
-
-
-class RefinementMatrix(NamedTuple):
-    """The weak-to-strong system over the partitions of one total size.
-
-    Rows and columns are indexed by `partitions(size)` (reverse-lexicographic,
-    dominance-compatible); entry (A, mu) sums the slicing counts over all
-    segmentations of A whose pieces sort to mu.  The matrix is upper
-    triangular with unit diagonal, hence exactly invertible.
-    """
-
-    size: int
-    index: tuple[Partition, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def refinement_matrix(size: int) -> RefinementMatrix:
-    index = partitions(size)
-    position = {lam: i for i, lam in enumerate(index)}
-    rows = []
-    for coarse in index:
-        row = [0] * len(index)
-        for segments in segmented_refinements(coarse):
-            row[position[flatten_segments(segments)]] += refinement_coefficient(
-                coarse, segments
-            )
-        rows.append(tuple(row))
-    matrix = RefinementMatrix(size=size, index=index, rows=tuple(rows))
-    for i in range(len(index)):
-        if matrix.rows[i][i] != 1 or any(matrix.rows[i][:i]):
-            raise InvariantError(
-                f"refinement matrix at size {size} is not unit upper triangular"
-            )
-    return matrix
 
 
 def strong_separation_probability(

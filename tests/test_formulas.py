@@ -17,7 +17,6 @@ from permsep.partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from permsep.separation import block_tuple_count
 from permsep.symfunc import power_sum_coefficient
 
 
@@ -470,14 +469,14 @@ def _draw_alpha(data, n):
 def _draw_separation(data):
     lam = sorted_partition(_draw_parts(data, data.draw(st.integers(1, 20))))
     alpha = _draw_alpha(data, sum(lam))
-    space = block_tuple_count(sum(lam), alpha) * conjugacy_class_size(lam)
+    space = fm.pair_space(sum(lam), alpha, conjugacy_class_size(lam))
     return fm.separation_probability(lam, alpha), space
 
 
 def _draw_two_cycles(data):
     n = data.draw(st.integers(1, 20))
     alpha = _draw_alpha(data, n)
-    space = block_tuple_count(n, alpha) * conjugacy_class_size((n,))
+    space = fm.pair_space(n, alpha, conjugacy_class_size((n,)))
     return fm.separation_probability_two_cycles(n, alpha), space
 
 
@@ -485,14 +484,14 @@ def _draw_p_cycles(data):
     n = data.draw(st.integers(1, 20))
     p = data.draw(st.integers(1, n))
     alpha = _draw_alpha(data, n)
-    space = block_tuple_count(n, alpha) * stirling_first_unsigned(n, p)
+    space = fm.pair_space(n, alpha, stirling_first_unsigned(n, p))
     return fm.separation_probability_p_cycles(n, p, alpha), space
 
 
 def _draw_involution(data):
     pairs = data.draw(st.integers(1, 10))
     alpha = _draw_alpha(data, 2 * pairs)
-    space = block_tuple_count(2 * pairs, alpha) * conjugacy_class_size((2,) * pairs)
+    space = fm.pair_space(2 * pairs, alpha, conjugacy_class_size((2,) * pairs))
     return pl.separation_probability_involution(pairs, alpha), space
 
 
@@ -501,7 +500,7 @@ def _draw_fixed_point_lift(data):
     r = data.draw(st.integers(0, 20 - sum(lam)))
     alpha = _draw_alpha(data, sum(lam) + r)
     extended = sorted_partition(lam + (1,) * r)
-    space = block_tuple_count(sum(extended), alpha) * conjugacy_class_size(extended)
+    space = fm.pair_space(sum(extended), alpha, conjugacy_class_size(extended))
     return fm.add_fixed_points_probability(lam, r, alpha), space
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from permsep.formulas import SepResult
 from permsep.polynomials import BinomialPolynomial
-from permsep.strong import RefinementMatrix
 from permsep.symfunc import TransitionMatrices
 from permsep.verification import CheckResult
 
@@ -49,21 +48,6 @@ def test_binomial_polynomial():
     assert_immutable(poly, "coeffs")
     assert repr(BinomialPolynomial({1: Fraction(2)})) == (
         "BinomialPolynomial(coeffs={1: Fraction(2, 1)})"
-    )
-
-
-def test_refinement_matrix():
-    with pytest.raises(TypeError):
-        RefinementMatrix(size=2, index=((2,), (1, 1)))  # rows has no default
-    rows = ((1, 1), (0, 1))
-    full = RefinementMatrix(2, ((2,), (1, 1)), rows)
-    assert full == RefinementMatrix(size=2, index=((2,), (1, 1)), rows=rows)
-    assert full != RefinementMatrix(2, ((2,), (1, 1)), ((1, 0), (0, 1)))
-    assert hash(full) == hash(RefinementMatrix(2, ((2,), (1, 1)), rows))
-    assert full.rows[full.index.index((2,))][full.index.index((1, 1))] == 1
-    assert_immutable(full, "rows")
-    assert repr(full) == (
-        "RefinementMatrix(size=2, index=((2,), (1, 1)), rows=((1, 1), (0, 1)))"
     )
 
 

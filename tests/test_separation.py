@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsep.formulas import pair_space
 from permsep.partitions import all_compositions
 from permsep.perms import Permutation
 from permsep.separation import (
-    block_tuple_count,
     disjoint_block_tuples,
     is_separated,
     is_strongly_separated,
@@ -82,7 +82,7 @@ def test_block_tuple_stream_counts():
             if not alpha:
                 continue
             stream = list(disjoint_block_tuples(n, alpha))
-            assert len(stream) == block_tuple_count(n, alpha)
+            assert len(stream) == pair_space(n, alpha, 1)
             assert len(set(stream)) == len(stream)
             for tup in stream:
                 assert tuple(len(b) for b in tup) == alpha

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,54 +8,59 @@ import pytest
 from permsep import crosscheck as xc
 from permsep import strong as st
 from permsep.cli import main
-from permsep.formulas import separation_probability
-from permsep.partitions import conjugacy_class_size, partitions
-from permsep.separation import block_tuple_count
+from permsep.formulas import pair_space, separation_probability
+from permsep.partitions import conjugacy_class_size, partitions, sorted_partition
 
 
-def test_set_partition_count():
-    assert st.set_partition_count(4, (2, 2)) == 3
-    assert st.set_partition_count(2, (1, 1)) == 1
-    assert st.set_partition_count(3, (3,)) == 1
-    assert st.set_partition_count(4, (2, 1, 1)) == 6
-    with pytest.raises(ValueError):
-        st.set_partition_count(3, (2, 2))
-
-
-def test_refinement_coefficient_examples():
-    assert st.refinement_coefficient((2, 1), ((2,), (1,))) == 1
-    assert st.refinement_coefficient((2, 1), ((1, 1), (1,))) == 1
-    assert st.refinement_coefficient((4,), ((2, 2),)) == 3
-    with pytest.raises(ValueError):
-        st.refinement_coefficient((2, 1), ((2,),))  # wrong number of segments
-    with pytest.raises(ValueError):
-        st.refinement_coefficient((2, 1), ((3,), (1,)))  # segment size mismatch
-
-
-def test_segmented_refinements():
-    segs = list(st.segmented_refinements((2, 1)))
-    assert segs == [((2,), (1,)), ((1, 1), (1,))]
-    # number of segmentations is the product of partition counts of the parts
-    assert len(list(st.segmented_refinements((3, 2)))) == 3 * 2
+def _set_partitions(elements):
+    """Every set partition of ``elements``, as lists of pieces."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for smaller in _set_partitions(rest):
+        yield [[first]] + smaller
+        for i, piece in enumerate(smaller):
+            yield smaller[:i] + [[first] + piece] + smaller[i + 1:]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_refinement_matrix_is_unit_upper_triangular(m):
-    matrix = st.refinement_matrix(m)
-    size = len(matrix.index)
-    for i in range(size):
-        assert matrix.rows[i][i] == 1
+    rows = xc.refinement_matrix(m)
+    assert len(rows) == len(partitions(m))
+    for i in range(len(rows)):
+        assert rows[i][i] == 1
         for j in range(i):
-            assert matrix.rows[i][j] == 0
+            assert rows[i][j] == 0
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_refinement_matrix_counts_refining_set_partitions(m):
+    # row A tallies, by sorted piece sizes, the set partitions of {0..m-1}
+    # that refine its consecutive blocks of sizes A (Bell(7) = 877 in all)
+    every = list(_set_partitions(list(range(m))))
+    index = partitions(m)
+    for coarse, row in zip(index, xc.refinement_matrix(m)):
+        block_of = [b for b, size in enumerate(coarse) for _ in range(size)]
+        tally = Counter(
+            sorted_partition(map(len, pieces))
+            for pieces in every
+            if all(len({block_of[x] for x in piece}) == 1 for piece in pieces)
+        )
+        assert {mu: ways for mu, ways in zip(index, row) if ways} == tally
 
 
 def test_refinement_matrix_entries():
-    matrix = st.refinement_matrix(3)
-    assert matrix.index == ((3,), (2, 1), (1, 1, 1))
-    # rows and columns follow the index: (3,), (2, 1), (1, 1, 1)
-    assert matrix.rows[0][1] == 3  # three ways to split a 3-set into 2+1
-    assert matrix.rows[0][2] == 1
-    assert matrix.rows[1][2] == 1
+    # rows and columns follow partitions(3): (3,), (2, 1), (1, 1, 1)
+    assert partitions(3) == ((3,), (2, 1), (1, 1, 1))
+    rows = xc.refinement_matrix(3)
+    assert rows[0][1] == 3  # three ways to split a 3-set into 2+1
+    assert rows[0][2] == 1
+    assert rows[1][2] == 1
+    index = partitions(4)
+    row = xc.refinement_matrix(4)[index.index((4,))]
+    assert row[index.index((2, 2))] == 3
+    assert row[index.index((2, 1, 1))] == 6
 
 
 def test_strong_probability_tables_frozen():
@@ -80,11 +86,9 @@ def test_singleton_profiles_strong_equals_weak():
 
 def _assert_round_trip(lam, m):
     table = st.strong_probability_table(lam, m)
-    matrix = st.refinement_matrix(m)
-    for i, coarse in enumerate(matrix.index):
-        recombined = sum(
-            coeff * table[fine] for coeff, fine in zip(matrix.rows[i], matrix.index)
-        )
+    index = partitions(m)
+    for coarse, row in zip(index, xc.refinement_matrix(m)):
+        recombined = sum(coeff * table[fine] for coeff, fine in zip(row, index))
         assert recombined == separation_probability(lam, coarse).probability
 
 
@@ -107,9 +111,7 @@ def test_strong_probabilities_match_oracle():
                 table = st.strong_probability_table(lam, m)
                 for beta, prob in table.items():
                     count = xc.oracle_strong_pair_count(lam, beta)
-                    assert prob == Fraction(
-                        count, block_tuple_count(n, beta) * space_base
-                    )
+                    assert prob == Fraction(count, pair_space(n, beta, space_base))
 
 
 def test_connection_coefficients_examples():
@@ -158,10 +160,10 @@ def test_full_cycle_times_full_cycle_is_full_cycle(n):
 
 
 def test_query_path_never_builds_the_refinement_matrix():
-    st.refinement_matrix.cache_clear()
+    xc.refinement_matrix.cache_clear()
     sink = io.StringIO()
     assert main(["strong", "--lambda", "4,3,2,1", "--m", "8"], stdout=sink) == 0
     assert main(
         ["connection", "--lambda", "3,3,3,2,1", "--alpha", "4,4,2,1,1"], stdout=sink
     ) == 0
-    assert st.refinement_matrix.cache_info().currsize == 0
+    assert xc.refinement_matrix.cache_info().currsize == 0

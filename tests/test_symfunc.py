@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from permsep.partitions import stirling_first_unsigned
 from permsep.symfunc import (
     cycle_count_power_coefficient,
     expand_power_sum_in_monomials,
@@ -114,5 +115,10 @@ def test_cycle_count_coefficient_examples():
 def test_cycle_count_coefficient_sweep(n):
     for p in range(1, n + 1):
         for length in range(1, n + 1):
-            cycle_count_power_coefficient(n, p, length)  # raises on mismatch
+            expected = (
+                (-1) ** (length - p)
+                * math.comb(n - 1, length - 1)
+                * Fraction(stirling_first_unsigned(length, p), math.factorial(length))
+            )
+            assert cycle_count_power_coefficient(n, p, length) == expected
 
