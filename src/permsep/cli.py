@@ -5,34 +5,29 @@ Every computing subcommand emits a JSON envelope
 can emit CSV instead.  Counts are decimal strings and probabilities are
 "p/q" strings in lowest terms, so records round-trip losslessly; ``--float``
 adds a 15-significant-digit decimal rendering (display only); counts of any
-length are rendered, whatever CPython's int-to-str digit limit.  ``verify``
-prints one PASS/FAIL line per criterion group and nothing else; ``--threads``
-is the number of worker processes its checks are split over, the caller being
-one, and the output is byte-identical for any value.  The oracle paths of
-``sep-prob`` and ``table`` enumerate serially.
+length are rendered, whatever CPython's int-to-str digit limit.
 
 Exit codes: 0 success, 1 verification mismatch (including ``--method both``
-disagreement), 2 invalid arguments, 3 oracle budget exceeded.
+disagreement), 2 invalid arguments, 3 oracle budget exceeded, 141 stdout
+closed by its reader (128 + SIGPIPE, as a shell reports a process it kills).
 
 Each subcommand imports the modules it runs when it runs, so a fresh process
 pays only for its own subcommand: ``sep-prob`` loads `permsep.formulas`, and
-``--method oracle`` adds `permsep.oracles`.  This module holds only the four
+``--method oracle`` adds `permsep.oracles`.  This module holds the four
 single-result queries (``sep-prob``, ``ncycle``, ``pcycles``, ``lift``) and
 what every subcommand shares; the other seven live in `permsep.subcommands`.
-The parser is built the same way: `_build_parser` iterates one table of
-(name, help, add-arguments function), and a call whose first argument names
-a subcommand builds only that subparser, importing `permsep.subcommands`
-only for one of its seven; no arguments, ``-h`` or an unknown name build all
-of them.  Records are written by a small encoder that prints the bytes of
-``json.dump(..., indent=2)`` one record at a time, so no subcommand imports
-`json`.
+A well-formed call is parsed from its subcommand's option table, and any
+other call goes to `permsep.usage`, where argparse prints help or an error.
+Records are written by a small encoder that prints the bytes of
+``json.dump(..., indent=2)``, so no subcommand imports `json`.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
 
 from . import formulas as fm
@@ -43,6 +38,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_parts(text: str, what: str) -> tuple[int, ...]:
@@ -191,12 +187,27 @@ def _sep_results(lam, alpha, method: str) -> list[fm.SepResult]:
     return results
 
 
+# Each handler is followed by its subcommand's declaration: (handler, help,
+# options).  The options, in the order help lists them, are rows of (flag,
+# dest, kind, default, help): ``kind`` is str, int, bool for a flag or the
+# tuple of allowed values, and a default of ``...`` marks a required option.
+_FLOAT = ("--float", "float", bool, False, "also print a 15-significant-digit decimal (display only)")
+_METHOD = ("--method", "method", ("formula", "oracle", "both"), "formula", None)
+_N = ("--n", "n", int, ..., None)
+_ALPHA = ("--alpha", "alpha", str, ..., None)
+
+
 def _cmd_sep_prob(args, out: TextIO) -> int:
     lam, warnings = _parse_lambda(args.lam)
     alpha = _parse_alpha(args.alpha)
     results = _sep_results(lam, alpha, args.method)
     params = {"lambda": list(lam), "alpha": list(alpha)}
     return _emit_results(out, "sep-prob", params, results, args.float, warnings)
+
+
+_SEP_PROB = (_cmd_sep_prob, "separation probability for one cycle type", (
+    ("--lambda", "lam", str, ..., "cycle type, e.g. 2,2"),
+    ("--alpha", "alpha", str, ..., "block sizes, e.g. 1,1"), _METHOD, _FLOAT))
 
 
 def _cmd_ncycle(args, out: TextIO) -> int:
@@ -206,11 +217,18 @@ def _cmd_ncycle(args, out: TextIO) -> int:
     return _emit_results(out, "ncycle", params, [res], args.float)
 
 
+_NCYCLE = (_cmd_ncycle, "product of two uniform full cycles", (_N, _ALPHA, _FLOAT))
+
+
 def _cmd_pcycles(args, out: TextIO) -> int:
     alpha = _parse_alpha(args.alpha)
     res = fm.separation_probability_p_cycles(args.n, args.p, alpha)
     params = {"n": args.n, "p": args.p, "alpha": list(alpha)}
     return _emit_results(out, "pcycles", params, [res], args.float)
+
+
+_PCYCLES = (_cmd_pcycles, "left factor uniform with p cycles",
+            (_N, ("--p", "p", int, ..., None), _ALPHA, _FLOAT))
 
 
 def _cmd_lift(args, out: TextIO) -> int:
@@ -221,100 +239,81 @@ def _cmd_lift(args, out: TextIO) -> int:
     return _emit_results(out, "lift", params, [res], args.float, warnings)
 
 
-def _add_float(p) -> None:
-    float_help = "also print a 15-significant-digit decimal (display only)"
-    p.add_argument("--float", action="store_true", help=float_help)
+_LIFT = (_cmd_lift, "add fixed points to the cycle type", (
+    ("--lambda", "lam", str, ..., "base type, parts >= 2"),
+    ("--r", "r", int, ..., "fixed points to add"), _ALPHA, _FLOAT))
+
+# Every subcommand's declaration, or the name of one in `permsep.subcommands`,
+# in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "sep-prob": _SEP_PROB, "ncycle": _NCYCLE, "pcycles": _PCYCLES, "involution": "_INVOLUTION",
+    "lift": _LIFT, "strong": "_STRONG", "connection": "_CONNECTION", "gtable": "_GTABLE",
+    "hz": "_HZ", "verify": "_VERIFY", "table": "_TABLE",
+}
 
 
-def _add_method(p) -> None:
-    p.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
+def _command(name: str) -> tuple | None:
+    """The declaration of the subcommand ``name``, or None if there is none."""
+    command = _SUBCOMMANDS.get(name)
+    if isinstance(command, str):
+        from . import subcommands
+
+        command = getattr(subcommands, command)
+    return command
 
 
-def _add_sep_prob(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True, help="cycle type, e.g. 2,2")
-    p.add_argument("--alpha", required=True, help="block sizes, e.g. 1,1")
-    _add_method(p)
-    _add_float(p)
-    p.set_defaults(func=_cmd_sep_prob)
-
-
-def _add_ncycle(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    _add_float(p)
-    p.set_defaults(func=_cmd_ncycle)
-
-
-def _add_pcycles(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    _add_float(p)
-    p.set_defaults(func=_cmd_pcycles)
-
-
-def _add_lift(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True, help="base type, parts >= 2")
-    p.add_argument("--r", type=int, required=True, help="fixed points to add")
-    p.add_argument("--alpha", required=True)
-    _add_float(p)
-    p.set_defaults(func=_cmd_lift)
-
-
-# (name, help, add-arguments function or the name of one in
-# `permsep.subcommands`), in the order ``--help`` lists them.
-_SUBCOMMANDS = (
-    ("sep-prob", "separation probability for one cycle type", _add_sep_prob),
-    ("ncycle", "product of two uniform full cycles", _add_ncycle),
-    ("pcycles", "left factor uniform with p cycles", _add_pcycles),
-    ("involution", "left factor a uniform fixed-point-free involution", "_add_involution"),
-    ("lift", "add fixed points to the cycle type", _add_lift),
-    ("strong", "strong separation probability table", "_add_strong"),
-    ("connection", "full-cycle factorization count", "_add_connection"),
-    ("gtable", "dump the generating-series coefficient table", "_add_gtable"),
-    ("hz", "one-face map vertex polynomial", "_add_hz"),
-    ("verify", "run the cross-verification suites", "_add_verify"),
-    ("table", "batch separation probabilities", "_add_table"),
-)
-
-
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser with just the subcommand named ``only``, or with all of
-    them when ``only`` names none; its help and error text are the same
-    either way."""
-    parser = argparse.ArgumentParser(
-        prog="permsep",
-        description="Exact separation probabilities for products of random permutations.",
-    )
-    chosen = [entry for entry in _SUBCOMMANDS if entry[0] == only]
-    # Built alone, a subcommand still lists every name in the top-level
-    # usage line, which argparse prints for an unrecognized argument.
-    names = ",".join(name for name, _, _ in _SUBCOMMANDS)
-    metavar = f"{{{names}}}" if chosen else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, add_arguments in chosen or _SUBCOMMANDS:
-        if isinstance(add_arguments, str):
-            from . import subcommands
-
-            add_arguments = getattr(subcommands, add_arguments)
-        add_arguments(sub.add_parser(name, help=help_text))
-    return parser
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for a well-formed call: an exact
+    subcommand name, then exact option names, each but a flag followed by a
+    value not starting with ``-``, covering every required option with valid
+    ints and choices; the last occurrence of an option wins.  None for any
+    other call (``-h``, ``--opt=value``, an abbreviation, ...)."""
+    command = _command(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, options = command
+    rows = {row[0]: row for row in options}
+    values = {dest: default for _, dest, _, default, _ in options}
+    tokens = iter(argv[1:])
+    try:  # KeyError: an unknown option, StopIteration: no value, ValueError: a bad int
+        for token in tokens:
+            _, dest, kind, _, _ = rows[token]
+            value = True if kind is bool else next(tokens)
+            if value is not True and value.startswith("-"):
+                return None
+            values[dest] = int(value) if kind is int else value  # before `main` lifts the limit
+            if isinstance(kind, tuple) and value not in kind:
+                return None
+    except (KeyError, StopIteration, ValueError):
+        return None
+    if ... in values.values():  # a required option is missing
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _parse_well_formed(argv)
+    if args is None:
+        from .usage import _build_parser
+
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # Counts can run past CPython's int-to-str limit (4,300 digits by
     # default): lift it while the subcommand runs, then restore it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: send the flush at exit nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"permsep: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,17 +1,26 @@
 """The seven subcommands beyond the single-result queries: ``involution``,
 ``strong``, ``connection``, ``gtable``, ``hz``, ``verify`` and ``table``.
 
-`permsep.cli` imports this module only to build one of their subparsers, so
-``sep-prob``, ``ncycle``, ``pcycles`` and ``lift`` never compile it.
+``verify`` prints one PASS/FAIL line per criterion group and nothing else;
+``--threads`` is the number of worker processes its checks are split over,
+the caller being one, and the output is byte-identical for any value.  The
+oracle paths of ``sep-prob`` and ``table`` enumerate serially.
+
+Each handler is followed by its subcommand's declaration, in the format
+`permsep.cli` documents.  `permsep.cli` imports this module to run one of
+these handlers, and `permsep.usage` to print help or an error, so a
+well-formed ``sep-prob``, ``ncycle``, ``pcycles`` or ``lift`` never compiles it.
 """
 
 from __future__ import annotations
 
 from typing import TextIO
 
-from .cli import EXIT_MISMATCH, EXIT_OK, _add_float, _add_method, _emit_json, _parse_alpha
+from .cli import _ALPHA, _FLOAT, _METHOD, _N, EXIT_MISMATCH, EXIT_OK, _emit_json, _parse_alpha
 from .cli import _parse_lambda, _record, _result_records, _sep_results
 from .partitions import partitions
+
+_LAMBDA = ("--lambda", "lam", str, ..., None)
 
 
 def _cmd_involution(args, out: TextIO) -> int:
@@ -31,6 +40,10 @@ def _cmd_involution(args, out: TextIO) -> int:
     return EXIT_OK
 
 
+_INVOLUTION = (_cmd_involution, "left factor a uniform fixed-point-free involution",
+               (("--N", "pairs", int, ..., "number of 2-cycles"), _ALPHA, _FLOAT))
+
+
 def _cmd_strong(args, out: TextIO) -> int:
     from .strong import strong_probability_table
 
@@ -46,6 +59,10 @@ def _cmd_strong(args, out: TextIO) -> int:
     return EXIT_OK
 
 
+_STRONG = (_cmd_strong, "strong separation probability table",
+           (_LAMBDA, ("--m", "m", int, ..., "total block size"), _FLOAT))
+
+
 def _cmd_connection(args, out: TextIO) -> int:
     from .strong import connection_coefficient
 
@@ -56,6 +73,10 @@ def _cmd_connection(args, out: TextIO) -> int:
     record = _record("connection", params, method="strong-system", count=value, warnings=warnings)
     _emit_json([record], out)
     return EXIT_OK
+
+
+_CONNECTION = (_cmd_connection, "full-cycle factorization count",
+               (_LAMBDA, ("--alpha", "alpha", str, ..., "cycle type of the product, size n")))
 
 
 def _cmd_gtable(args, out: TextIO) -> int:
@@ -73,6 +94,10 @@ def _cmd_gtable(args, out: TextIO) -> int:
     return EXIT_OK
 
 
+_GTABLE = (_cmd_gtable, "dump the generating-series coefficient table",
+           (_N, ("--m", "m", int, ..., None), ("--k", "k", int, ..., None)))
+
+
 def _cmd_hz(args, out: TextIO) -> int:
     from .polynomials import one_face_map_series
 
@@ -84,6 +109,9 @@ def _cmd_hz(args, out: TextIO) -> int:
     record = _record("hz", {"N": args.pairs}, method="one-face-maps", details=details)
     _emit_json([record], out)
     return EXIT_OK
+
+
+_HZ = (_cmd_hz, "one-face map vertex polynomial", (("--N", "pairs", int, ..., "number of edges"),))
 
 
 def _cmd_verify(args, out: TextIO) -> int:
@@ -99,6 +127,15 @@ def _cmd_verify(args, out: TextIO) -> int:
         return EXIT_MISMATCH
     out.write(f"OK ({len(results)} check groups)\n")
     return EXIT_OK
+
+
+_VERIFY = (_cmd_verify, "run the cross-verification suites", (
+    ("--suite", "suite", str, "all",
+     '"all" or one suite name from permsep.verification.SUITE_ORDER'),
+    ("--max-n", "max_n", int, 6, None),
+    ("--threads", "threads", int, 1,
+     "worker processes the checks are split over, the caller being one"),
+))
 
 
 def _cmd_table(args, out: TextIO) -> int:
@@ -145,54 +182,13 @@ def _cmd_table(args, out: TextIO) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _add_involution(p) -> None:
-    p.add_argument("--N", dest="pairs", type=int, required=True, help="number of 2-cycles")
-    p.add_argument("--alpha", required=True)
-    _add_float(p)
-    p.set_defaults(func=_cmd_involution)
-
-
-def _add_strong(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--m", type=int, required=True, help="total block size")
-    _add_float(p)
-    p.set_defaults(func=_cmd_strong)
-
-
-def _add_connection(p) -> None:
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--alpha", required=True, help="cycle type of the product, size n")
-    p.set_defaults(func=_cmd_connection)
-
-
-def _add_gtable(p) -> None:
-    for name in ("--n", "--m", "--k"):
-        p.add_argument(name, type=int, required=True)
-    p.set_defaults(func=_cmd_gtable)
-
-
-def _add_hz(p) -> None:
-    p.add_argument("--N", dest="pairs", type=int, required=True, help="number of edges")
-    p.set_defaults(func=_cmd_hz)
-
-
-def _add_verify(p) -> None:
-    suite_help = '"all" or one suite name from permsep.verification.SUITE_ORDER'
-    p.add_argument("--suite", default="all", help=suite_help)
-    p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    threads_help = "worker processes the checks are split over, the caller being one"
-    p.add_argument("--threads", type=int, default=1, help=threads_help)
-    p.set_defaults(func=_cmd_verify)
-
-
-def _add_table(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    lam_help = "cycle type (default: one n-cycle)"
-    p.add_argument("--lambda", dest="lam", default=None, help=lam_help)
-    alphas_help = '"all" or semicolon-separated block profiles, e.g. "1,1;2,1"'
-    p.add_argument("--alphas", default="all", help=alphas_help)
-    p.add_argument("--max-m", dest="max_m", type=int, default=None)
-    _add_method(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_float(p)
-    p.set_defaults(func=_cmd_table)
+_TABLE = (_cmd_table, "batch separation probabilities", (
+    _N,
+    ("--lambda", "lam", str, None, "cycle type (default: one n-cycle)"),
+    ("--alphas", "alphas", str, "all",
+     '"all" or semicolon-separated block profiles, e.g. "1,1;2,1"'),
+    ("--max-m", "max_m", int, None, None),
+    _METHOD,
+    ("--format", "format", ("json", "csv"), "json", None),
+    _FLOAT,
+))

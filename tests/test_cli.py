@@ -10,9 +10,8 @@ import textwrap
 
 import pytest
 
-from permsep.cli import (
-    _SUBCOMMANDS, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _build_parser, main,
-)
+from permsep.cli import _SUBCOMMANDS, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from permsep.usage import _build_parser
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -411,13 +410,13 @@ def parse_output(parser, argv):
 def test_help_lists_every_subcommand():
     code, text, _ = parse_output(_build_parser(), ["--help"])
     assert code == 0
-    names = [name for name, _, _ in _SUBCOMMANDS]
+    names = list(_SUBCOMMANDS)
     assert len(names) == 11
     assert all(f"    {name} " in text for name in names), text
     assert text.index("sep-prob") < text.index("table ")
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in _SUBCOMMANDS])
+@pytest.mark.parametrize("name", list(_SUBCOMMANDS))
 def test_subcommand_text_same_alone_or_with_all(name):
     alone, full = _build_parser(name), _build_parser()
     assert list(alone._subparsers._group_actions[0].choices) == [name]
@@ -429,3 +428,33 @@ def test_subcommand_text_same_alone_or_with_all(name):
     assert code == EXIT_USAGE and "error: " in error
     for argv in ([name, "--help"], [name], [name, "--bogus"]):
         assert parse_output(alone, argv) == parse_output(full, argv), argv
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sep-prob", "--lambda", "3,2", "--alpha", "1"],
+        ["table", "--n", "6", "--alphas", "all"],
+        ["verify", "--max-n", "4", "--threads", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, buffered):
+    # stdout is a pipe whose reader has gone before the first byte; buffered,
+    # the write fails only when stdout is flushed
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsep", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" at exit

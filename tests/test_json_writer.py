@@ -56,7 +56,8 @@ def test_an_int_past_the_int_to_str_limit_is_written_through_main(monkeypatch):
         cli._emit_json([{"operation": "ncycle", "count": big}], out)
         return cli.EXIT_OK
 
-    monkeypatch.setattr(cli, "_cmd_ncycle", handler)
+    _, help_text, options = cli._SUBCOMMANDS["ncycle"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "ncycle", (handler, help_text, options))
     out = io.StringIO()
     assert cli.main(["ncycle", "--n", "3", "--alpha", "1"], stdout=out) == cli.EXIT_OK
     limit = sys.get_int_max_str_digits()

@@ -19,10 +19,11 @@ HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.
 VERIFY_ONLY = ("permsep.verification", "permsep.crosscheck", "permsep.symfunc")
 # Only the involution, hz, gtable and verify subcommands load the binomial basis.
 BINOMIAL_BASIS = "permsep.polynomials"
-# Standard-library modules that no subcommand needs: ``dataclasses`` alone
-# costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
-# ``dis``, and records are written without ``json``.
-SLOW_STDLIB = ("dataclasses", "inspect", "json")
+# Standard-library modules that no well-formed call needs: ``dataclasses``
+# alone costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
+# ``dis``, records are written without ``json``, and ``argparse``, with the
+# ``gettext`` and ``locale`` its messages load, only prints help and errors.
+SLOW_STDLIB = ("dataclasses", "inspect", "json", "argparse", "gettext", "locale")
 # Worker-pool packages: ``verify`` forks its workers with `os.fork` directly.
 POOLS = ("concurrent.futures", "multiprocessing")
 
@@ -79,7 +80,7 @@ def test_public_names_are_their_defining_objects():
 
 def _names_used(tree: ast.AST) -> set[str]:
     """Names a subtree refers to: as a name, an attribute, an imported name or
-    a whole string constant (``cli._SUBCOMMANDS`` names its builders so)."""
+    a whole string constant (``cli._SUBCOMMANDS`` names its declarations so)."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -194,13 +195,27 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
         assert not set(SLOW_STDLIB) & set(modules), modules
 
 
+def test_help_still_runs_argparse_in_a_fresh_interpreter():
+    out = run_fresh(
+        """
+        import contextlib, io, sys
+        from permsep.cli import main
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(["--help"])
+        print(code, "argparse" in sys.modules, text.getvalue().startswith("usage: permsep "))
+        """
+    )
+    assert out == "0 True True\n"
+
+
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1165),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 924),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1242),
-        (["hz", "--N", "6"], 1382),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1164),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 923),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1237),
+        (["hz", "--N", "6"], 1377),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )
