@@ -17,7 +17,7 @@ pays only for its own subcommand: ``sep-prob`` loads `permsep.formulas`, and
 single-result queries (``sep-prob``, ``ncycle``, ``pcycles``, ``lift``) and
 what every subcommand shares; the other seven live in `permsep.subcommands`.
 A well-formed call is parsed from its subcommand's option table, and any
-other call goes to `permsep.usage`, where argparse prints help or an error.
+other call goes to argparse (`permsep.usage`); help is written as records are.
 Records are written by a small encoder that prints the bytes of
 ``json.dump(..., indent=2)``, so no subcommand imports `json`.
 """
@@ -296,12 +296,9 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_well_formed(argv)
     if args is None:
-        from .usage import _build_parser
+        from .usage import parse_args
 
-        try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = parse_args(argv)
     # Counts can run past CPython's int-to-str limit (4,300 digits by
     # default): lift it while the subcommand runs, then restore it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -323,7 +320,3 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

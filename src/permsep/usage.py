@@ -9,8 +9,33 @@ when it prints help or an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+from types import SimpleNamespace
 
-from .cli import _SUBCOMMANDS, _command
+from .cli import _SUBCOMMANDS, EXIT_OK, EXIT_USAGE, _command
+
+
+def _answer(args, out) -> int:
+    """The subcommand of a call that argparse answered itself."""
+    out.write(args.help)
+    return args.code
+
+
+def parse_args(argv: list[str]):
+    """What argparse parses from ``argv``.  Where argparse answers the call
+    itself, with help or with an error it has printed to stderr, a namespace
+    whose ``func`` writes the help text, if any, and returns the exit code:
+    `permsep.cli.main` then writes help as it writes records, flushed, and
+    exits 141 if stdout's reader has gone, an error that argparse's own
+    write would swallow or leave to the interpreter's exit."""
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):
+            return _build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit as exc:
+        code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return SimpleNamespace(func=_answer, help=help_text.getvalue(), code=code)
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:

@@ -437,6 +437,8 @@ def test_subcommand_text_same_alone_or_with_all(name):
         ["sep-prob", "--lambda", "3,2", "--alpha", "1"],
         ["table", "--n", "6", "--alphas", "all"],
         ["verify", "--max-n", "4", "--threads", "2"],
+        ["--help"],
+        ["strong", "--help"],
     ],
     ids=lambda argv: argv[0],
 )

@@ -56,9 +56,8 @@ def test_public_names_are_their_defining_objects():
             assert permsep.partitions is sys.modules["permsep.partitions"].partitions
 
         check("lazy")
-        for info in pkgutil.iter_modules(permsep.__path__):
-            if info.name != "__main__":
-                importlib.import_module(f"permsep.{info.name}")
+        for info in pkgutil.iter_modules(permsep.__path__):  # __main__ too, which runs nothing
+            importlib.import_module(f"permsep.{info.name}")
         check("after importing every submodule")
 
         namespace = {}
@@ -76,6 +75,21 @@ def test_public_names_are_their_defining_objects():
         """
     )
     assert out == "ok\n"
+
+
+def test_installed_script_runs_what_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as source:
+        target = tomllib.load(source)["project"]["scripts"]["permsep"]
+    with open(os.path.join(SRC, "permsep", "__main__.py"), encoding="utf-8") as source:
+        module = ast.parse(source.read())
+    # the module's last statement is ``if __name__ == "__main__": <entry>()``
+    guard = module.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    (call,) = guard.body
+    assert ast.unparse(call) == f"{target.split(':')[1]}()"
+    assert target.split(":")[0] == "permsep.__main__"
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -212,10 +226,10 @@ def test_help_still_runs_argparse_in_a_fresh_interpreter():
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1164),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 923),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1237),
-        (["hz", "--N", "6"], 1377),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1157),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 916),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1230),
+        (["hz", "--N", "6"], 1370),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )
