@@ -29,10 +29,12 @@ chi^(n-r, 1^r).  The count comes in four steps.
 With |C_lam| = n! / z_lam,
 count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
 one small-integer product (`cycle_polynomial`) and one weight vector per
-(n, m, k).  Dividing by `pair_space` turns counts into probabilities.  The
-module also holds the rest of what ``sep-prob``, ``table``, ``lift``,
-``ncycle``, ``pcycles``, ``strong`` and ``connection`` evaluate: the p-cycle
-and two-full-cycle closed forms and the fixed-point lift.
+(n, m, k).  The weights h_r(alpha) in place of n g_r give the connection
+coefficient of `permsep.strong` (Stanley 2011).  Dividing by `pair_space`
+turns counts into probabilities.  The module also holds the rest of what
+``sep-prob``, ``table``, ``lift``, ``ncycle``, ``pcycles``, ``strong`` and
+``connection`` evaluate: the p-cycle and two-full-cycle closed forms and the
+fixed-point lift.
 """
 
 from __future__ import annotations
@@ -87,26 +89,30 @@ def _hook_weights(n: int, m: int, k: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _separated_count(lam: Partition, m: int, k: int) -> int:
-    """Separated pairs for one cycle type:
-    (n / z_lam) sum_r (-1)^r h_r g_r r! (n-1-r)!, h_r the partial sums of q_lam."""
+def _hook_sum(lam: Partition, weights: Iterable[int], what: str) -> int:
+    """(1 / z_lam) sum_{r<n} (-1)^r h_r w_r r! (n-1-r)!, h_r the partial sums
+    of q_lam; raises unless the result is a nonnegative integer."""
     n = sum(lam)
     total = 0
-    hooks = accumulate(cycle_polynomial(lam))
     factorials = math.factorial(n - 1)  # r! (n-1-r)!, carried from r - 1
-    for r, (h, g) in enumerate(zip(hooks, _hook_weights(n, m, k))):
+    for r, (h, w) in enumerate(zip(accumulate(cycle_polynomial(lam)[:n]), weights)):
         if r:
             factorials = factorials * r // (n - r)
-        if g and h:
-            total += (-1) ** r * h * g * factorials
-    count, remainder = divmod(n * total, centralizer_order(lam))
+        if h and w:
+            total += (-1) ** r * h * w * factorials
+    count, remainder = divmod(total, centralizer_order(lam))
     if remainder or count < 0:
-        value = Fraction(n * total, centralizer_order(lam))
-        raise InvariantError(
-            f"separated pair count for {lam} not a nonnegative integer: {value}"
-        )
+        value = Fraction(total, centralizer_order(lam))
+        raise InvariantError(f"{what} for {lam} not a nonnegative integer: {value}")
     return count
+
+
+@lru_cache(maxsize=None)
+def _separated_count(lam: Partition, m: int, k: int) -> int:
+    """Separated pairs for one cycle type: the hook sum with weights n g_r."""
+    n = sum(lam)
+    weights = (n * g for g in _hook_weights(n, m, k))
+    return _hook_sum(lam, weights, "separated pair count")
 
 
 def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:

@@ -103,15 +103,6 @@ def compositions(total: int, length: int) -> Iterator[Composition]:
             yield (first,) + rest
 
 
-def all_compositions(total: int) -> Iterator[Composition]:
-    """All compositions of ``total``, by increasing length, lexicographic within."""
-    if total == 0:
-        yield ()
-        return
-    for length in range(1, total + 1):
-        yield from compositions(total, length)
-
-
 def centralizer_order(partition: Iterable[int]) -> int:
     """Order of the centralizer of a permutation with the given cycle type.
 

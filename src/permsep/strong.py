@@ -11,10 +11,12 @@ partitions of m, is `permsep.crosscheck.refinement_matrix`: the reference
 for the round trip of criterion 11 and the tests, which no query builds.
 
 When the blocks cover the whole ground set, a strongly separated product has
-the blocks as its exact cycle sets, which ties the strong probability to the
-number of ways of factoring a fixed permutation of type ``alpha`` into a
-class element times a full cycle; that factorization count is recovered here
-as an always-integer rescaling of the strong probability.
+the blocks as its exact cycle sets, so the strong probability at m = n
+counts the ways of factoring a fixed permutation of type ``alpha`` into a
+class element times a full cycle.  That connection coefficient is counted
+directly: the Frobenius formula, in which only hooks survive at the full
+cycle, makes it the weak count's hook sum with weights h_r(alpha), the
+partial sums of q_alpha, in place of n g_r.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InvariantError
-from .formulas import cycle_polynomial, separated_pair_count
+from .formulas import _hook_sum, cycle_polynomial, separated_pair_count
 from .partitions import (
     Composition,
     Partition,
@@ -104,17 +107,11 @@ def connection_coefficient(lam: Iterable[int], alpha: Iterable[int]) -> int:
     as (element of the class of lam) * (full cycle).
 
     Requires the blocks to cover the ground set (size of alpha equals n).
-    Recovered from the strong probability; integrality is asserted.
+    The hook sum of the weak count with weights h_r(alpha), the partial sums
+    of q_alpha; integrality is asserted.
     """
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    n = sum(lam)
-    if sum(alpha) != n:
+    if sum(alpha) != sum(lam):
         raise ValueError("alpha must have size n for connection coefficients")
-    value = strong_separation_probability(lam, alpha) * Fraction(
-        math.factorial(n - 1) * conjugacy_class_size(lam),
-        math.prod(math.factorial(a - 1) for a in alpha),
-    )
-    if value.denominator != 1 or value < 0:
-        raise InvariantError(f"connection coefficient not integral: {value}")
-    return int(value)
+    return _hook_sum(lam, accumulate(cycle_polynomial(alpha)), "connection coefficient")

@@ -32,7 +32,7 @@ from . import oracles as orc
 from . import polynomials as pl
 from . import strong as st
 from .partitions import (
-    all_compositions,
+    compositions,
     conjugacy_class_size,
     partitions,
     perfect_matching_count,
@@ -83,6 +83,12 @@ class _Recorder:
             checks=self.checks,
             failures=tuple(self.failures),
         )
+
+
+def all_compositions(total: int) -> Iterable[tuple[int, ...]]:
+    """All compositions of ``total`` >= 1, by increasing length, lexicographic within."""
+    for length in range(1, total + 1):
+        yield from compositions(total, length)
 
 
 def _block_profiles(total_max: int) -> Iterable[tuple[int, ...]]:
@@ -161,11 +167,7 @@ def check_colored_triples(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(6, max_n) + 1):
         for gamma in all_compositions(n):
-            if not gamma:
-                continue
             for delta in all_compositions(n):
-                if not delta:
-                    continue
                 rec.equal(
                     xc.oracle_colored_factorization_count(gamma, delta),
                     xc.colored_factorization_count(n, len(gamma), len(delta)),

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: queries at n = 5-290 must print exactly the recorded
+"""Golden CLI corpus: queries at n = 5-300 must print exactly the recorded
 stdout.
 
 ``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
@@ -15,8 +15,12 @@ four-block ``pcycles``, ``sep-prob --method both`` with the reordering
 warning, ``table --float`` and a CSV ``table --method both``) were recorded
 while every record was still written by ``json.dump(..., indent=2)`` and
 all eleven subcommands still lived in `permsep.cli`, just before the
-record writer and `permsep.subcommands` replaced them.  Any change in a
-digit, a key order or a warning fails the comparison.
+record writer and `permsep.subcommands` replaced them.  The last case,
+``connection`` at n = 300, was recorded while every connection coefficient
+was still the strong probability at m = n rescaled, built from n weak
+counts, just before the hook sum with the weights h_r(alpha) replaced that
+route.  Any change in a digit, a key order or a warning fails the
+comparison.
 """
 
 import io

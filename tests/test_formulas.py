@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from permsep import crosscheck as xc
 from permsep import formulas as fm
 from permsep import polynomials as pl
+from permsep.errors import InvariantError
 from permsep.partitions import (
     binomial,
     centralizer_order,
@@ -150,6 +151,16 @@ def test_cycle_polynomial_examples():
     assert fm.cycle_polynomial((2, 1)) == [1, -1, -1, 1]
     assert fm.cycle_polynomial((1, 1, 1)) == [1, -3, 3, -1]
     assert fm.cycle_polynomial((3,)) == [1, 0, 0, -1]
+
+
+def test_hook_sum_raises_on_a_non_integral_sum():
+    # h(3) = (1, 1, 1) and z = 3: weights (0, 1) leave -1 * 1! 1! / 3
+    with pytest.raises(InvariantError, match="-1/3"):
+        fm._hook_sum((3,), [0, 1], "test sum")
+    # weights (0, 3) give the integer -1, still refused for its sign
+    with pytest.raises(InvariantError, match="test sum for \\(3,\\)"):
+        fm._hook_sum((3,), [0, 3], "test sum")
+    assert fm._hook_sum((3,), [3], "test sum") == 2
 
 
 def test_p_cycle_sums_over_types_at_degree_twenty():

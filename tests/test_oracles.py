@@ -9,7 +9,6 @@ from permsep import crosscheck as xc
 from permsep import oracles as orc
 from permsep.errors import BudgetExceededError, InvariantError
 from permsep.partitions import (
-    all_compositions,
     binomial,
     conjugacy_class_size,
     partitions,
@@ -24,6 +23,7 @@ from permsep.separation import (
     is_separated,
     unmarked_cycle_count,
 )
+from permsep.verification import all_compositions
 
 
 def test_oracle_separated_pairs_examples():

@@ -5,6 +5,7 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -223,19 +224,8 @@ def test_help_still_runs_argparse_in_a_fresh_interpreter():
     assert out == "0 True True\n"
 
 
-@pytest.mark.parametrize(
-    "argv, budget",
-    [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1157),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 916),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1230),
-        (["hz", "--N", "6"], 1370),
-    ],
-    ids=["sep-prob-both", "sep-prob", "strong", "hz"],
-)
-def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
-    # A cold query compiles every module it loads, unless bytecode is cached;
-    # the sum of their lines bounds what the query path makes it compile.
+def lines_loaded(argv: list[str]) -> tuple[int, int]:
+    """Exit code and the summed line count of the permsep modules one call loads."""
     out = run_fresh(
         f"""
         import io, json, sys
@@ -250,5 +240,80 @@ def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
         """
     )
     code, lines = json.loads(out)
+    return code, lines
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1154),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 913),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1224),
+        (["hz", "--N", "6"], 1367),
+    ],
+    ids=["sep-prob-both", "sep-prob", "strong", "hz"],
+)
+def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
+    # A cold query compiles every module it loads, unless bytecode is cached;
+    # the sum of their lines bounds what the query path makes it compile.
+    code, lines = lines_loaded(argv)
     assert code == 0
     assert lines <= budget, lines
+
+
+README = os.path.join(os.path.dirname(SRC), "README.md")
+LOAD_TABLE_HEADER = "| subcommand | modules loaded | permsep lines loaded |\n| --- | --- | --- |\n"
+# One call per row of the README's load table, keyed by the row's first cell;
+# the `table` row gives two counts, without and with the oracles.
+LOAD_TABLE_CALLS = {
+    "`sep-prob`, `ncycle`, `pcycles`, `lift`": [
+        ["lift", "--lambda", "4,3", "--r", "1", "--alpha", "2,1"],
+    ],
+    "`sep-prob --method oracle` or `both`": [
+        ["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "oracle"],
+    ],
+    "`table`": [
+        ["table", "--n", "5", "--alphas", "2,1;1,1"],
+        ["table", "--n", "5", "--alphas", "2,1;1,1", "--method", "both"],
+    ],
+    "`strong`, `connection`": [["connection", "--lambda", "4,3", "--alpha", "5,2"]],
+    "`involution`, `hz`, `gtable`": [["gtable", "--n", "5", "--m", "2", "--k", "1"]],
+    "`verify`": [["verify", "--suite", "all", "--max-n", "4"]],
+}
+
+
+def _readme_text() -> str:
+    with open(README, encoding="utf-8") as source:
+        return source.read()
+
+
+def _readme_load_table() -> dict[str, list[int]]:
+    """{first cell: the line counts in the last cell} for each load-table row."""
+    text = _readme_text()
+    start = text.index(LOAD_TABLE_HEADER) + len(LOAD_TABLE_HEADER)
+    table = {}
+    for row in text[start:text.index("\n\n", start)].splitlines():
+        first, _, counts = (cell.strip() for cell in row.strip("|").split("|"))
+        numbers = re.findall(r"\d[\d,]*", counts)
+        table[first] = [int(number.replace(",", "")) for number in numbers]
+    return table
+
+
+def test_readme_load_table_names_one_call_per_row():
+    assert sorted(_readme_load_table()) == sorted(LOAD_TABLE_CALLS)
+
+
+@pytest.mark.parametrize("row", list(LOAD_TABLE_CALLS), ids=lambda row: row.split("`")[1])
+def test_readme_load_table_matches_the_lines_each_call_loads(row):
+    measured = []
+    for argv in LOAD_TABLE_CALLS[row]:
+        code, lines = lines_loaded(argv)
+        assert code == 0, argv
+        measured.append(lines)
+    assert _readme_load_table()[row] == measured
+
+
+def test_readme_gives_the_length_of_the_usage_module():
+    (stated,) = re.findall(r"`permsep\.usage` \((\d+) lines\)", _readme_text())
+    with open(os.path.join(SRC, "permsep", "usage.py"), encoding="utf-8") as source:
+        assert int(stated) == sum(1 for _ in source)

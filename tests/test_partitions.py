@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permsep.partitions import (
-    all_compositions,
     as_composition,
     as_partition,
     binomial,
@@ -20,6 +19,7 @@ from permsep.partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
+from permsep.verification import all_compositions
 
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsep.formulas import pair_space
-from permsep.partitions import all_compositions
 from permsep.perms import Permutation
 from permsep.separation import (
     disjoint_block_tuples,
@@ -13,6 +12,7 @@ from permsep.separation import (
     is_strongly_separated,
     unmarked_cycle_count,
 )
+from permsep.verification import all_compositions
 
 
 def blocks(*sets):

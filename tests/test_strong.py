@@ -131,6 +131,36 @@ def test_connection_matches_oracle():
                 ) == xc.oracle_connection_coefficient(lam, alpha)
 
 
+def _connection_by_strong_probability(lam, alpha):
+    """The route `connection_coefficient` took before the hook-character sum:
+    the strong probability at m = n, times (n-1)! |C_lam| / prod (alpha_i - 1)!."""
+    n = sum(lam)
+    value = st.strong_separation_probability(lam, alpha) * Fraction(
+        math.factorial(n - 1) * conjugacy_class_size(lam),
+        math.prod(math.factorial(a - 1) for a in alpha),
+    )
+    assert value.denominator == 1
+    return value.numerator
+
+
+def test_connection_matches_the_strong_probability_route():
+    # every lam, alpha of n <= 10 (3,582 pairs), then three cases up to n = 120
+    for n in range(1, 11):
+        for lam in partitions(n):
+            for alpha in partitions(n):
+                assert st.connection_coefficient(lam, alpha) == (
+                    _connection_by_strong_probability(lam, alpha)
+                ), (lam, alpha)
+    for lam, alpha in [
+        ((20, 20), (15, 15, 10)),
+        ((60, 60), (30, 30, 30, 30)),
+        ((3,) * 40, (60, 60)),
+    ]:
+        assert st.connection_coefficient(lam, alpha) == (
+            _connection_by_strong_probability(lam, alpha)
+        ), (lam, alpha)
+
+
 def test_connection_reorder_invariant():
     assert st.connection_coefficient((3, 2), (2, 1, 2)) == st.connection_coefficient(
         (3, 2), (2, 2, 1)
