@@ -69,18 +69,12 @@ def colored_factorization_count(n: int, left_colors: int, right_colors: int) -> 
 
     The count depends on the profiles only through their lengths:
     n (n - l)! (n - l')! / (n - l - l' + 1)!, and 0 when that is negative.
+    This is the series entry `polynomials.gen_series_entry` at m = n, r = 0,
+    with the right coloring in the role of the k blocks.
     """
     if not (1 <= left_colors <= n and 1 <= right_colors <= n):
         raise ValueError("color counts must lie in [1, n]")
-    slack = n - left_colors - right_colors + 1
-    if slack < 0:
-        return 0
-    return (
-        n
-        * math.factorial(n - left_colors)
-        * math.factorial(n - right_colors)
-        // math.factorial(slack)
-    )
+    return gen_series_entry(n, n, right_colors, left_colors, 0)
 
 
 def separated_colored_count(n: int, left_colors: int, m: int, k: int, r: int) -> int:

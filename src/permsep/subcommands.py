@@ -144,8 +144,8 @@ def _cmd_table(args, out: TextIO) -> int:
     lam, warnings = _parse_lambda(args.lam) if args.lam else ((args.n,), [])
     if sum(lam) != args.n:
         raise ValueError("--lambda must be a partition of --n")
-    if args.max_m is not None and not 1 <= args.max_m <= args.n:
-        raise ValueError("--max-m must lie in 1..n")
+    if args.max_m is not None and not (args.alphas == "all" and 1 <= args.max_m <= args.n):
+        raise ValueError("--max-m needs --alphas all and must lie in 1..n")
     if args.alphas == "all":
         alphas = [a for m in range(1, (args.max_m or args.n) + 1) for a in partitions(m)]
     else:

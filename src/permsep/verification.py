@@ -38,11 +38,7 @@ from .partitions import (
     perfect_matching_count,
     stirling_first_unsigned,
 )
-from .symfunc import (
-    cycle_count_power_coefficient,
-    involution_length_power_coefficient,
-    power_sum_coefficient,
-)
+from .symfunc import power_sum_coefficient, transition_matrices
 
 
 class CheckResult(NamedTuple):
@@ -321,8 +317,13 @@ def check_lemma_identities(max_n: int) -> CheckResult:
     rec = _Recorder()
     for pairs in range(1, min(5, max(1, max_n // 2)) + 1):
         for surplus in range(pairs + 1):
+            # the all-twos coefficient of the sum of the monomial functions
+            # with pairs + surplus parts
+            length_sum = {
+                mu: 1 for mu in partitions(2 * pairs) if len(mu) == pairs + surplus
+            }
             rec.equal(
-                involution_length_power_coefficient(pairs, surplus),
+                power_sum_coefficient(length_sum, (2,) * pairs),
                 Fraction(
                     (-1) ** surplus,
                     2**surplus * math.factorial(surplus) * math.factorial(pairs - surplus),
@@ -330,10 +331,20 @@ def check_lemma_identities(max_n: int) -> CheckResult:
                 f"involution coefficient N={pairs} s={surplus}",
             )
     for n in range(1, min(8, max_n) + 1):
+        index = partitions(n)
+        inverse = transition_matrices(n)[1]
         for p in range(1, n + 1):
             for length in range(1, n + 1):
+                # the power-sum coefficients with p parts, summed, of the sum
+                # of the monomial functions with ``length`` parts
                 rec.equal(
-                    cycle_count_power_coefficient(n, p, length),
+                    sum(
+                        row[j]
+                        for lam, row in zip(index, inverse)
+                        if len(lam) == length
+                        for j, mu in enumerate(index)
+                        if len(mu) == p
+                    ),
                     (-1) ** (length - p)
                     * math.comb(n - 1, length - 1)
                     * Fraction(stirling_first_unsigned(length, p), math.factorial(length)),

@@ -310,6 +310,10 @@ def test_invalid_arguments_exit_2():
     for max_m in ("0", "-1", "6"):
         code, text = run_cli("table", "--n", "5", "--alphas", "all", "--max-m", max_m)
         assert code == EXIT_USAGE and text == ""
+    # --max-m only bounds --alphas all; with listed profiles it is refused
+    for max_m in ("1", "5"):
+        code, text = run_cli("table", "--n", "5", "--alphas", "3,2", "--max-m", max_m)
+        assert code == EXIT_USAGE and text == ""
     for n in ("0", "-2"):
         code, text = run_cli("table", "--n", n)
         assert code == EXIT_USAGE and text == ""

@@ -7,7 +7,6 @@ import pytest
 
 from permsep.formulas import SepResult
 from permsep.polynomials import BinomialPolynomial
-from permsep.symfunc import TransitionMatrices
 from permsep.verification import CheckResult
 
 
@@ -48,24 +47,6 @@ def test_binomial_polynomial():
     assert_immutable(poly, "coeffs")
     assert repr(BinomialPolynomial({1: Fraction(2)})) == (
         "BinomialPolynomial(coeffs={1: Fraction(2, 1)})"
-    )
-
-
-def test_transition_matrices():
-    tm = TransitionMatrices(
-        degree=1,
-        index=((1,),),
-        power_to_monomial=((1,),),
-        monomial_to_power=((Fraction(1),),),
-    )
-    assert tm == TransitionMatrices(1, ((1,),), ((1,),), ((Fraction(1),),))
-    assert tm != TransitionMatrices(1, ((1,),), ((2,),), ((Fraction(1, 2),),))
-    assert hash(tm) == hash(TransitionMatrices(1, ((1,),), ((1,),), ((Fraction(1),),)))
-    assert tm.position((1,)) == 0
-    assert_immutable(tm, "index")
-    assert repr(tm) == (
-        "TransitionMatrices(degree=1, index=((1,),), power_to_monomial=((1,),), "
-        "monomial_to_power=((Fraction(1, 1),),))"
     )
 
 

@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from permsep.partitions import stirling_first_unsigned
+from permsep.partitions import partitions, stirling_first_unsigned
 from permsep.symfunc import (
-    cycle_count_power_coefficient,
     expand_power_sum_in_monomials,
-    involution_length_power_coefficient,
     power_sum_coefficient,
     transition_matrices,
 )
@@ -26,24 +24,22 @@ def test_expand_examples():
 
 
 def test_transition_matrices_degree_two():
-    tm = transition_matrices(2)
-    assert tm.index == ((2,), (1, 1))
-    assert tm.power_to_monomial == ((1, 0), (1, 2))
-    assert tm.monomial_to_power == (
-        (Fraction(1), Fraction(0)),
-        (Fraction(-1, 2), Fraction(1, 2)),
+    assert partitions(2) == ((2,), (1, 1))
+    assert transition_matrices(2) == (
+        ((1, 0), (1, 2)),
+        ((Fraction(1), Fraction(0)), (Fraction(-1, 2), Fraction(1, 2))),
     )
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_matrices_are_inverse_pairs(n):
-    tm = transition_matrices(n)
-    size = len(tm.index)
+    power_to_monomial, monomial_to_power = transition_matrices(n)
+    size = len(partitions(n))
+    assert len(power_to_monomial) == len(monomial_to_power) == size
     for i in range(size):
         for j in range(size):
             acc = sum(
-                tm.power_to_monomial[i][k] * tm.monomial_to_power[k][j]
-                for k in range(size)
+                power_to_monomial[i][k] * monomial_to_power[k][j] for k in range(size)
             )
             assert acc == (1 if i == j else 0)
 
@@ -59,13 +55,14 @@ def _dominates(lam, mu):
 def test_dominance_triangularity(n):
     # the power-sum coefficient of a monomial function vanishes whenever the
     # monomial index is strictly above the power index in dominance order
-    tm = transition_matrices(n)
-    for i, mu in enumerate(tm.index):
-        for j, lam in enumerate(tm.index):
+    power_to_monomial, monomial_to_power = transition_matrices(n)
+    index = partitions(n)
+    for i, mu in enumerate(index):
+        for j, lam in enumerate(index):
             if _dominates(mu, lam) and mu != lam:
-                assert tm.monomial_to_power[i][j] == 0
-            if tm.power_to_monomial[i][j]:
-                assert _dominates(tm.index[j], tm.index[i])
+                assert monomial_to_power[i][j] == 0
+            if power_to_monomial[i][j]:
+                assert _dominates(lam, mu)
 
 
 def test_power_sum_coefficient_examples():
@@ -80,6 +77,8 @@ def test_power_sum_coefficient_degree_mismatch():
         power_sum_coefficient({(2,): Fraction(1)}, (3,))
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
         power_sum_coefficient({(2,): Fraction(1), (2, 1): Fraction(1)}, (1, 1))
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a partition of 3"):
+        power_sum_coefficient({(1, 2): Fraction(1)}, (3,))
 
 
 def test_transition_matrices_cached_per_degree():
@@ -89,10 +88,15 @@ def test_transition_matrices_cached_per_degree():
             transition_matrices(n)
 
 
+def _length_sum(n, length):
+    """The sum of the monomial functions of degree n with ``length`` parts."""
+    return {mu: 1 for mu in partitions(n) if len(mu) == length}
+
+
 def test_involution_length_coefficient_examples():
-    assert involution_length_power_coefficient(1, 0) == 1
-    assert involution_length_power_coefficient(1, 1) == Fraction(-1, 2)
-    assert involution_length_power_coefficient(2, 1) == Fraction(-1, 2)
+    assert power_sum_coefficient(_length_sum(2, 1), (2,)) == 1
+    assert power_sum_coefficient(_length_sum(2, 2), (2,)) == Fraction(-1, 2)
+    assert power_sum_coefficient(_length_sum(4, 3), (2, 2)) == Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("pairs", range(1, 6))
@@ -102,13 +106,28 @@ def test_involution_length_coefficient_sweep(pairs):
             (-1) ** surplus,
             2**surplus * math.factorial(surplus) * math.factorial(pairs - surplus),
         )
-        assert involution_length_power_coefficient(pairs, surplus) == expected
+        coeffs = _length_sum(2 * pairs, pairs + surplus)
+        assert power_sum_coefficient(coeffs, (2,) * pairs) == expected
+
+
+def _cycle_count_coefficient(n, cycle_count, length):
+    """The power-sum coefficients with ``cycle_count`` parts, summed, of the
+    sum of the monomial functions with ``length`` parts, read off the inverse
+    matrix."""
+    index = partitions(n)
+    return sum(
+        row[j]
+        for lam, row in zip(index, transition_matrices(n)[1])
+        if len(lam) == length
+        for j, mu in enumerate(index)
+        if len(mu) == cycle_count
+    )
 
 
 def test_cycle_count_coefficient_examples():
-    assert cycle_count_power_coefficient(2, 1, 1) == 1
-    assert cycle_count_power_coefficient(2, 1, 2) == Fraction(-1, 2)
-    assert cycle_count_power_coefficient(3, 3, 3) == Fraction(1, 6)
+    assert _cycle_count_coefficient(2, 1, 1) == 1
+    assert _cycle_count_coefficient(2, 1, 2) == Fraction(-1, 2)
+    assert _cycle_count_coefficient(3, 3, 3) == Fraction(1, 6)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -120,5 +139,4 @@ def test_cycle_count_coefficient_sweep(n):
                 * math.comb(n - 1, length - 1)
                 * Fraction(stirling_first_unsigned(length, p), math.factorial(length))
             )
-            assert cycle_count_power_coefficient(n, p, length) == expected
-
+            assert _cycle_count_coefficient(n, p, length) == expected
