@@ -35,7 +35,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "SepResult",
-            "add_fixed_points_count",
             "add_fixed_points_probability",
             "separated_pair_count",
             "separation_probability",
@@ -47,8 +46,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "gen_series_table",
-            "involution_pair_count",
-            "involution_series",
             "one_face_map_series",
             "separation_probability_involution",
         ),
@@ -56,8 +53,11 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
+            "add_fixed_points_count",
             "colored_factorization_count",
             "colored_matching_count",
+            "involution_pair_count",
+            "involution_series",
             "marked_composition_count",
             "separated_colored_count",
             "singleton_blocks_probability",

@@ -151,7 +151,7 @@ def _result_records(operation: str, parameters: dict, results: list[fm.SepResult
     mismatch = len({r.probability for r in results}) > 1
     records = []
     for res in results:
-        notes = [*warnings, *res.warnings]
+        notes = list(warnings)
         if mismatch:
             notes.append("methods disagree; reporting all values")
         records.append(

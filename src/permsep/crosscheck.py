@@ -4,8 +4,9 @@ The queries compute each quantity one way and check it against one oracle
 (`permsep.oracles`).  This module holds the rest: the closed forms of the
 auxiliary objects behind the derivations (colored factorizations, separated
 colored quadruples, marked compositions, colored matchings), the piecewise
-two-cycle form, the involution series in monomials, the weak-to-strong
-refinement matrix, two polynomial identities, and the coloring, involution,
+two-cycle form, the paper's involution series and lifting relation (the
+queries read those counts from the hook sum), the weak-to-strong refinement
+matrix, two polynomial identities, and the coloring, involution,
 colored-matching, strong and connection oracles.  The ``*_literal`` oracles
 enumerate every structure one by one as `Permutation` objects, to validate
 the counting oracles at tiny sizes.  The coloring oracles read the
@@ -27,6 +28,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
+from .formulas import separated_pair_count
 from .oracles import (
     _check_size,
     _cycle_type,
@@ -50,7 +52,7 @@ from .perms import (
     fixed_point_free_involutions,
     permutations_of_type,
 )
-from .polynomials import Poly, gen_series_entry, involution_series
+from .polynomials import BinomialPolynomial, Poly, gen_series_entry
 from .separation import (
     disjoint_block_tuples,
     is_separated,
@@ -148,13 +150,6 @@ def singleton_blocks_probability(n: int, k: int) -> Fraction:
     return base
 
 
-def involution_series_monomial(pairs: int, alpha: Iterable[int]) -> Poly:
-    """Monomial coefficients of the involution series in its own variable t
-    (undoing the t + k shift)."""
-    alpha = as_composition(alpha)
-    return involution_series(pairs, alpha).to_monomial_shifted(-len(alpha))
-
-
 @lru_cache(maxsize=None)
 def refinement_matrix(size: int) -> tuple[tuple[int, ...], ...]:
     """The weak-to-strong system over the partitions of ``size``.
@@ -199,6 +194,93 @@ def refinement_matrix(size: int) -> tuple[tuple[int, ...], ...]:
             )
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# The paper's other routes to the separated-pair count
+
+
+def involution_series(pairs: int, alpha: Iterable[int]) -> BinomialPolynomial:
+    """Generating series, over separated pairs (pi, A) with pi a fixed-point-free
+    involution of 2 * pairs points, of t to the number of block-free cycles of
+    the product; expressed in the binomial basis of the shifted argument
+    (t + k).  Coefficients are nonnegative integers.
+    """
+    alpha = as_composition(alpha)
+    n = 2 * pairs
+    m, k = sum(alpha), len(alpha)
+    if pairs < 1:
+        raise ValueError("need pairs >= 1")
+    if m > n:
+        raise ValueError("total block size exceeds 2 * pairs")
+    coeffs: dict[int, Fraction] = {}
+    for r in range(min(n - m, pairs - k + 1) + 1):
+        value = (
+            pairs
+            * binomial(n + k - 1, n - m - r)
+            * Fraction(2 ** (k + r), 2**pairs)
+            * Fraction(
+                math.factorial(n - k - r), math.factorial(pairs - k - r + 1)
+            )
+        )
+        if value.denominator != 1 or value < 0:
+            raise InvariantError(f"involution series coefficient not integral: {value}")
+        if value:
+            coeffs[r] = value
+    return BinomialPolynomial(coeffs)
+
+
+def involution_pair_count(pairs: int, alpha: Iterable[int]) -> int:
+    """Number of separated pairs (fixed-point-free involution, block tuple)."""
+    alpha = as_composition(alpha)
+    value = involution_series(pairs, alpha).evaluate(1 - len(alpha))
+    if value.denominator != 1 or value < 0:
+        raise InvariantError(f"involution pair count not integral: {value}")
+    return int(value)
+
+
+def involution_series_monomial(pairs: int, alpha: Iterable[int]) -> Poly:
+    """Monomial coefficients of the involution series in its own variable t
+    (undoing the t + k shift)."""
+    alpha = as_composition(alpha)
+    return involution_series(pairs, alpha).to_monomial_shifted(-len(alpha))
+
+
+def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> int:
+    """Separated pair count after adding ``r`` fixed points to the cycle type,
+    by the paper's lifting relation.
+
+    ``lam`` must have all parts >= 2; the count for lam extended by r parts of
+    size 1 is a positive combination of base counts with block profiles
+    (m - k - p + 1, 1, ..., 1) for p = 0 .. m - k.
+    """
+    lam = as_partition(lam)
+    if not lam:
+        raise ValueError("base cycle type must be nonempty")
+    if any(part < 2 for part in lam):
+        raise ValueError("base cycle type must have all parts >= 2")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    alpha = as_composition(alpha, allow_empty=False)
+    n, m, k = sum(lam), sum(alpha), len(alpha)
+    if m > n + r:
+        raise ValueError("total block size exceeds n + r")
+    total = 0  # n times the count: every weight has denominator n
+    for p in range(m - k + 1):
+        if m - p > n:
+            continue  # base blocks cannot fit: the base count is zero
+        base = separated_pair_count(lam, (m - k - p + 1,) + (1,) * (k - 1))
+        if base == 0:
+            continue
+        weight = (n + p) * binomial(n + m + r - p, n + m) + (m - p) * binomial(
+            n + m + r - p - 1, n + m
+        )
+        total += weight * binomial(m - k, p) * base
+    if total % n or total < 0:
+        raise InvariantError(
+            f"lifted separated count not integral: {Fraction(total, n)}"
+        )
+    return total // n
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
 one small-integer product (`cycle_polynomial`) and one weight vector per
 (n, m, k).  The weights h_r(alpha) in place of n g_r give the connection
 coefficient of `permsep.strong` (Stanley 2011).  Dividing by `pair_space`
-turns counts into probabilities.  The module also holds the rest of what
-``sep-prob``, ``table``, ``lift``, ``ncycle``, ``pcycles``, ``strong`` and
-``connection`` evaluate: the p-cycle and two-full-cycle closed forms and the
-fixed-point lift.
+turns counts into probabilities; ``lift`` reads the count of lam + 1^r (the
+paper's lifting relation is a `permsep.crosscheck` reference).  The module
+also holds the p-cycle and two-full-cycle closed forms.
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ class SepResult(NamedTuple):
     count: int | None
     probability: Fraction
     method: str
-    warnings: tuple[str, ...] = ()
 
 
 def pair_space(n: int, alpha: Composition, class_count: int) -> int:
@@ -230,50 +228,17 @@ def separation_probability_two_cycles(n: int, alpha: Iterable[int]) -> SepResult
 # Adding fixed points
 
 
-def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> int:
-    """Separated pair count after adding ``r`` fixed points to the cycle type.
-
-    ``lam`` must have all parts >= 2; the count for lam extended by r parts of
-    size 1 is a positive combination of base counts with block profiles
-    (m - k - p + 1, 1, ..., 1) for p = 0 .. m - k.
-    """
+def add_fixed_points_probability(lam: Iterable[int], r: int, alpha: Iterable[int]) -> SepResult:
+    """Separation probability of ``lam`` (all parts >= 2) with ``r`` fixed
+    points added: the count of lam + 1^r, labelled as the lift."""
     lam = as_partition(lam)
+    alpha = as_composition(alpha, allow_empty=False)
     if not lam:
         raise ValueError("base cycle type must be nonempty")
     if any(part < 2 for part in lam):
         raise ValueError("base cycle type must have all parts >= 2")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    alpha = as_composition(alpha, allow_empty=False)
-    n, m, k = sum(lam), sum(alpha), len(alpha)
-    if m > n + r:
+    if sum(alpha) > sum(lam) + r:
         raise ValueError("total block size exceeds n + r")
-    total = 0  # n times the count: every weight has denominator n
-    for p in range(m - k + 1):
-        if m - p > n:
-            continue  # base blocks cannot fit: the base count is zero
-        base = separated_pair_count(lam, (m - k - p + 1,) + (1,) * (k - 1))
-        if base == 0:
-            continue
-        weight = (n + p) * binomial(n + m + r - p, n + m) + (m - p) * binomial(
-            n + m + r - p - 1, n + m
-        )
-        total += weight * binomial(m - k, p) * base
-    if total % n or total < 0:
-        raise InvariantError(
-            f"lifted separated count not integral: {Fraction(total, n)}"
-        )
-    return total // n
-
-
-def add_fixed_points_probability(
-    lam: Iterable[int], r: int, alpha: Iterable[int]
-) -> SepResult:
-    """Probability form of the fixed-point lift, normalized on the extended type."""
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
-    count = add_fixed_points_count(lam, r, alpha)
-    extended = as_partition(sorted(lam + (1,) * r, reverse=True))
-    n = sum(extended)
-    prob = Fraction(count, pair_space(n, alpha, conjugacy_class_size(extended)))
-    return SepResult(count=count, probability=prob, method="fixed-point-lift")
+    return separation_probability(lam + (1,) * r, alpha)._replace(method="fixed-point-lift")

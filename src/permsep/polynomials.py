@@ -5,14 +5,14 @@ Its monomial form is a dense ``Poly``, a tuple of Fractions, lowest degree
 first.  Conversion to monomials, shifted by any integer, nests the basis
 Horner-style in integers and divides exactly once at the end (O(R^2) for top
 index R); evaluation at an integer keeps C(t, r) as a running binomial.
-The series here have nonnegative integer coefficients in this basis: the
-fixed-point-free involution series, with its pair count, probability and
-printed form, and the one-face-map polynomial, which is the involution
-series with no blocks.  The module also holds the separated-pair series
-itself: its coefficient for a given number of parts (`gen_series_entry`)
-and its whole table at one degree (``gtable``), a read-only mapping keyed
-by (partition, r).  Only ``involution``, ``hz``, ``gtable`` and ``verify``
-load it.
+The one-face-map polynomial has nonnegative integer coefficients in this
+basis: it is the involution series of `permsep.crosscheck` with no blocks.
+The module also holds the involution probability, the `permsep.formulas`
+count of the class (2^N), with its printed form, and the separated-pair
+series itself: its coefficient for a given number of parts
+(`gen_series_entry`) and its whole table at one degree (``gtable``), a
+read-only mapping keyed by (partition, r).  Only ``involution``, ``hz``,
+``gtable`` and ``verify`` load it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InvariantError
-from .formulas import SepResult, pair_space
+from .formulas import SepResult, separation_probability
 from .partitions import (
     Partition,
     as_composition,
@@ -95,45 +94,6 @@ class BinomialPolynomial(NamedTuple):
 # Fixed-point-free involutions and one-face maps
 
 
-def involution_series(pairs: int, alpha: Iterable[int]) -> BinomialPolynomial:
-    """Generating series, over separated pairs (pi, A) with pi a fixed-point-free
-    involution of 2 * pairs points, of t to the number of block-free cycles of
-    the product; expressed in the binomial basis of the shifted argument
-    (t + k).  Coefficients are nonnegative integers.
-    """
-    alpha = as_composition(alpha)
-    n = 2 * pairs
-    m, k = sum(alpha), len(alpha)
-    if pairs < 1:
-        raise ValueError("need pairs >= 1")
-    if m > n:
-        raise ValueError("total block size exceeds 2 * pairs")
-    coeffs: dict[int, Fraction] = {}
-    for r in range(min(n - m, pairs - k + 1) + 1):
-        value = (
-            pairs
-            * binomial(n + k - 1, n - m - r)
-            * Fraction(2 ** (k + r), 2**pairs)
-            * Fraction(
-                math.factorial(n - k - r), math.factorial(pairs - k - r + 1)
-            )
-        )
-        if value.denominator != 1 or value < 0:
-            raise InvariantError(f"involution series coefficient not integral: {value}")
-        if value:
-            coeffs[r] = value
-    return BinomialPolynomial(coeffs)
-
-
-def involution_pair_count(pairs: int, alpha: Iterable[int]) -> int:
-    """Number of separated pairs (fixed-point-free involution, block tuple)."""
-    alpha = as_composition(alpha)
-    value = involution_series(pairs, alpha).evaluate(1 - len(alpha))
-    if value.denominator != 1 or value < 0:
-        raise InvariantError(f"involution pair count not integral: {value}")
-    return int(value)
-
-
 PRINTED_INVOLUTION_NOTE = (
     "printed involution probability differs from the count-based value by "
     "exactly (2N - m)!; the count-based value matches brute force"
@@ -144,8 +104,8 @@ def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fra
     """Literal evaluation of the involution probability as usually quoted.
 
     Kept verbatim for comparison: for m < 2N it is smaller than the
-    count-based probability by exactly (2N - m)! (see
-    ``separation_probability_involution``, which flags the discrepancy).
+    count-based probability (``separation_probability_involution``) by
+    exactly (2N - m)!, and ``involution`` flags the discrepancy.
     """
     alpha = as_composition(alpha, allow_empty=False)
     n = 2 * pairs
@@ -169,23 +129,14 @@ def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fra
 
 def separation_probability_involution(pairs: int, alpha: Iterable[int]) -> SepResult:
     """Separation probability for the product of a uniform fixed-point-free
-    involution of 2 * pairs points with a uniform full cycle.
-
-    The authoritative value is pair count / (block tuples * involution count);
-    the printed closed form is also evaluated and a warning records the
-    (2N - m)! discrepancy whenever the two differ.
-    """
+    involution of 2 * pairs points with a uniform full cycle: the count of
+    the class (2^N), labelled as the involution series."""
     alpha = as_composition(alpha, allow_empty=False)
-    n = 2 * pairs
-    m = sum(alpha)
-    count = involution_pair_count(pairs, alpha)
-    prob = Fraction(count, pair_space(n, alpha, perfect_matching_count(pairs)))
-    warnings = ()
-    if involution_probability_printed_form(pairs, alpha) != prob:
-        warnings = (PRINTED_INVOLUTION_NOTE,)
-    return SepResult(
-        count=count, probability=prob, method="involution-series", warnings=warnings
-    )
+    if pairs < 1:
+        raise ValueError("need pairs >= 1")
+    if sum(alpha) > 2 * pairs:
+        raise ValueError("total block size exceeds 2 * pairs")
+    return separation_probability((2,) * pairs, alpha)._replace(method="involution-series")
 
 
 def one_face_map_series(pairs: int) -> BinomialPolynomial:

@@ -31,7 +31,7 @@ def _cmd_involution(args, out: TextIO) -> int:
     res = pl.separation_probability_involution(args.pairs, alpha)
     printed = pl.involution_probability_printed_form(args.pairs, alpha)
     note = [pl.PRINTED_INVOLUTION_NOTE] if printed != res.probability else []
-    records, _ = _result_records("involution", params, [res], args.float)
+    records, _ = _result_records("involution", params, [res], args.float, note)
     records.append(
         _record("involution", params, method="printed-form", probability=printed,
                 warnings=note, with_float=args.float)

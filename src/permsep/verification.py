@@ -205,7 +205,7 @@ def check_involution_series(max_n: int) -> CheckResult:
         n = 2 * pairs
         for alpha in _block_profiles(n):
             m, k = sum(alpha), len(alpha)
-            series = pl.involution_series(pairs, alpha)
+            series = xc.involution_series(pairs, alpha)
             histogram = xc.oracle_involution_series(pairs, alpha)
             monomial = xc.involution_series_monomial(pairs, alpha)
             size = max(len(monomial), max(histogram, default=-1) + 1)
@@ -237,7 +237,7 @@ def check_involution_series(max_n: int) -> CheckResult:
         for alpha in list(_block_profiles(n)) + [()]:
             m, k = sum(alpha), len(alpha)
             table = pl.gen_series_table(n, m, k)
-            series = pl.involution_series(pairs, alpha)
+            series = xc.involution_series(pairs, alpha)
             for r in range(n - m + 1):
                 coeffs = {lam: c for (lam, j), c in table.items() if j == r}
                 rec.equal(
@@ -263,7 +263,7 @@ def check_fixed_point_lift(max_n: int) -> CheckResult:
             for r in range(4):
                 lifted = tuple(sorted(lam + (1,) * r, reverse=True))
                 for alpha in _block_profiles(n + r):
-                    value = fm.add_fixed_points_count(lam, r, alpha)
+                    value = xc.add_fixed_points_count(lam, r, alpha)
                     rec.equal(
                         value,
                         fm.separated_pair_count(lifted, alpha),
@@ -284,7 +284,7 @@ def check_one_face_maps(max_n: int) -> CheckResult:
         series = pl.one_face_map_series(pairs)
         rec.equal(
             dict(series.coeffs),
-            dict(pl.involution_series(pairs, ()).coeffs),
+            dict(xc.involution_series(pairs, ()).coeffs),
             f"series equality N={pairs}",
         )
         histogram = xc.oracle_involution_series(pairs, ())

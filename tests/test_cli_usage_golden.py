@@ -7,8 +7,12 @@ still went through argparse, just before well-formed calls were parsed from
 the option tables: no arguments, ``--help``, ``-h`` and an unknown
 subcommand; ``--help``, no options and ``--bogus`` for each of the eleven
 subcommands; a bad choice, a bad int, an option without its value and a
-negative ``--r``.  ``COLUMNS`` is pinned to 80 because argparse wraps its
-text to the terminal width.
+negative ``--r``.  The last seven cases are the argument refusals of
+``lift`` (a base part of 1, blocks larger than n + r), ``involution`` (N of
+0 and -2, blocks larger than 2N) and ``ncycle`` (n of 0, blocks larger than
+n), recorded while ``lift`` and ``involution`` still computed their counts
+by the lifting relation and the involution series.  ``COLUMNS`` is pinned
+to 80 because argparse wraps its text to the terminal width.
 """
 
 import contextlib

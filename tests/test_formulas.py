@@ -141,7 +141,7 @@ def test_involution_series_count_matches_hook_sum(pairs):
     # two independent derivations of the pair count of the class 2^N
     alphas = ((1,), (3, 2, 1), (2, 2, 2, 2), (pairs,), (pairs, pairs), (1,) * pairs)
     for alpha in alphas:
-        assert pl.involution_pair_count(pairs, alpha) == fm.separated_pair_count(
+        assert xc.involution_pair_count(pairs, alpha) == fm.separated_pair_count(
             (2,) * pairs, alpha
         ), (pairs, alpha)
 
@@ -260,12 +260,12 @@ def test_involution_series_examples():
         Fraction(0),
         Fraction(1),
     )
-    assert pl.involution_pair_count(2, (1, 1)) == 20
+    assert xc.involution_pair_count(2, (1, 1)) == 20
     for pairs in range(1, 5):
         n = 2 * pairs
         for m in range(n + 1):
             alpha = (m,) if m else ()
-            series = pl.involution_series(pairs, alpha)
+            series = xc.involution_series(pairs, alpha)
             k = len(alpha)
             assert all(
                 r <= min(n - m, pairs - k + 1) for r in series.coeffs
@@ -274,7 +274,7 @@ def test_involution_series_examples():
 
 def test_involution_series_monomial_at_120_pairs():
     # the monomial form in t is the binomial-basis series at t - k
-    series = pl.involution_series(120, (2, 1))
+    series = xc.involution_series(120, (2, 1))
     monomial = xc.involution_series_monomial(120, (2, 1))
     for t in (-3, 0, 1, 2, 5, 40):
         value = Fraction(0)
@@ -287,14 +287,12 @@ def test_involution_probability_and_printed_form():
     res = pl.separation_probability_involution(2, (1, 1))
     assert res.probability == Fraction(5, 9)
     assert res.count == 20
-    assert res.warnings  # the printed form disagrees here
     assert pl.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
     # with full coverage (m = 2N) the printed form is the true probability
     for pairs in (1, 2, 3):
         for alpha in partitions(2 * pairs):
             res = pl.separation_probability_involution(pairs, alpha)
             assert pl.involution_probability_printed_form(pairs, alpha) == res.probability
-            assert not res.warnings
 
 
 def test_printed_form_off_by_remainder_factorial():
@@ -331,7 +329,7 @@ def test_one_face_map_series():
     )
     for pairs in range(1, 6):
         series = pl.one_face_map_series(pairs)
-        assert dict(series.coeffs) == dict(pl.involution_series(pairs, ()).coeffs)
+        assert dict(series.coeffs) == dict(xc.involution_series(pairs, ()).coeffs)
         assert all(c.denominator == 1 and c > 0 for c in series.coeffs.values())
         # total number of gluings is (2N-1)!!
         assert series.evaluate(1) == math.prod(range(1, 2 * pairs, 2))
@@ -370,16 +368,16 @@ def test_gen_series_table_needs_positive_degree():
 
 
 def test_add_fixed_points_examples():
-    assert fm.add_fixed_points_count((2,), 1, (1, 1)) == 12
-    assert fm.add_fixed_points_count((2, 2), 0, (1, 1)) == 20
-    assert fm.add_fixed_points_count((3,), 2, (1, 1)) == fm.separated_pair_count(
+    assert xc.add_fixed_points_count((2,), 1, (1, 1)) == 12
+    assert xc.add_fixed_points_count((2, 2), 0, (1, 1)) == 20
+    assert xc.add_fixed_points_count((3,), 2, (1, 1)) == fm.separated_pair_count(
         (3, 1, 1), (1, 1)
     )
     with pytest.raises(ValueError):
-        fm.add_fixed_points_count((2, 1), 1, (1, 1))  # base type has a fixed point
+        xc.add_fixed_points_count((2, 1), 1, (1, 1))  # base type has a fixed point
 
 
-@pytest.mark.parametrize("lift", [fm.add_fixed_points_count, fm.add_fixed_points_probability])
+@pytest.mark.parametrize("lift", [xc.add_fixed_points_count, fm.add_fixed_points_probability])
 def test_add_fixed_points_rejects_an_empty_base_type(lift):
     # n = 0 used to reach the final division by n and raise ZeroDivisionError
     for r in (0, 2):
@@ -397,7 +395,7 @@ def test_add_fixed_points_probability_normalization():
 
 def test_add_fixed_points_blocks_larger_than_base():
     # blocks may use the added fixed points: total size up to n + r
-    value = fm.add_fixed_points_count((2,), 2, (3, 1))
+    value = xc.add_fixed_points_count((2,), 2, (3, 1))
     assert value == fm.separated_pair_count((2, 1, 1), (3, 1))
 
 
@@ -407,9 +405,26 @@ def test_add_fixed_points_beyond_brute_force():
         for r in range(7):
             lifted = lam + (1,) * r
             for alpha in ((1,), (2, 1), (1, 1, 1), (3, 2, 1), (4, 4), (5, 1, 1, 1)):
-                assert fm.add_fixed_points_count(lam, r, alpha) == (
+                assert xc.add_fixed_points_count(lam, r, alpha) == (
                     fm.separated_pair_count(lifted, alpha)
                 ), (lam, r, alpha)
+
+
+@pytest.mark.parametrize(
+    "query, mapped, alpha",
+    [
+        (lambda: fm.add_fixed_points_probability((4, 3), 2, (2, 1)), (4, 3, 1, 1), (2, 1)),
+        (lambda: pl.separation_probability_involution(5, (3, 1)), (2,) * 5, (3, 1)),
+    ],
+    ids=["lift", "involution"],
+)
+def test_lift_and_involution_read_one_hook_sum_count(query, mapped, alpha, monkeypatch):
+    calls = []
+    kernel = fm._separated_count.__wrapped__  # uncached, so every call reaches it
+    monkeypatch.setattr(fm, "_separated_count", lambda *key: calls.append(key) or kernel(*key))
+    res = query()
+    assert calls == [(mapped, sum(alpha), len(alpha))]
+    assert res[:2] == fm.separation_probability(mapped, alpha)[:2]
 
 
 def test_binomial_sum_identity():

@@ -246,10 +246,10 @@ def lines_loaded(argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1154),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 913),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1224),
-        (["hz", "--N", "6"], 1367),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1119),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 878),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1189),
+        (["hz", "--N", "6"], 1283),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz"],
 )

@@ -24,16 +24,12 @@ def assert_unhashable(record):
 
 def test_sep_result():
     res = SepResult(count=3, probability=Fraction(1, 2), method="m")
-    assert (res.count, res.probability, res.method, res.warnings) == (
-        3, Fraction(1, 2), "m", ()
-    )
-    assert res == SepResult(3, Fraction(1, 2), "m", ())
-    assert res != SepResult(3, Fraction(1, 2), "m", ("note",))
+    assert (res.count, res.probability, res.method) == (3, Fraction(1, 2), "m")
+    assert res == SepResult(3, Fraction(1, 2), "m")
+    assert res != SepResult(3, Fraction(1, 2), "oracle")
     assert hash(res) == hash(SepResult(3, Fraction(1, 2), "m"))
     assert_immutable(res, "count")
-    assert repr(res) == (
-        "SepResult(count=3, probability=Fraction(1, 2), method='m', warnings=())"
-    )
+    assert repr(res) == "SepResult(count=3, probability=Fraction(1, 2), method='m')"
 
 
 def test_binomial_polynomial():
