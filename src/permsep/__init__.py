@@ -38,19 +38,13 @@ _EXPORTS = {
             "add_fixed_points_probability",
             "separated_pair_count",
             "separation_probability",
+            "separation_probability_involution",
             "separation_probability_p_cycles",
             "separation_probability_two_cycles",
         ),
         "formulas",
     ),
-    **dict.fromkeys(
-        (
-            "gen_series_table",
-            "one_face_map_series",
-            "separation_probability_involution",
-        ),
-        "polynomials",
-    ),
+    **dict.fromkeys(("gen_series_table", "one_face_map_series"), "polynomials"),
     **dict.fromkeys(
         (
             "add_fixed_points_count",

@@ -18,8 +18,9 @@ single-result queries (``sep-prob``, ``ncycle``, ``pcycles``, ``lift``) and
 what every subcommand shares; the other seven live in `permsep.subcommands`.
 A well-formed call is parsed from its subcommand's option table, and any
 other call goes to argparse (`permsep.usage`); help is written as records are.
-Records are written by a small encoder that prints the bytes of
-``json.dump(..., indent=2)``, so no subcommand imports `json`.
+Records hold only ints and printable ASCII text with no quote or backslash;
+a small encoder writes them as ``json.dump(..., indent=2)`` would, byte for
+byte, so no subcommand imports `json`.
 """
 
 from __future__ import annotations
@@ -84,40 +85,22 @@ def _record(operation: str, parameters: dict, *, method: str | None = None,
     return record
 
 
-_SHORT_ESCAPES = {char: "\\" + code for char, code in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
-
-
-def _escape(char: str) -> str:
-    """One character as ``json.dumps`` writes it by default, in ASCII."""
-    if char in _SHORT_ESCAPES:
-        return _SHORT_ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:  # a UTF-16 surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
-
-
 def _json_str(text: str) -> str:
-    """A JSON string literal; TypeError unless ``text`` is a str."""
+    """The JSON string literal of printable ASCII text with no quote or
+    backslash, which is all the text records hold; TypeError for any other
+    text and any other type."""
     if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'  # printable ASCII with nothing to escape, as records hold
-    return '"' + "".join(map(_escape, text)) + '"'
+        return f'"{text}"'
+    raise TypeError(f"records hold no text such as {text!r}")
 
 
 def _json_text(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
-    ``indent``: str, int, bool and None in lists and str-keyed dicts; any
-    other type raises TypeError, as does a key that is not a str."""
+    ``indent``: `_json_str` text and ints in lists and text-keyed dicts; any
+    other type, bool and None included, raises TypeError."""
     if isinstance(value, str):
         return _json_str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
+    if type(value) is int:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, list):

@@ -4,9 +4,10 @@ The queries compute each quantity one way and check it against one oracle
 (`permsep.oracles`).  This module holds the rest: the closed forms of the
 auxiliary objects behind the derivations (colored factorizations, separated
 colored quadruples, marked compositions, colored matchings), the piecewise
-two-cycle form, the paper's involution series and lifting relation (the
-queries read those counts from the hook sum), the weak-to-strong refinement
-matrix, two polynomial identities, and the coloring, involution,
+two-cycle form, the paper's involution series, printed involution sum and
+lifting relation (the queries read those counts from the hook sum, and
+``involution`` derives the printed value from its count), the weak-to-strong
+refinement matrix, two polynomial identities, and the coloring, involution,
 colored-matching, strong and connection oracles.  The ``*_literal`` oracles
 enumerate every structure one by one as `Permutation` objects, to validate
 the counting oracles at tiny sizes.  The coloring oracles read the
@@ -44,6 +45,7 @@ from .partitions import (
     binomial,
     compositions,
     partitions,
+    perfect_matching_count,
     sorted_partition,
     stirling_first_unsigned,
 )
@@ -244,6 +246,33 @@ def involution_series_monomial(pairs: int, alpha: Iterable[int]) -> Poly:
     (undoing the t + k shift)."""
     alpha = as_composition(alpha)
     return involution_series(pairs, alpha).to_monomial_shifted(-len(alpha))
+
+
+def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fraction:
+    """Literal evaluation of the involution probability as usually quoted.
+
+    For m < 2N it is smaller than the count-based probability
+    (`formulas.separation_probability_involution`) by exactly (2N - m)!;
+    ``involution`` prints that quotient, not this sum.
+    """
+    alpha = as_composition(alpha, allow_empty=False)
+    n = 2 * pairs
+    m, k = sum(alpha), len(alpha)
+    if m > n:
+        raise ValueError("total block size exceeds 2 * pairs")
+    total = Fraction(0)
+    for r in range(min(n - m, pairs - k + 1) + 1):
+        total += (
+            binomial(1 - k, r)
+            * binomial(n + k - 1, n - m - r)
+            * Fraction(2 ** (k + r), 2 ** (pairs + 1))
+            * Fraction(math.factorial(n - k - r), math.factorial(pairs - k - r + 1))
+        )
+    prod_fact = math.prod(math.factorial(a) for a in alpha)
+    return (
+        Fraction(prod_fact, math.factorial(n - 1) * perfect_matching_count(pairs))
+        * total
+    )
 
 
 def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> int:

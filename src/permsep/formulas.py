@@ -31,9 +31,10 @@ count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
 one small-integer product (`cycle_polynomial`) and one weight vector per
 (n, m, k).  The weights h_r(alpha) in place of n g_r give the connection
 coefficient of `permsep.strong` (Stanley 2011).  Dividing by `pair_space`
-turns counts into probabilities; ``lift`` reads the count of lam + 1^r (the
-paper's lifting relation is a `permsep.crosscheck` reference).  The module
-also holds the p-cycle and two-full-cycle closed forms.
+turns counts into probabilities; ``lift`` reads the count of lam + 1^r and
+``involution`` the count of (2^N) (the paper's lifting relation, involution
+series and printed involution sum are `permsep.crosscheck` references).  The
+module also holds the p-cycle and two-full-cycle closed forms.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
 class SepResult(NamedTuple):
     """A separation count/probability with its provenance."""
 
-    count: int | None
+    count: int
     probability: Fraction
     method: str
 
@@ -225,7 +226,7 @@ def separation_probability_two_cycles(n: int, alpha: Iterable[int]) -> SepResult
 
 
 # ---------------------------------------------------------------------------
-# Adding fixed points
+# Adding fixed points, and fixed-point-free involutions
 
 
 def add_fixed_points_probability(lam: Iterable[int], r: int, alpha: Iterable[int]) -> SepResult:
@@ -242,3 +243,15 @@ def add_fixed_points_probability(lam: Iterable[int], r: int, alpha: Iterable[int
     if sum(alpha) > sum(lam) + r:
         raise ValueError("total block size exceeds n + r")
     return separation_probability(lam + (1,) * r, alpha)._replace(method="fixed-point-lift")
+
+
+def separation_probability_involution(pairs: int, alpha: Iterable[int]) -> SepResult:
+    """Separation probability for the product of a uniform fixed-point-free
+    involution of 2 * pairs points with a uniform full cycle: the count of
+    the class (2^N), labelled as the involution series."""
+    alpha = as_composition(alpha, allow_empty=False)
+    if pairs < 1:
+        raise ValueError("need pairs >= 1")
+    if sum(alpha) > 2 * pairs:
+        raise ValueError("total block size exceeds 2 * pairs")
+    return separation_probability((2,) * pairs, alpha)._replace(method="involution-series")

@@ -7,12 +7,11 @@ Horner-style in integers and divides exactly once at the end (O(R^2) for top
 index R); evaluation at an integer keeps C(t, r) as a running binomial.
 The one-face-map polynomial has nonnegative integer coefficients in this
 basis: it is the involution series of `permsep.crosscheck` with no blocks.
-The module also holds the involution probability, the `permsep.formulas`
-count of the class (2^N), with its printed form, and the separated-pair
-series itself: its coefficient for a given number of parts
-(`gen_series_entry`) and its whole table at one degree (``gtable``), a
-read-only mapping keyed by (partition, r).  Only ``involution``, ``hz``,
-``gtable`` and ``verify`` load it.
+The module also holds the separated-pair series itself: its coefficient for
+a given number of parts (`gen_series_entry`) and its whole table at one
+degree (``gtable``), a read-only mapping keyed by (partition, r).  It
+imports nothing from `permsep.formulas`, and only ``hz``, ``gtable`` and
+``verify`` load it.
 """
 
 from __future__ import annotations
@@ -21,16 +20,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .formulas import SepResult, separation_probability
-from .partitions import (
-    Partition,
-    as_composition,
-    binomial,
-    partitions,
-    perfect_matching_count,
-)
+from .partitions import Partition, binomial, partitions, perfect_matching_count
 
 Poly = tuple[Fraction, ...]
 
@@ -91,52 +83,7 @@ class BinomialPolynomial(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point-free involutions and one-face maps
-
-
-PRINTED_INVOLUTION_NOTE = (
-    "printed involution probability differs from the count-based value by "
-    "exactly (2N - m)!; the count-based value matches brute force"
-)
-
-
-def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fraction:
-    """Literal evaluation of the involution probability as usually quoted.
-
-    Kept verbatim for comparison: for m < 2N it is smaller than the
-    count-based probability (``separation_probability_involution``) by
-    exactly (2N - m)!, and ``involution`` flags the discrepancy.
-    """
-    alpha = as_composition(alpha, allow_empty=False)
-    n = 2 * pairs
-    m, k = sum(alpha), len(alpha)
-    if m > n:
-        raise ValueError("total block size exceeds 2 * pairs")
-    total = Fraction(0)
-    for r in range(min(n - m, pairs - k + 1) + 1):
-        total += (
-            binomial(1 - k, r)
-            * binomial(n + k - 1, n - m - r)
-            * Fraction(2 ** (k + r), 2 ** (pairs + 1))
-            * Fraction(math.factorial(n - k - r), math.factorial(pairs - k - r + 1))
-        )
-    prod_fact = math.prod(math.factorial(a) for a in alpha)
-    return (
-        Fraction(prod_fact, math.factorial(n - 1) * perfect_matching_count(pairs))
-        * total
-    )
-
-
-def separation_probability_involution(pairs: int, alpha: Iterable[int]) -> SepResult:
-    """Separation probability for the product of a uniform fixed-point-free
-    involution of 2 * pairs points with a uniform full cycle: the count of
-    the class (2^N), labelled as the involution series."""
-    alpha = as_composition(alpha, allow_empty=False)
-    if pairs < 1:
-        raise ValueError("need pairs >= 1")
-    if sum(alpha) > 2 * pairs:
-        raise ValueError("total block size exceeds 2 * pairs")
-    return separation_probability((2,) * pairs, alpha)._replace(method="involution-series")
+# One-face maps
 
 
 def one_face_map_series(pairs: int) -> BinomialPolynomial:

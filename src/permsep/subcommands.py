@@ -10,27 +10,35 @@ Each handler is followed by its subcommand's declaration, in the format
 `permsep.cli` documents.  `permsep.cli` imports this module to run one of
 these handlers, and `permsep.usage` to print help or an error, so a
 well-formed ``sep-prob``, ``ncycle``, ``pcycles`` or ``lift`` never compiles it.
+``involution`` prints the paper's printed probability as the count-based one
+over (2N - m)!, so it loads only what ``table`` loads.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TextIO
 
 from .cli import _ALPHA, _FLOAT, _METHOD, _N, EXIT_MISMATCH, EXIT_OK, _emit_json, _parse_alpha
 from .cli import _parse_lambda, _record, _result_records, _sep_results
+from .formulas import separation_probability_involution
 from .partitions import partitions
 
 _LAMBDA = ("--lambda", "lam", str, ..., None)
 
+PRINTED_INVOLUTION_NOTE = (
+    "printed involution probability differs from the count-based value by "
+    "exactly (2N - m)!; the count-based value matches brute force"
+)
+
 
 def _cmd_involution(args, out: TextIO) -> int:
-    from . import polynomials as pl
-
     alpha = _parse_alpha(args.alpha)
     params = {"N": args.pairs, "alpha": list(alpha)}
-    res = pl.separation_probability_involution(args.pairs, alpha)
-    printed = pl.involution_probability_printed_form(args.pairs, alpha)
-    note = [pl.PRINTED_INVOLUTION_NOTE] if printed != res.probability else []
+    res = separation_probability_involution(args.pairs, alpha)
+    # the paper's printed sum, `crosscheck.involution_probability_printed_form`
+    printed = res.probability / math.factorial(2 * args.pairs - sum(alpha))
+    note = [PRINTED_INVOLUTION_NOTE] if printed != res.probability else []
     records, _ = _result_records("involution", params, [res], args.float, note)
     records.append(
         _record("involution", params, method="printed-form", probability=printed,

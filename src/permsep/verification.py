@@ -220,14 +220,14 @@ def check_involution_series(max_n: int) -> CheckResult:
                 Fraction(oracle_count),
                 f"pair count N={pairs} alpha={alpha}",
             )
-            sep = pl.separation_probability_involution(pairs, alpha)
+            sep = fm.separation_probability_involution(pairs, alpha)
             space = fm.pair_space(n, alpha, perfect_matching_count(pairs))
             rec.equal(
                 sep.probability,
                 Fraction(oracle_count, space),
                 f"probability N={pairs} alpha={alpha}",
             )
-            printed = pl.involution_probability_printed_form(pairs, alpha)
+            printed = xc.involution_probability_printed_form(pairs, alpha)
             rec.equal(
                 printed * math.factorial(n - m),
                 sep.probability,
@@ -246,8 +246,8 @@ def check_involution_series(max_n: int) -> CheckResult:
                     f"series slice N={pairs} alpha={alpha} r={r}",
                 )
     rec.expect(
-        pl.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
-        and pl.separation_probability_involution(2, (1, 1)).probability
+        xc.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
+        and fm.separation_probability_involution(2, (1, 1)).probability
         == Fraction(5, 9),
         "printed vs count-based value at N=2, alpha=(1,1)",
     )

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: queries at n = 5-300 must print exactly the recorded
+"""Golden CLI corpus: queries at n = 5-400 must print exactly the recorded
 stdout.
 
 ``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
@@ -7,20 +7,24 @@ recorded when every weak count still came from the full power-sum/monomial
 transition matrix; the ``gtable`` and ``involution`` cases were recorded
 while the series table and the binomial-basis polynomial were still custom
 record classes.  The six cases at n = 30-290 (three ``sep-prob``, one
-``lift``, one ``strong``, one ``connection``, the six before the last five)
+``lift``, one ``strong``, one ``connection``, the six before the next five)
 were recorded while every weak count still summed a length-weight table
 against the t-profile of the cycle type, just before the hook-character
-sum replaced that route.  The last five cases (``ncycle`` at n = 126, a
+sum replaced that route.  The next five cases (``ncycle`` at n = 126, a
 four-block ``pcycles``, ``sep-prob --method both`` with the reordering
 warning, ``table --float`` and a CSV ``table --method both``) were recorded
 while every record was still written by ``json.dump(..., indent=2)`` and
 all eleven subcommands still lived in `permsep.cli`, just before the
-record writer and `permsep.subcommands` replaced them.  The last case,
-``connection`` at n = 300, was recorded while every connection coefficient
-was still the strong probability at m = n rescaled, built from n weak
-counts, just before the hook sum with the weights h_r(alpha) replaced that
-route.  Any change in a digit, a key order or a warning fails the
-comparison.
+record writer and `permsep.subcommands` replaced them.  The
+``connection`` case at n = 300 was recorded while every connection
+coefficient was still the strong probability at m = n rescaled, built from
+n weak counts, just before the hook sum with the weights h_r(alpha)
+replaced that route.  The last three cases are ``involution`` at N = 3 with
+m = 2N - 1 (both records equal, no note), at N = 4 with probability 0 (no
+note although 2N - m = 2) and at N = 200 with the note, recorded while the
+printed form was still the literal sum, just before it became the
+count-based probability over (2N - m)!.  Any change in a digit, a key order
+or a warning fails the comparison.
 """
 
 import io

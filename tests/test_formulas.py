@@ -284,25 +284,37 @@ def test_involution_series_monomial_at_120_pairs():
 
 
 def test_involution_probability_and_printed_form():
-    res = pl.separation_probability_involution(2, (1, 1))
+    res = fm.separation_probability_involution(2, (1, 1))
     assert res.probability == Fraction(5, 9)
     assert res.count == 20
-    assert pl.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
+    assert xc.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
     # with full coverage (m = 2N) the printed form is the true probability
     for pairs in (1, 2, 3):
         for alpha in partitions(2 * pairs):
-            res = pl.separation_probability_involution(pairs, alpha)
-            assert pl.involution_probability_printed_form(pairs, alpha) == res.probability
+            res = fm.separation_probability_involution(pairs, alpha)
+            assert xc.involution_probability_printed_form(pairs, alpha) == res.probability
 
 
 def test_printed_form_off_by_remainder_factorial():
-    for pairs in (1, 2, 3):
-        n = 2 * pairs
-        for m in range(1, n + 1):
-            for alpha in partitions(m):
-                res = pl.separation_probability_involution(pairs, alpha)
-                printed = pl.involution_probability_printed_form(pairs, alpha)
-                assert printed * math.factorial(n - m) == res.probability
+    # ``involution`` prints the count-based probability over (2N - m)!, so the
+    # literal sum must equal that quotient: every alpha up to N = 3, and at
+    # larger N block profiles with m = 1, m = 2N - 1 and in between
+    cases = [
+        (pairs, alpha)
+        for pairs in (1, 2, 3)
+        for m in range(1, 2 * pairs + 1)
+        for alpha in partitions(m)
+    ]
+    cases += [(17, alpha) for alpha in [(1,), (2, 1), (5, 3, 1), (33,), (17, 16), (3,) * 11]]
+    cases += [(80, alpha) for alpha in [(1,), (4, 2, 1), (1,) * 9, (100, 20, 3), (159,), (80, 79)]]
+    cases += [
+        (200, alpha)
+        for alpha in [(1,), (3, 2, 1), (120, 1, 1), (399,), (200, 199), (2,) * 199 + (1,)]
+    ]
+    for pairs, alpha in cases:
+        res = fm.separation_probability_involution(pairs, alpha)
+        printed = xc.involution_probability_printed_form(pairs, alpha)
+        assert printed * math.factorial(2 * pairs - sum(alpha)) == res.probability, (pairs, alpha)
 
 
 def test_colored_matching_count():
@@ -414,7 +426,7 @@ def test_add_fixed_points_beyond_brute_force():
     "query, mapped, alpha",
     [
         (lambda: fm.add_fixed_points_probability((4, 3), 2, (2, 1)), (4, 3, 1, 1), (2, 1)),
-        (lambda: pl.separation_probability_involution(5, (3, 1)), (2,) * 5, (3, 1)),
+        (lambda: fm.separation_probability_involution(5, (3, 1)), (2,) * 5, (3, 1)),
     ],
     ids=["lift", "involution"],
 )
@@ -518,7 +530,7 @@ def _draw_involution(data):
     pairs = data.draw(st.integers(1, 10))
     alpha = _draw_alpha(data, 2 * pairs)
     space = fm.pair_space(2 * pairs, alpha, conjugacy_class_size((2,) * pairs))
-    return pl.separation_probability_involution(pairs, alpha), space
+    return fm.separation_probability_involution(pairs, alpha), space
 
 
 def _draw_fixed_point_lift(data):

@@ -18,7 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 HEAVY = ("permsep.oracles", "permsep.verification", "permsep.symfunc", "permsep.strong")
 # Modules that only verification and the tests need.
 VERIFY_ONLY = ("permsep.verification", "permsep.crosscheck", "permsep.symfunc")
-# Only the involution, hz, gtable and verify subcommands load the binomial basis.
+# Only the hz, gtable and verify subcommands load the binomial basis.
 BINOMIAL_BASIS = "permsep.polynomials"
 # Standard-library modules that no well-formed call needs: ``dataclasses``
 # alone costs 7-10 ms of start-up because it pulls in ``inspect``, ``ast`` and
@@ -180,10 +180,19 @@ def test_formula_subcommands_never_load_the_heavy_layers(argv):
     code, modules = loaded_by(argv)
     assert code == 0
     assert not set(HEAVY + SLOW_STDLIB) & set(modules), modules
-    loads_it = argv[0] in ("involution", "hz", "gtable")
+    loads_it = argv[0] in ("hz", "gtable")
     assert (BINOMIAL_BASIS in modules) == loads_it, modules
     single_result = argv[0] in ("sep-prob", "lift", "ncycle", "pcycles")
     assert ("permsep.subcommands" in modules) != single_result, modules
+
+
+def test_involution_loads_exactly_what_table_loads():
+    # the printed form is the count-based probability over (2N - m)!, so the
+    # query needs no second derivation and no binomial basis
+    involution = loaded_by(["involution", "--N", "4", "--alpha", "2,1"])
+    assert involution == loaded_by(["table", "--n", "5", "--alphas", "2,1;1,1"])
+    assert involution == (0, ["permsep", "permsep.cli", "permsep.errors", "permsep.formulas",
+                              "permsep.partitions", "permsep.subcommands"])
 
 
 def test_oracle_and_verify_subcommands_load_what_they_run():
@@ -246,12 +255,13 @@ def lines_loaded(argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1119),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 878),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1189),
-        (["hz", "--N", "6"], 1283),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1109),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 868),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1187),
+        (["hz", "--N", "6"], 1228),
+        (["involution", "--N", "4", "--alpha", "2,1"], 1070),
     ],
-    ids=["sep-prob-both", "sep-prob", "strong", "hz"],
+    ids=["sep-prob-both", "sep-prob", "strong", "hz", "involution"],
 )
 def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
     # A cold query compiles every module it loads, unless bytecode is cached;
@@ -277,7 +287,8 @@ LOAD_TABLE_CALLS = {
         ["table", "--n", "5", "--alphas", "2,1;1,1", "--method", "both"],
     ],
     "`strong`, `connection`": [["connection", "--lambda", "4,3", "--alpha", "5,2"]],
-    "`involution`, `hz`, `gtable`": [["gtable", "--n", "5", "--m", "2", "--k", "1"]],
+    "`involution`": [["involution", "--N", "4", "--alpha", "2,1"]],
+    "`hz`, `gtable`": [["gtable", "--n", "5", "--m", "2", "--k", "1"]],
     "`verify`": [["verify", "--suite", "all", "--max-n", "4"]],
 }
 
