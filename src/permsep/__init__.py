@@ -58,10 +58,6 @@ _EXPORTS = {
         ),
         "crosscheck",
     ),
-    **dict.fromkeys(("Permutation", "compose", "permutations_of_type"), "perms"),
-    **dict.fromkeys(
-        ("disjoint_block_tuples", "is_separated", "unmarked_cycle_count"), "separation"
-    ),
     **dict.fromkeys(
         (
             "connection_coefficient",

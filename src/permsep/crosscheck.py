@@ -9,8 +9,11 @@ lifting relation (the queries read those counts from the hook sum, and
 ``involution`` derives the printed value from its count), the weak-to-strong
 refinement matrix, two polynomial identities, and the coloring, involution,
 colored-matching, strong and connection oracles.  The ``*_literal`` oracles
-enumerate every structure one by one as `Permutation` objects, to validate
-the counting oracles at tiny sizes.  The coloring oracles read the
+enumerate every structure one by one, to validate the counting oracles at
+tiny sizes: each permutation is an image tuple (``images[i]`` is the image
+of i) from `oracles.class_images`, its product with the full cycle is that
+tuple rotated one place, and a block tuple of disjoint frozensets is tested
+on the product's canonical cycles.  The coloring oracles read the
 product-type tally of each class of S_n (`oracles.product_type_histogram`),
 so a class with no coloring of the profile costs one step.  Connection
 coefficients tally the full cycles once per representative.  Each oracle has
@@ -26,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantError
 from .formulas import separated_pair_count
@@ -49,18 +52,7 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .perms import (
-    Permutation,
-    fixed_point_free_involutions,
-    permutations_of_type,
-)
 from .polynomials import BinomialPolynomial, Poly, gen_series_entry
-from .separation import (
-    disjoint_block_tuples,
-    is_separated,
-    is_strongly_separated,
-    unmarked_cycle_count,
-)
 
 # ---------------------------------------------------------------------------
 # Closed forms of the auxiliary counts
@@ -371,8 +363,85 @@ LITERAL_MAX_N = 6
 COLORED_LITERAL_MAX_N = 4
 
 
-def _product(perm: Permutation) -> Permutation:
-    return perm * Permutation.full_cycle(perm.degree)
+BlockTuple = tuple[frozenset[int], ...]
+
+
+def disjoint_block_tuples(n: int, sizes: Iterable[int]) -> Iterator[BlockTuple]:
+    """All ordered tuples of disjoint blocks of {0, ..., n-1} with the given sizes.
+
+    Blocks are chosen left to right; each block runs through the size-many
+    combinations of the still-unused elements in lexicographic order.
+    The stream has multinomial(n; sizes..., n - sum) entries.
+    """
+    sizes = as_composition(sizes)
+    if sum(sizes) > n:
+        return
+
+    def build(available: tuple[int, ...], remaining: Composition, acc: list[frozenset[int]]):
+        if not remaining:
+            yield tuple(acc)
+            return
+        size, rest = remaining[0], remaining[1:]
+        for chosen in itertools.combinations(available, size):
+            chosen_set = set(chosen)
+            acc.append(frozenset(chosen))
+            yield from build(
+                tuple(x for x in available if x not in chosen_set), rest, acc
+            )
+            acc.pop()
+
+    yield from build(tuple(range(n)), sizes, [])
+
+
+def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical cycles of the permutation with the given image tuple: listed
+    by increasing minimum, each starting at its minimum."""
+    seen = [False] * len(images)
+    result = []
+    for start in range(len(images)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        if cycle:
+            result.append(tuple(cycle))
+    return tuple(result)
+
+
+def _blocks_met(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> list[int]:
+    """The number of blocks each cycle meets.  The blocks must be nonempty,
+    pairwise disjoint subsets of the points the cycles cover."""
+    n = sum(map(len, cycles))
+    owner: dict[int, int] = {}
+    for i, block in enumerate(blocks):
+        if not block:
+            raise ValueError("blocks must be nonempty")
+        for x in block:
+            if not 0 <= x < n:
+                raise ValueError(f"block element {x} outside range({n})")
+            if x in owner:
+                raise ValueError("blocks must be pairwise disjoint")
+            owner[x] = i
+    return [len({owner[x] for x in cycle if x in owner}) for cycle in cycles]
+
+
+def _is_separated(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> bool:
+    """True if no cycle meets more than one block."""
+    return all(count < 2 for count in _blocks_met(cycles, blocks))
+
+
+def _is_strongly_separated(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> bool:
+    """True if each block lies inside a single cycle, distinct cycles per block:
+    no cycle meets two blocks and no block meets two cycles."""
+    met = _blocks_met(cycles, blocks)
+    return all(count < 2 for count in met) and sum(met) == len(blocks)
+
+
+def _unmarked_cycle_count(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> int:
+    """Number of cycles containing no element of any block."""
+    return _blocks_met(cycles, blocks).count(0)
 
 
 @lru_cache(maxsize=None)
@@ -448,11 +517,10 @@ def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]
     n = sum(lam)
     _check_size(n, LITERAL_MAX_N)
     total = 0
-    for pi in permutations_of_type(lam):
-        sigma = _product(pi)
+    for images in class_images(lam):
+        cycles = _cycles(images[1:] + images[:1])
         for blocks in disjoint_block_tuples(n, alpha):
-            if is_separated(sigma, blocks):
-                total += 1
+            total += _is_separated(cycles, blocks)
     return total
 
 
@@ -510,9 +578,7 @@ def oracle_separated_colored_count_literal(
     _check_size(n, COLORED_LITERAL_MAX_N)
     total = 0
     for images in itertools.permutations(range(n)):
-        pi = Permutation(images)
-        sigma = _product(pi)
-        left_cycles = pi.cycles()
+        left_cycles = _cycles(images)
         left_count = 0
         for assignment in itertools.product(
             range(len(gamma)), repeat=len(left_cycles)
@@ -524,7 +590,7 @@ def oracle_separated_colored_count_literal(
                 left_count += 1
         if left_count == 0:
             continue
-        right_cycles = sigma.cycles()
+        right_cycles = _cycles(images[1:] + images[:1])
         for blocks in disjoint_block_tuples(n, alpha):
             for assignment in itertools.product(range(q), repeat=len(right_cycles)):
                 if len(set(assignment)) != q:
@@ -560,15 +626,14 @@ def oracle_involution_series_literal(pairs: int, alpha: Iterable[int]) -> dict[i
     n = 2 * pairs
     _check_size(n, LITERAL_MAX_N)
     out: dict[int, int] = {}
-    for pi in fixed_point_free_involutions(pairs):
-        sigma = _product(pi)
+    for images in class_images((2,) * pairs):
+        cycles = _cycles(images[1:] + images[:1])
         if not alpha:
-            j = sigma.cycle_count()
-            out[j] = out.get(j, 0) + 1
+            out[len(cycles)] = out.get(len(cycles), 0) + 1
             continue
         for blocks in disjoint_block_tuples(n, alpha):
-            if is_separated(sigma, blocks):
-                j = unmarked_cycle_count(sigma, blocks)
+            if _is_separated(cycles, blocks):
+                j = _unmarked_cycle_count(cycles, blocks)
                 out[j] = out.get(j, 0) + 1
     return out
 
@@ -604,33 +669,32 @@ def oracle_strong_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -
     n = sum(lam)
     _check_size(n, LITERAL_MAX_N)
     total = 0
-    for pi in permutations_of_type(lam):
-        sigma = _product(pi)
+    for images in class_images(lam):
+        cycles = _cycles(images[1:] + images[:1])
         for blocks in disjoint_block_tuples(n, alpha):
-            if is_strongly_separated(sigma, blocks):
-                total += 1
+            total += _is_strongly_separated(cycles, blocks)
     return total
 
 
-def canonical_type_representative(alpha: Iterable[int]) -> Permutation:
-    """The permutation with cycles on consecutive blocks: (0 .. a1-1)(a1 ..) ..."""
+def canonical_type_representative(alpha: Iterable[int]) -> tuple[int, ...]:
+    """The image tuple with cycles on consecutive blocks: (0 .. a1-1)(a1 ..) ..."""
     alpha = as_composition(alpha, allow_empty=False)
-    n = sum(alpha)
-    cycles = []
-    start = 0
+    images: list[int] = []
     for a in alpha:
-        cycles.append(tuple(range(start, start + a)))
-        start += a
-    return Permutation.from_cycles(n, cycles)
+        start = len(images)
+        images += range(start + 1, start + a)
+        images.append(start)
+    return tuple(images)
 
 
 def oracle_connection_coefficient(
     lam: Iterable[int],
     alpha: Iterable[int],
-    representative: Permutation | None = None,
+    representative: Sequence[int] | None = None,
 ) -> int:
-    """Factorizations of a fixed permutation of cycle type ``alpha`` as
-    (class-of-lam element) * (full cycle), counted by enumerating full cycles.
+    """Factorizations of a fixed permutation of cycle type ``alpha``, given by
+    its image tuple, as (class-of-lam element) * (full cycle), counted by
+    enumerating full cycles.
     """
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
@@ -638,10 +702,13 @@ def oracle_connection_coefficient(
     if sum(lam) != n:
         raise ValueError("lam and alpha must have equal size")
     _check_size(n, CONNECTION_MAX_N)
-    phi = representative if representative is not None else canonical_type_representative(alpha)
-    if phi.cycle_type() != sorted_partition(alpha):
+    phi = canonical_type_representative(alpha) if representative is None else tuple(representative)
+    if sorted(phi) != list(range(n)):
+        raise ValueError(f"representative is not a bijection of range({n}): {phi}")
+    if _cycle_type(phi) != sorted_partition(alpha):
         raise ValueError("representative does not have cycle type alpha")
-    return dict(_connection_histogram(phi.inverse().images)).get(lam, 0)
+    inverse = tuple(sorted(range(n), key=phi.__getitem__))
+    return dict(_connection_histogram(inverse)).get(lam, 0)
 
 
 @lru_cache(maxsize=None)

@@ -32,9 +32,13 @@ one small-integer product (`cycle_polynomial`) and one weight vector per
 (n, m, k).  The weights h_r(alpha) in place of n g_r give the connection
 coefficient of `permsep.strong` (Stanley 2011).  Dividing by `pair_space`
 turns counts into probabilities; ``lift`` reads the count of lam + 1^r and
-``involution`` the count of (2^N) (the paper's lifting relation, involution
-series and printed involution sum are `permsep.crosscheck` references).  The
-module also holds the p-cycle and two-full-cycle closed forms.
+``involution`` the count of (2^N).  Three method labels name the paper's
+derivation, not the code that computes the value, and stay so that output
+keeps its bytes: "fixed-point-lift" and "involution-series" (its lifting
+relation and involution series, which are `permsep.crosscheck` references
+with its printed involution sum) and "strong-system" (its weak-to-strong
+system, which `permsep.strong` solves in closed form).  The module also
+holds the p-cycle and two-full-cycle closed forms.
 """
 
 from __future__ import annotations

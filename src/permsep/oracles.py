@@ -3,9 +3,8 @@
 Each oracle enumerates permutations and counts block tuples by direct
 combinatorics on the actual cycles of each product - nothing shared with
 the closed-form code paths.  Classes are enumerated as raw image tuples
-(`class_images`, which `perms` wraps in `Permutation` objects, so the
-oracle path never loads `perms`), the cycle type of each product with the
-full cycle is read straight off the tuple, and each class tally is cached.
+(`class_images`), the cycle type of each product with the full cycle is
+read straight off the tuple, and each class tally is cached.
 Conjugating by the full cycle keeps both the class and the product's cycle
 type, so a tally walks only the members whose cycle through 0 has one
 chosen length and scales up.  Separated block tuples are counted per cycle
@@ -37,7 +36,7 @@ from .partitions import (
 )
 
 
-PAIR_MAX_N = 8
+PAIR_MAX_N = 9
 
 
 def _check_size(n: int, max_n: int) -> None:
@@ -75,8 +74,8 @@ def class_images(
     cycle; distinct cycle lengths are tried in increasing order, and the rest
     of each cycle runs through arrangements of the remaining elements in
     lexicographic order.  The stream length equals the conjugacy class size.
-    No Permutation is built: one image list is rewritten in place and a
-    tuple copy of it is yielded per member.
+    One image list is rewritten in place and a tuple copy of it is yielded
+    per member.
 
     With ``first`` set to a part length L, only the members whose cycle
     through 0 has length L are yielded, in the same order: the slice of

@@ -338,14 +338,14 @@ def test_budget_exceeded_exit_3(capsys):
         "sep-prob", "--lambda", "11,1", "--alpha", "1,1", "--method", "oracle"
     )
     assert code == EXIT_BUDGET
-    # the pair oracle answers up to n = 8 and refuses n = 9 with one stderr
+    # the pair oracle answers up to n = 9 and refuses n = 10 with one stderr
     # line and nothing on stdout
     oracle = ("--alpha", "1,1", "--method", "oracle")
-    assert run_cli("sep-prob", "--lambda", "8", *oracle)[0] == EXIT_OK
+    assert run_cli("sep-prob", "--lambda", "9", *oracle)[0] == EXIT_OK
     capsys.readouterr()
-    assert run_cli("sep-prob", "--lambda", "9", *oracle) == (EXIT_BUDGET, "")
+    assert run_cli("sep-prob", "--lambda", "10", *oracle) == (EXIT_BUDGET, "")
     assert capsys.readouterr().err == (
-        "permsep: budget exceeded: ground set of size 9 exceeds oracle budget max_n=8\n"
+        "permsep: budget exceeded: ground set of size 10 exceeds oracle budget max_n=9\n"
     )
 
 
@@ -358,10 +358,10 @@ def test_table_refuses_before_its_first_record(fmt, capsys):
         argv = ("table", "--n", "3", "--alphas", "1;4", "--method", method, "--format", fmt)
         assert run_cli(*argv) == (EXIT_USAGE, "")
     for method in ("oracle", "both"):
-        argv = ("table", "--n", "9", "--method", method, "--format", fmt)
+        argv = ("table", "--n", "10", "--method", method, "--format", fmt)
         assert run_cli(*argv) == (EXIT_BUDGET, "")
     assert capsys.readouterr().err.endswith(
-        "permsep: budget exceeded: ground set of size 9 exceeds oracle budget max_n=8\n"
+        "permsep: budget exceeded: ground set of size 10 exceeds oracle budget max_n=9\n"
     )
 
 

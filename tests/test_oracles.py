@@ -6,24 +6,28 @@ from collections import Counter
 import pytest
 
 from permsep import crosscheck as xc
+from permsep import formulas as fm
 from permsep import oracles as orc
 from permsep.errors import BudgetExceededError, InvariantError
 from permsep.partitions import (
     binomial,
     conjugacy_class_size,
     partitions,
-)
-from permsep.perms import (
-    Permutation,
-    fixed_point_free_involutions,
-    permutations_of_type,
-)
-from permsep.separation import (
-    disjoint_block_tuples,
-    is_separated,
-    unmarked_cycle_count,
+    sorted_partition,
 )
 from permsep.verification import all_compositions
+
+
+# A permutation is its image tuple: ``images[i]`` is the image of i.  The
+# reference tallies read cycle types off the canonical cycles the literal
+# oracles use, not off `oracles._cycle_type`.
+def cycle_type(images):
+    return sorted_partition(map(len, xc._cycles(images)))
+
+
+def times_full_cycle(images):
+    """pi * omega, omega applied first: pi's images rotated one place."""
+    return images[1:] + images[:1]
 
 
 def test_oracle_separated_pairs_examples():
@@ -61,10 +65,10 @@ def test_oracle_composition_order_irrelevant_literal():
 def test_product_type_histogram_matches_the_other_product_order():
     # omega * pi is conjugate to pi * omega, so the class tallies agree
     for n in range(1, 7):
-        omega = Permutation.full_cycle(n)
         for lam in partitions(n):
             want = Counter(
-                (omega * pi).cycle_type() for pi in permutations_of_type(lam)
+                cycle_type(tuple((y + 1) % n for y in images))  # omega * pi
+                for images in orc.class_images(lam)
             )
             assert orc.product_type_histogram(lam) == tuple(sorted(want.items()))
 
@@ -180,7 +184,7 @@ def test_oracle_connection_coefficients():
 def test_connection_histogram_covers_every_full_cycle(n):
     for alpha in partitions(n):
         phi = xc.canonical_type_representative(alpha)
-        hist = xc._connection_histogram(phi.inverse().images)
+        hist = xc._connection_histogram(tuple(sorted(range(n), key=phi.__getitem__)))
         assert sum(count for _, count in hist) == math.factorial(n - 1)
         assert all(sum(lam) == n for lam, _ in hist)
 
@@ -188,13 +192,13 @@ def test_connection_histogram_covers_every_full_cycle(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_separated_tuple_histogram_matches_literal_tally(n):
     for tau in partitions(n):
-        sigma = xc.canonical_type_representative(tau)
+        cycles = xc._cycles(xc.canonical_type_representative(tau))
         for m in range(n + 1):
             for alpha in partitions(m):
                 tally = {}
-                for blocks in disjoint_block_tuples(n, alpha):
-                    if is_separated(sigma, blocks):
-                        j = unmarked_cycle_count(sigma, blocks)
+                for blocks in xc.disjoint_block_tuples(n, alpha):
+                    if xc._is_separated(cycles, blocks):
+                        j = xc._unmarked_cycle_count(cycles, blocks)
                         tally[j] = tally.get(j, 0) + 1
                 assert orc._separated_tuple_histogram(tau, alpha) == tuple(
                     sorted(tally.items())
@@ -202,17 +206,32 @@ def test_separated_tuple_histogram_matches_literal_tally(n):
 
 
 def test_oracle_connection_alternative_representative():
-    blocks = [(2, 3, 4), (0, 1)]  # a (3, 2) element other than the canonical one
-    other = Permutation.from_cycles(5, blocks)
+    other = (1, 0, 3, 4, 2)  # (0 1)(2 3 4): a (3, 2) element other than the canonical one
+    assert xc._cycles(other) == ((0, 1), (2, 3, 4))
     for lam in partitions(5):
         assert xc.oracle_connection_coefficient(
             lam, (3, 2), representative=other
         ) == xc.oracle_connection_coefficient(lam, (3, 2))
 
 
+def test_representative_of_another_type_rejected():
+    xc._connection_histogram.cache_clear()
+    with pytest.raises(ValueError, match="does not have cycle type alpha"):
+        xc.oracle_connection_coefficient((5,), (3, 2), representative=(1, 2, 3, 4, 0))
+    assert xc._connection_histogram.cache_info().misses == 0
+
+
+def test_pair_oracle_matches_the_formula_at_n_9():
+    for lam in partitions(9):
+        for alpha in [(2, 1), (4, 3, 2)]:
+            assert orc.oracle_separated_pair_count(lam, alpha) == fm.separated_pair_count(
+                lam, alpha
+            ), (lam, alpha)
+
+
 def test_budget_max_n():
     with pytest.raises(BudgetExceededError):
-        orc.oracle_separated_pair_count((9,), (1, 1))
+        orc.oracle_separated_pair_count((10,), (1, 1))
     with pytest.raises(BudgetExceededError):
         xc.oracle_colored_factorization_count((7,), (7,))
     with pytest.raises(BudgetExceededError):
@@ -277,13 +296,9 @@ def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, module, l
     def fail(*_args, **_kwargs):
         raise AssertionError("enumerated despite an exceeded budget")
 
-    for name in (
-        "permutations_of_type",
-        "fixed_point_free_involutions",
-        "disjoint_block_tuples",
-    ):
+    for name in ("class_images", "disjoint_block_tuples"):
         monkeypatch.setattr(xc, name, fail)
-    stubs = types.SimpleNamespace(permutations=fail, product=fail)
+    stubs = types.SimpleNamespace(combinations=fail, permutations=fail, product=fail)
     monkeypatch.setattr(xc, "itertools", stubs)
     with pytest.raises(BudgetExceededError):
         oracle(*args(getattr(module, limit) + 1))
@@ -302,10 +317,9 @@ def test_budgets_hold_when_histograms_are_cached(monkeypatch):
 def test_joint_histogram_matches_a_tally_over_s_n(n):
     # the per-class tallies the coloring oracles read, grouped by the type
     # of pi; flattened and checked against every permutation
-    omega = Permutation.full_cycle(n)
     want = Counter(
-        (pi.cycle_type(), (pi * omega).cycle_type())
-        for pi in map(Permutation, itertools.permutations(range(n)))
+        (cycle_type(images), cycle_type(times_full_cycle(images)))
+        for images in itertools.permutations(range(n))
     )
     got = {
         (lam, tau): count
@@ -317,8 +331,7 @@ def test_joint_histogram_matches_a_tally_over_s_n(n):
 
 @pytest.mark.parametrize("pairs", range(1, 5))
 def test_all_twos_histogram_matches_a_tally_over_involutions(pairs):
-    omega = Permutation.full_cycle(2 * pairs)
     want = Counter(
-        (pi * omega).cycle_type() for pi in fixed_point_free_involutions(pairs)
+        cycle_type(times_full_cycle(images)) for images in orc.class_images((2,) * pairs)
     )
     assert orc.product_type_histogram((2,) * pairs) == tuple(sorted(want.items()))

@@ -201,8 +201,7 @@ def test_oracle_and_verify_subcommands_load_what_they_run():
     )
     assert code == 0
     assert "permsep.oracles" in modules
-    unneeded = {"permsep.perms", "permsep.separation", BINOMIAL_BASIS, "permsep.strong",
-                "permsep.subcommands", *VERIFY_ONLY}
+    unneeded = {BINOMIAL_BASIS, "permsep.strong", "permsep.subcommands", *VERIFY_ONLY}
     assert not (unneeded | set(SLOW_STDLIB)) & set(modules), modules
     code, modules = loaded_by(["verify", "--suite", "all", "--max-n", "4", "--threads", "2"])
     assert code == 0
@@ -255,7 +254,7 @@ def lines_loaded(argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1109),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1108),
         (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 868),
         (["strong", "--lambda", "4,3", "--m", "4"], 1187),
         (["hz", "--N", "6"], 1228),

@@ -1,98 +1,79 @@
+"""Conjugacy classes as streams of image tuples (`oracles.class_images`) and
+the canonical cycles the literal oracles read off a tuple.  A permutation is
+its image tuple: ``images[i]`` is the image of i."""
+
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from permsep import crosscheck as xc
 from permsep.oracles import class_images
-from permsep.partitions import conjugacy_class_size, partitions, perfect_matching_count
-from permsep.perms import (
-    Permutation,
-    compose,
-    fixed_point_free_involutions,
-    permutations_of_type,
+from permsep.partitions import (
+    conjugacy_class_size,
+    partitions,
+    perfect_matching_count,
+    sorted_partition,
 )
 
 
-def perm_from_one_based_cycles(n, cycles):
-    return Permutation.from_cycles(n, [[x - 1 for x in c] for c in cycles])
-
-
-def test_compose_right_factor_first():
-    # (1 2) after the 3-cycle 1->2->3->1, one-based
-    pi = perm_from_one_based_cycles(3, [(1, 2)])
-    rho = perm_from_one_based_cycles(3, [(1, 2, 3)])
-    sigma = compose(pi, rho)
-    assert sigma.cycles() == ((0,), (1, 2))  # fixes 1, swaps 2 and 3 (one-based)
-
-    inv = perm_from_one_based_cycles(3, [(1, 3, 2)])
-    assert compose(inv, rho) == Permutation.identity(3)
-
-
-def test_compose_identity_neutral():
-    rho = perm_from_one_based_cycles(4, [(1, 3), (2, 4)])
-    ident = Permutation.identity(4)
-    assert compose(ident, rho) == rho
-    assert compose(rho, ident) == rho
-
-
-def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
-        compose(Permutation.identity(3), Permutation.identity(4))
-
-
-@settings(max_examples=40)
-@given(st.integers(2, 8).flatmap(lambda n: st.tuples(*[st.permutations(range(n))] * 3)))
-def test_compose_associative(triple):
-    p, q, r = (Permutation(t) for t in triple)
-    assert (p * q) * r == p * (q * r)
-
-
-def test_full_cycle():
-    omega = Permutation.full_cycle(4)
-    assert omega.images == (1, 2, 3, 0)
-    assert omega.cycle_type() == (4,)
+def cycle_type(images):
+    return sorted_partition(map(len, xc._cycles(images)))
 
 
 def test_canonical_cycle_form():
-    perm = Permutation((0, 3, 2, 1, 5, 4))
-    assert perm.cycles() == ((0,), (1, 3), (2,), (4, 5))
-    assert perm.cycle_type() == (2, 2, 1, 1)
+    images = (0, 3, 2, 1, 5, 4)
+    assert xc._cycles(images) == ((0,), (1, 3), (2,), (4, 5))
+    assert cycle_type(images) == (2, 2, 1, 1)
 
 
 def test_not_a_bijection_rejected():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 2))
+    # a representative must be a permutation of range(n), checked before the
+    # full cycles are enumerated
+    for representative in [(0, 0, 2), (1, 0), (1, 0, 2, 3)]:
+        xc._connection_histogram.cache_clear()
+        with pytest.raises(ValueError, match=r"not a bijection of range\(3\)"):
+            xc.oracle_connection_coefficient((3,), (2, 1), representative=representative)
+        assert xc._connection_histogram.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_class_streams_have_class_size(n):
     for lam in partitions(n):
-        members = list(permutations_of_type(lam))
+        members = list(class_images(lam))
         assert len(members) == conjugacy_class_size(lam)
         assert len(set(members)) == len(members)
-        assert all(p.cycle_type() == lam for p in members)
+        assert all(sorted(images) == list(range(n)) for images in members)
+        assert all(cycle_type(images) == lam for images in members)
 
 
 def test_class_stream_matches_filtered_scan():
     for n in range(1, 6):
         for lam in partitions(n):
-            from_stream = {p.images for p in permutations_of_type(lam)}
+            from_stream = set(class_images(lam))
             from_scan = {
                 images
                 for images in itertools.permutations(range(n))
-                if Permutation(images).cycle_type() == lam
+                if cycle_type(images) == lam
             }
             assert from_stream == from_scan
 
 
+def images_from_cycles(n, cycles):
+    """The image tuple of the permutation with the given disjoint cycles."""
+    images = list(range(n))
+    for cycle in cycles:
+        for i, x in enumerate(cycle):
+            images[x] = cycle[(i + 1) % len(cycle)]
+    return tuple(images)
+
+
 def reference_class_stream(lam):
-    """The documented class order, built cycle by cycle with from_cycles."""
+    """The documented class order, built cycle by cycle."""
     n = sum(lam)
 
     def build(elements, parts, acc):
         if not elements:
-            yield Permutation.from_cycles(n, acc).images
+            yield images_from_cycles(n, acc)
             return
         head, rest = elements[0], elements[1:]
         for size in sorted(set(parts)):
@@ -109,7 +90,6 @@ def test_class_images_follow_the_class_stream(n):
     for lam in partitions(n):
         images = list(class_images(lam))
         assert images == reference_class_stream(lam)
-        assert images == [p.images for p in permutations_of_type(lam)]
         assert len(images) == conjugacy_class_size(lam)
 
 
@@ -146,21 +126,14 @@ def test_class_images_construction_order():
 
 @pytest.mark.parametrize("pairs", range(1, 6))
 def test_fixed_point_free_involutions(pairs):
-    members = list(fixed_point_free_involutions(pairs))
+    members = list(class_images((2,) * pairs))
     assert len(members) == perfect_matching_count(pairs)
     assert len(set(members)) == len(members)
-    assert all(p.cycle_type() == (2,) * pairs for p in members)
+    assert all(cycle_type(images) == (2,) * pairs for images in members)
     # the smallest unpaired point is matched with each larger point in turn
-    assert [p.cycles() for p in members] == sorted(p.cycles() for p in members)
-
-
-def test_inverse():
-    for images in itertools.permutations(range(4)):
-        p = Permutation(images)
-        assert p * p.inverse() == Permutation.identity(4)
+    cycles = [xc._cycles(images) for images in members]
+    assert cycles == sorted(cycles)
 
 
 def test_streams_are_recreatable():
-    first = [p.images for p in permutations_of_type((3, 2))]
-    second = [p.images for p in permutations_of_type((3, 2))]
-    assert first == second
+    assert list(class_images((3, 2))) == list(class_images((3, 2)))
