@@ -40,7 +40,6 @@ _EXPORTS = {
             "separation_probability",
             "separation_probability_involution",
             "separation_probability_p_cycles",
-            "separation_probability_two_cycles",
         ),
         "formulas",
     ),
@@ -54,6 +53,7 @@ _EXPORTS = {
             "involution_series",
             "marked_composition_count",
             "separated_colored_count",
+            "separation_probability_two_cycles",
             "singleton_blocks_probability",
         ),
         "crosscheck",

@@ -195,7 +195,9 @@ _SEP_PROB = (_cmd_sep_prob, "separation probability for one cycle type", (
 
 def _cmd_ncycle(args, out: TextIO) -> int:
     alpha = _parse_alpha(args.alpha)
-    res = fm.separation_probability_two_cycles(args.n, alpha)
+    if sum(alpha) > args.n:
+        raise ValueError("total block size exceeds n")
+    res = fm.separation_probability((args.n,), alpha)._replace(method="two-cycles-closed-form")
     params = {"n": args.n, "alpha": list(alpha)}
     return _emit_results(out, "ncycle", params, [res], args.float)
 

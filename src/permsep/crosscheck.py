@@ -4,21 +4,22 @@ The queries compute each quantity one way and check it against one oracle
 (`permsep.oracles`).  This module holds the rest: the closed forms of the
 auxiliary objects behind the derivations (colored factorizations, separated
 colored quadruples, marked compositions, colored matchings), the piecewise
-two-cycle form, the paper's involution series, printed involution sum and
-lifting relation (the queries read those counts from the hook sum, and
-``involution`` derives the printed value from its count), the weak-to-strong
-refinement matrix, two polynomial identities, and the coloring, involution,
-colored-matching, strong and connection oracles.  The ``*_literal`` oracles
-enumerate every structure one by one, to validate the counting oracles at
-tiny sizes: each permutation is an image tuple (``images[i]`` is the image
-of i) from `oracles.class_images`, its product with the full cycle is that
-tuple rotated one place, and a block tuple of disjoint frozensets is tested
-on the product's canonical cycles.  The coloring oracles read the
-product-type tally of each class of S_n (`oracles.product_type_histogram`),
-so a class with no coloring of the profile costs one step.  Connection
-coefficients tally the full cycles once per representative.  Each oracle has
-one fixed ground-set limit, a module constant, and checks it once, before it
-enumerates anything.
+two-cycle form, the paper's two-full-cycle closed form, involution series,
+printed involution sum and lifting relation (the queries read those counts
+from the hook sum, and ``involution`` derives the printed value from its
+count), the weak-to-strong refinement matrix, two polynomial identities, and
+the coloring, involution, colored-matching, strong (the block DP of
+`permsep.oracles`, one cycle per block) and connection oracles.  The
+``*_literal`` oracles enumerate every structure one by one, to validate the
+counting oracles at tiny sizes: each permutation is an image tuple
+(``images[i]`` is the image of i) from `oracles.class_images`, its product
+with the full cycle is that tuple rotated one place, and a block tuple of
+disjoint frozensets is tested on the product's canonical cycles.  The
+coloring oracles read the product-type tally of each class of S_n
+(`oracles.product_type_histogram`), so a class with no coloring of the
+profile costs one step.  Connection coefficients tally the full cycles once
+per representative.  Each oracle has one fixed ground-set limit, a module
+constant, and checks it once, before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantError
-from .formulas import separated_pair_count
+from .formulas import SepResult, pair_space, separated_pair_count
 from .oracles import (
     _check_size,
     _cycle_type,
@@ -192,6 +193,27 @@ def refinement_matrix(size: int) -> tuple[tuple[int, ...], ...]:
 
 # ---------------------------------------------------------------------------
 # The paper's other routes to the separated-pair count
+
+
+def separation_probability_two_cycles(n: int, alpha: Iterable[int]) -> SepResult:
+    """Separation probability for the product of two uniform full cycles,
+    via the paper's short alternating-sum closed form; ``ncycle`` reads the
+    hook-sum count of the class (n) under its method label."""
+    alpha = as_composition(alpha, allow_empty=False)
+    m, k = sum(alpha), len(alpha)
+    if m > n:
+        raise ValueError("total block size exceeds n")
+    bracket = Fraction((-1) ** (n - m) * binomial(n - 1, k - 2), binomial(n + m, m - k))
+    for r in range(m - k + 1):
+        bracket += Fraction(
+            (-1) ** r * binomial(m - k, r) * binomial(n + r + 1, m), binomial(n + k + r, r)
+        )
+    prod_fact = math.prod(math.factorial(a) for a in alpha)
+    prob = Fraction(math.factorial(n - m) * prod_fact, (n + k) * math.factorial(n - 1)) * bracket
+    count = prob * pair_space(n, alpha, math.factorial(n - 1))
+    if count.denominator != 1 or count < 0:
+        raise InvariantError(f"two-cycle separated count not integral: {count}")
+    return SepResult(count=int(count), probability=prob, method="two-cycles-closed-form")
 
 
 def involution_series(pairs: int, alpha: Iterable[int]) -> BinomialPolynomial:
@@ -445,25 +467,6 @@ def _unmarked_cycle_count(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -
 
 
 @lru_cache(maxsize=None)
-def _strong_tuple_count(cycle_sizes: Partition, block_sizes: Partition) -> int:
-    """Block tuples strongly separated: blocks injectively inside distinct cycles."""
-
-    def place(i: int, used: int) -> int:
-        if i == len(block_sizes):
-            return 1
-        total = 0
-        for c, size in enumerate(cycle_sizes):
-            if used >> c & 1:
-                continue
-            ways = binomial(size, block_sizes[i])
-            if ways:
-                total += ways * place(i + 1, used | 1 << c)
-        return total
-
-    return place(0, 0)
-
-
-@lru_cache(maxsize=None)
 def _color_size_distribution(
     cycle_sizes: Partition, colors: int
 ) -> Mapping[tuple[int, ...], int]:
@@ -660,7 +663,11 @@ def oracle_strong_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
         return 0
     hist = product_type_histogram(lam)
     blocks = sorted_partition(alpha)
-    return sum(count * _strong_tuple_count(tau, blocks) for tau, count in hist)
+    return sum(
+        count * ways
+        for tau, count in hist
+        for _, ways in _separated_tuple_histogram(tau, blocks, strong=True)
+    )
 
 
 def oracle_strong_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:

@@ -29,16 +29,18 @@ chi^(n-r, 1^r).  The count comes in four steps.
 With |C_lam| = n! / z_lam,
 count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
 one small-integer product (`cycle_polynomial`) and one weight vector per
-(n, m, k).  The weights h_r(alpha) in place of n g_r give the connection
-coefficient of `permsep.strong` (Stanley 2011).  Dividing by `pair_space`
-turns counts into probabilities; ``lift`` reads the count of lam + 1^r and
-``involution`` the count of (2^N).  Three method labels name the paper's
-derivation, not the code that computes the value, and stay so that output
-keeps its bytes: "fixed-point-lift" and "involution-series" (its lifting
-relation and involution series, which are `permsep.crosscheck` references
-with its printed involution sum) and "strong-system" (its weak-to-strong
-system, which `permsep.strong` solves in closed form).  The module also
-holds the p-cycle and two-full-cycle closed forms.
+(n, m, k), summed by binary splitting.  The weights h_r(alpha) in place of
+n g_r give the connection coefficient of `permsep.strong` (Stanley 2011).
+Dividing by `pair_space` turns counts into probabilities; ``ncycle`` reads
+the count of (n), ``lift`` that of lam + 1^r and ``involution`` that of
+(2^N).  Four method labels name the paper's derivation, not the code that
+computes the value, and stay so that output keeps its bytes:
+"two-cycles-closed-form", "fixed-point-lift" and "involution-series" (its
+two-full-cycle closed form, lifting relation and involution series, which
+are `permsep.crosscheck` references with its printed involution sum) and
+"strong-system" (its weak-to-strong system, which `permsep.strong` solves
+in closed form).  The module also holds the p-cycle closed form, whose
+count sums a union of classes.
 """
 
 from __future__ import annotations
@@ -95,15 +97,30 @@ def _hook_weights(n: int, m: int, k: int) -> tuple[int, ...]:
 
 def _hook_sum(lam: Partition, weights: Iterable[int], what: str) -> int:
     """(1 / z_lam) sum_{r<n} (-1)^r h_r w_r r! (n-1-r)!, h_r the partial sums
-    of q_lam; raises unless the result is a nonnegative integer."""
+    of q_lam; raises unless the result is a nonnegative integer.
+
+    Summed by binary splitting (Haible and Papanikolaou 1998): with
+    c_r = (-1)^r h_r w_r, r! (n-1-r)! = n! P(0, r+1) / Q(0, r+1), where over
+    [low, high) P = prod max(j, 1) and Q = prod (n - j).  The halves of
+    T(low, high) = sum_r c_r P(low, r+1) Q(r+1, high) merge as
+    T(low, mid) Q(mid, high) + P(low, mid) T(mid, high); N terms sum to
+    T(0, N) (n-N)!.
+    """
     n = sum(lam)
-    total = 0
-    factorials = math.factorial(n - 1)  # r! (n-1-r)!, carried from r - 1
-    for r, (h, w) in enumerate(zip(accumulate(cycle_polynomial(lam)[:n]), weights)):
-        if r:
-            factorials = factorials * r // (n - r)
-        if h and w:
-            total += (-1) ** r * h * w * factorials
+    terms = [
+        -h * w if r % 2 else h * w
+        for r, (h, w) in enumerate(zip(accumulate(cycle_polynomial(lam)[:n]), weights))
+    ]
+
+    def split(low: int, high: int) -> tuple[int, int, int]:
+        if high - low == 1:
+            return low or 1, n - low, terms[low] * (low or 1)
+        mid = (low + high) // 2
+        p_low, q_low, t_low = split(low, mid)
+        p_high, q_high, t_high = split(mid, high)
+        return p_low * p_high, q_low * q_high, t_low * q_high + p_low * t_high
+
+    total = split(0, len(terms))[2] * math.factorial(n - len(terms))
     count, remainder = divmod(total, centralizer_order(lam))
     if remainder or count < 0:
         value = Fraction(total, centralizer_order(lam))
@@ -165,16 +182,18 @@ def separation_probability(lam: Iterable[int], alpha: Iterable[int]) -> SepResul
 
 
 def separated_count_p_cycles(n: int, p: int, alpha: Iterable[int]) -> int:
-    """Separated pairs summed over all permutations with exactly p cycles.
-
-    n! * sum_r C(1-k, r) C(n+k-1, n-m-r) c(n-k-r+1, p) / (n-k-r+1)!.
-    """
+    """Separated pairs summed over all permutations with exactly p cycles."""
     alpha = as_composition(alpha, allow_empty=False)
-    m, k = sum(alpha), len(alpha)
     if not 1 <= p <= n:
         raise ValueError("need 1 <= p <= n")
-    if m > n:
+    if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
+    return _p_cycle_count(n, p, sum(alpha), len(alpha))
+
+
+@lru_cache(maxsize=None)
+def _p_cycle_count(n: int, p: int, m: int, k: int) -> int:
+    """n! * sum_r C(1-k, r) C(n+k-1, n-m-r) c(n-k-r+1, p) / (n-k-r+1)!."""
     total = Fraction(0)
     for r in range(n - m + 1):
         q = n - k - r + 1
@@ -196,37 +215,6 @@ def separation_probability_p_cycles(n: int, p: int, alpha: Iterable[int]) -> Sep
     count = separated_count_p_cycles(n, p, alpha)  # validates p and sum(alpha)
     prob = Fraction(count, pair_space(n, alpha, stirling_first_unsigned(n, p)))
     return SepResult(count=count, probability=prob, method="p-cycles-closed-form")
-
-
-def separation_probability_two_cycles(n: int, alpha: Iterable[int]) -> SepResult:
-    """Separation probability for the product of two uniform full cycles,
-    via the short alternating-sum closed form."""
-    alpha = as_composition(alpha, allow_empty=False)
-    m, k = sum(alpha), len(alpha)
-    if m > n:
-        raise ValueError("total block size exceeds n")
-    if k == 1:
-        count = binomial(n, m) * math.factorial(n - 1)
-        return SepResult(count=count, probability=Fraction(1), method="two-cycles-closed-form")
-    prod_fact = math.prod(math.factorial(a) for a in alpha)
-    bracket = Fraction(
-        (-1) ** (n - m) * binomial(n - 1, k - 2), binomial(n + m, m - k)
-    )
-    for r in range(m - k + 1):
-        bracket += Fraction(
-            (-1) ** r * binomial(m - k, r) * binomial(n + r + 1, m),
-            binomial(n + k + r, r),
-        )
-    prob = (
-        Fraction(math.factorial(n - m) * prod_fact, (n + k) * math.factorial(n - 1))
-        * bracket
-    )
-    count = prob * pair_space(n, alpha, math.factorial(n - 1))
-    if count.denominator != 1 or count < 0:
-        raise InvariantError(f"two-cycle separated count not integral: {count}")
-    return SepResult(
-        count=int(count), probability=prob, method="two-cycles-closed-form"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -158,18 +158,19 @@ def _covering_subset_count(size: int, lengths: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _block_placements(
-    lengths: tuple[int, ...], free: tuple[int, ...], size: int
+    lengths: tuple[int, ...], free: tuple[int, ...], size: int, most: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Ways to place one block of ``size`` elements when free[i] cycles of
     length lengths[i] are untouched, keyed by the untouched counts left.
 
-    The block picks u_i untouched cycles of each length (0 < sum u <= size),
+    The block picks u_i untouched cycles of each length (0 < sum u <= most),
     in prod C(free_i, u_i) ways, and a ``size``-subset of their union meeting
-    every picked cycle.
+    every picked cycle.  ``most`` is ``size`` for separation and 1 for strong
+    separation, which confines each block to one cycle.
     """
     out: dict[tuple[int, ...], int] = {}
-    for picked in itertools.product(*(range(min(f, size) + 1) for f in free)):
-        if not 0 < sum(picked) <= size:
+    for picked in itertools.product(*(range(min(f, most) + 1) for f in free)):
+        if not 0 < sum(picked) <= most:
             continue
         weight = _covering_subset_count(
             size, tuple(s for s, u in zip(lengths, picked) for _ in range(u))
@@ -184,10 +185,11 @@ def _block_placements(
 
 @lru_cache(maxsize=None)
 def _separated_tuple_histogram(
-    cycle_sizes: Partition, block_sizes: Partition
+    cycle_sizes: Partition, block_sizes: Partition, strong: bool = False
 ) -> tuple[tuple[int, int], ...]:
-    """Block tuples with the given sizes separated by a permutation whose
-    cycles have the given sizes, split by the number of untouched cycles.
+    """Block tuples with the given sizes separated (``strong``: strongly
+    separated) by a permutation whose cycles have the given sizes, split by
+    the number of untouched cycles.
 
     Blocks are placed one at a time.  The state is the number of untouched
     cycles of each distinct length, and each step reads its transitions from
@@ -200,7 +202,7 @@ def _separated_tuple_histogram(
     for a in block_sizes:
         nxt: dict[tuple[int, ...], int] = {}
         for free, ways in states.items():
-            for left, weight in _block_placements(lengths, free, a):
+            for left, weight in _block_placements(lengths, free, a, 1 if strong else a):
                 nxt[left] = nxt.get(left, 0) + ways * weight
         states = nxt
     out: dict[int, int] = {}

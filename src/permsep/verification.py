@@ -104,7 +104,7 @@ def check_two_cycle_closed_form(max_n: int) -> CheckResult:
     for n in range(4, min(9, max_n) + 1):
         for k in range(2, min(n, 5) + 1):
             alpha = (1,) * k
-            closed = fm.separation_probability_two_cycles(n, alpha).probability
+            closed = xc.separation_probability_two_cycles(n, alpha).probability
             rec.equal(
                 closed,
                 xc.singleton_blocks_probability(n, k),

@@ -72,6 +72,20 @@ def test_ncycle():
     assert record["probability_float"].startswith("0.611111111111111")
 
 
+def test_ncycle_and_sep_prob_make_one_kernel_call(monkeypatch):
+    from permsep import formulas as fm
+
+    calls = []
+    kernel = fm._separated_count.__wrapped__  # uncached, so every call reaches it
+    monkeypatch.setattr(fm, "_separated_count", lambda *key: calls.append(key) or kernel(*key))
+    _, ncycle = run_json("ncycle", "--n", "9", "--alpha", "3,2,1")
+    _, sep_prob = run_json("sep-prob", "--lambda", "9", "--alpha", "3,2,1")
+    assert calls == [((9,), 6, 3)] * 2
+    (ncycle,), (sep_prob,) = ncycle["records"], sep_prob["records"]
+    assert ncycle["method"] == "two-cycles-closed-form"
+    assert (ncycle["count"], ncycle["probability"]) == (sep_prob["count"], sep_prob["probability"])
+
+
 def test_ncycle_count_past_the_int_to_str_limit():
     limit = sys.get_int_max_str_digits()
     code, payload = run_json("ncycle", "--n", "1800", "--alpha", "1,1")

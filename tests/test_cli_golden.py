@@ -1,4 +1,4 @@
-"""Golden CLI corpus: queries at n = 5-400 must print exactly the recorded
+"""Golden CLI corpus: queries at n = 5-3000 must print exactly the recorded
 stdout.
 
 ``tests/data/cli_golden.json`` holds a list of ``{"argv", "stdout"}`` cases.
@@ -23,8 +23,13 @@ replaced that route.  The last three cases are ``involution`` at N = 3 with
 m = 2N - 1 (both records equal, no note), at N = 4 with probability 0 (no
 note although 2N - m = 2) and at N = 200 with the note, recorded while the
 printed form was still the literal sum, just before it became the
-count-based probability over (2N - m)!.  Any change in a digit, a key order
-or a warning fails the comparison.
+count-based probability over (2N - m)!.  The five cases at n = 1000-3000
+(``ncycle`` at n = 2000 and at n = 1000 with two singletons, ``sep-prob``
+at n = 3000, a ``lift`` to n = 800 and a ``connection`` at n = 2000) were
+recorded while the hook sum still carried r! (n-1-r)! through one loop over
+r and ``ncycle`` still evaluated the paper's two-full-cycle closed form,
+just before binary splitting and the count of the class (n) replaced them.
+Any change in a digit, a key order or a warning fails the comparison.
 """
 
 import io

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -118,7 +119,7 @@ def test_full_cycle_count_matches_two_cycle_closed_form(n):
     for m in range(1, n + 1):
         for k in range(1, m + 1):
             alpha = _profile(m, k)
-            expected = fm.separation_probability_two_cycles(n, alpha)
+            expected = xc.separation_probability_two_cycles(n, alpha)
             result = fm.separation_probability((n,), alpha)
             assert result.count == expected.count, (m, k)
             assert result.probability == expected.probability
@@ -130,10 +131,20 @@ def test_full_cycle_count_matches_two_cycle_closed_form_at_large_n(n):
     for m, k in ((1, 1), (2, 2), (6, 3), (40, 7), (n // 2, 2), (n // 2, n // 4),
                  (n - 1, n - 1), (n, n // 2), (n, n)):
         alpha = _profile(m, k)
-        expected = fm.separation_probability_two_cycles(n, alpha)
+        expected = xc.separation_probability_two_cycles(n, alpha)
         result = fm.separation_probability((n,), alpha)
         assert result.count == expected.count, (m, k)
         assert result.probability == expected.probability
+
+
+def test_full_cycle_count_matches_two_cycle_closed_form_at_n_4000():
+    # the binary-split sum at a size where its halves hold thousands of terms;
+    # blocks stay small, as the closed form costs m - k big-fraction terms
+    n = 4000
+    for m, k in ((1, 1), (2, 2), (3, 2), (6, 3), (40, 7), (200, 100)):
+        alpha = _profile(m, k)
+        expected = xc.separation_probability_two_cycles(n, alpha)
+        assert fm.separation_probability((n,), alpha)[:2] == expected[:2], (m, k)
 
 
 @pytest.mark.parametrize("pairs", [50, 120, 200])
@@ -151,6 +162,49 @@ def test_cycle_polynomial_examples():
     assert fm.cycle_polynomial((2, 1)) == [1, -1, -1, 1]
     assert fm.cycle_polynomial((1, 1, 1)) == [1, -3, 3, -1]
     assert fm.cycle_polynomial((3,)) == [1, 0, 0, -1]
+
+
+def _loop_hook_sum(lam, weights):
+    """The hook sum as one loop over r, carrying r! (n-1-r)! from r - 1: the
+    reference for the binary splitting of `formulas._hook_sum`."""
+    n = sum(lam)
+    total = 0
+    factorials = math.factorial(n - 1)
+    for r, (h, w) in enumerate(zip(accumulate(fm.cycle_polynomial(lam)[:n]), weights)):
+        if r:
+            factorials = factorials * r // (n - r)
+        total += (-1) ** r * h * w * factorials
+    return Fraction(total, centralizer_order(lam))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hook_sum_matches_the_loop(n):
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            weights = [n * g for g in fm._hook_weights(n, m, k)]
+            for lam in partitions(n):
+                assert fm._hook_sum(lam, iter(weights), "count") == _loop_hook_sum(
+                    lam, weights
+                ), (lam, m, k)
+    for alpha in partitions(n):
+        weights = list(accumulate(fm.cycle_polynomial(alpha)))
+        for lam in partitions(n):
+            assert fm._hook_sum(lam, iter(weights), "connection") == _loop_hook_sum(
+                lam, weights
+            ), (lam, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hook_sum_matches_the_loop_on_draws(data):
+    n = data.draw(st.integers(1, 300))
+    lam = sorted_partition(_draw_parts(data, n))
+    m = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, m))
+    weights = [n * g for g in fm._hook_weights(n, m, k)]
+    assert fm._hook_sum(lam, iter(weights), "count") == _loop_hook_sum(lam, weights)
+    weights = list(accumulate(fm.cycle_polynomial(_draw_parts(data, n))))
+    assert fm._hook_sum(lam, iter(weights), "connection") == _loop_hook_sum(lam, weights)
 
 
 def test_hook_sum_raises_on_a_non_integral_sum():
@@ -213,10 +267,10 @@ def test_p_cycles_aggregates_class_counts(n):
 
 
 def test_two_cycles_examples():
-    assert fm.separation_probability_two_cycles(3, (1, 1)).probability == Fraction(1, 2)
-    assert fm.separation_probability_two_cycles(4, (1, 1)).probability == Fraction(11, 18)
-    assert fm.separation_probability_two_cycles(6, (1, 1, 1)).probability == Fraction(1, 6)
-    assert fm.separation_probability_two_cycles(5, (4,)).probability == 1
+    assert xc.separation_probability_two_cycles(3, (1, 1)).probability == Fraction(1, 2)
+    assert xc.separation_probability_two_cycles(4, (1, 1)).probability == Fraction(11, 18)
+    assert xc.separation_probability_two_cycles(6, (1, 1, 1)).probability == Fraction(1, 6)
+    assert xc.separation_probability_two_cycles(5, (4,)).probability == 1
 
 
 def test_singleton_blocks_piecewise():
@@ -225,7 +279,7 @@ def test_singleton_blocks_piecewise():
     assert xc.singleton_blocks_probability(6, 3) == Fraction(1, 6)
     for n in range(2, 10):
         for k in range(2, min(n, 6) + 1):
-            closed = fm.separation_probability_two_cycles(n, (1,) * k).probability
+            closed = xc.separation_probability_two_cycles(n, (1,) * k).probability
             assert closed == xc.singleton_blocks_probability(n, k)
 
 
@@ -234,7 +288,7 @@ def test_consistency_of_all_two_cycle_paths(n):
     for m in range(1, n + 1):
         for alpha in partitions(m):
             series = fm.separation_probability((n,), alpha).probability
-            closed = fm.separation_probability_two_cycles(n, alpha).probability
+            closed = xc.separation_probability_two_cycles(n, alpha).probability
             via_p = fm.separation_probability_p_cycles(n, 1, alpha).probability
             assert series == closed == via_p
 
@@ -515,7 +569,7 @@ def _draw_two_cycles(data):
     n = data.draw(st.integers(1, 20))
     alpha = _draw_alpha(data, n)
     space = fm.pair_space(n, alpha, conjugacy_class_size((n,)))
-    return fm.separation_probability_two_cycles(n, alpha), space
+    return xc.separation_probability_two_cycles(n, alpha), space
 
 
 def _draw_p_cycles(data):
