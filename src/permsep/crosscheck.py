@@ -8,18 +8,18 @@ two-cycle form, the paper's two-full-cycle closed form, involution series,
 printed involution sum and lifting relation (the queries read those counts
 from the hook sum, and ``involution`` derives the printed value from its
 count), the weak-to-strong refinement matrix, two polynomial identities, and
-the coloring, involution, colored-matching, strong (the block DP of
-`permsep.oracles`, one cycle per block) and connection oracles.  The
-``*_literal`` oracles enumerate every structure one by one, to validate the
-counting oracles at tiny sizes: each permutation is an image tuple
-(``images[i]`` is the image of i) from `oracles.class_images`, its product
-with the full cycle is that tuple rotated one place, and a block tuple of
-disjoint frozensets is tested on the product's canonical cycles.  The
-coloring oracles read the product-type tally of each class of S_n
-(`oracles.product_type_histogram`), so a class with no coloring of the
-profile costs one step.  Connection coefficients tally the full cycles once
-per representative.  Each oracle has one fixed ground-set limit, a module
-constant, and checks it once, before it enumerates anything.
+the oracles.  The coloring, involution, colored-matching and strong oracles
+read one separated-pair histogram of a class: its product-type tally
+(`oracles.product_type_histogram`) times the block DP of `permsep.oracles`.
+A coloring of cycles is the separated block tuple of its color classes,
+which covers every point.  The ``*_literal`` oracles enumerate every
+structure one by one, to validate the counting oracles at tiny sizes: each
+permutation is an image tuple (``images[i]`` is the image of i) from
+`oracles.class_images`, its product with the full cycle is that tuple
+rotated one place, and a block tuple of disjoint frozensets is tested on the
+product's canonical cycles.  Connection coefficients tally the full cycles
+once per representative.  Each oracle has one fixed ground-set limit, a
+module constant, and checks it once, before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
 from .formulas import SepResult, pair_space, separated_pair_count
@@ -466,50 +465,47 @@ def _unmarked_cycle_count(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -
     return _blocks_met(cycles, blocks).count(0)
 
 
-@lru_cache(maxsize=None)
-def _color_size_distribution(
-    cycle_sizes: Partition, colors: int
-) -> Mapping[tuple[int, ...], int]:
-    """Distribution of per-color element totals over all cycle colorings.
-
-    Keys are vectors (elements colored 1, ..., elements colored ``colors``);
-    values count the colorings of the given cycles producing that vector.
-    The cached mapping is read-only, so callers can share it.
-    """
-    states: dict[tuple[int, ...], int] = {(0,) * colors: 1}
-    for size in cycle_sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for vec, ways in states.items():
-            for i in range(colors):
-                bumped = vec[:i] + (vec[i] + size,) + vec[i + 1 :]
-                nxt[bumped] = nxt.get(bumped, 0) + ways
-        states = nxt
-    return MappingProxyType(states)
-
-
-def _profile_coloring_count(cycle_sizes: Partition, profile: Composition) -> int:
-    """Cycle colorings whose color-i class has exactly profile[i] elements."""
-    return _color_size_distribution(cycle_sizes, len(profile)).get(profile, 0)
+def _literal_histogram(
+    lam: Partition, alpha: Composition, strong: bool = False
+) -> dict[int, int]:
+    """{untouched cycles: pairs} with the class of lam and the block tuples
+    with sizes alpha enumerated one by one, each pair tested with the
+    (``strong``: strong) separation predicate."""
+    separated = _is_strongly_separated if strong else _is_separated
+    out: dict[int, int] = {}
+    for images in class_images(lam):
+        cycles = _cycles(images[1:] + images[:1])
+        for blocks in disjoint_block_tuples(sum(lam), alpha):
+            if separated(cycles, blocks):
+                j = _unmarked_cycle_count(cycles, blocks)
+                out[j] = out.get(j, 0) + 1
+    return out
 
 
 @lru_cache(maxsize=None)
-def _marked_surjective_coloring_count(
-    cycle_sizes: Partition, alpha: Composition, extra_colors: int
-) -> int:
-    """Surjective colorings in k + extra colors, weighted by the choices of a
-    block tuple whose i-th block sits inside color class i (i <= k)."""
-    k = len(alpha)
-    total = 0
-    for vec, ways in _color_size_distribution(cycle_sizes, k + extra_colors).items():
-        if any(v == 0 for v in vec):
-            continue
-        weight = 1
-        for a, v in zip(alpha, vec):
-            weight *= binomial(v, a)
-            if weight == 0:
-                break
-        total += ways * weight
-    return total
+def _pair_histogram(
+    lam: Partition, blocks: Composition, strong: bool = False
+) -> tuple[tuple[int, int], ...]:
+    """{untouched cycles: pairs}, as sorted items, over the pairs (pi in the
+    class of lam, block tuple with the given sizes) that pi times the full
+    cycle separates (``strong``: strongly separates): the product-type tally
+    of the class times the block DP of `permsep.oracles`.  Reordering the
+    block sizes permutes the tuples, so the DP reads them sorted."""
+    sizes = sorted_partition(blocks)
+    out: dict[int, int] = {}
+    for tau, count in product_type_histogram(lam):
+        for j, ways in _separated_tuple_histogram(tau, sizes, strong):
+            out[j] = out.get(j, 0) + count * ways
+    return tuple(sorted(out.items()))
+
+
+def _extra_color_weight(untouched: int, k: int, extra: int) -> int:
+    """Colorings of ``untouched`` cycles in k + extra colors that use every
+    one of the ``extra`` colors, by inclusion-exclusion over those left out."""
+    return sum(
+        (-1) ** i * binomial(extra, i) * (k + extra - i) ** untouched
+        for i in range(extra + 1)
+    )
 
 
 def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
@@ -517,47 +513,49 @@ def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]
     one and tested with the separation predicate."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    n = sum(lam)
-    _check_size(n, LITERAL_MAX_N)
-    total = 0
-    for images in class_images(lam):
-        cycles = _cycles(images[1:] + images[:1])
-        for blocks in disjoint_block_tuples(n, alpha):
-            total += _is_separated(cycles, blocks)
-    return total
+    _check_size(sum(lam), LITERAL_MAX_N)
+    return sum(_literal_histogram(lam, alpha).values())
 
 
-def _left_colored_total(gamma: Composition, right_weight) -> int:
+def _left_colored_total(gamma: Composition, blocks: Composition, right_weight) -> int:
     """Sum over pi in S_n, n = |gamma|, of the colorings of pi with profile
-    gamma times ``right_weight`` of the product's cycle type.  The tally is
-    read class by class, so a class with no such coloring costs one step."""
+    gamma times ``right_weight`` of the untouched cycle count, summed over
+    the block tuples with the given sizes that the product separates.
+
+    A coloring with profile gamma is a block tuple with sizes gamma that the
+    cycles separate: it covers every point, so each block is a union of
+    cycles and no cycle is left untouched.  A class with no such coloring
+    costs one step."""
     n = sum(gamma)
     _check_size(n, COLORING_MAX_N)
+    sizes = sorted_partition(gamma)
     total = 0
     for lam in partitions(n):
-        left = _profile_coloring_count(lam, gamma)
+        left = dict(_separated_tuple_histogram(lam, sizes)).get(0, 0)
         if left:
-            total += left * sum(
-                count * right_weight(tau) for tau, count in product_type_histogram(lam)
-            )
+            hist = _pair_histogram(lam, blocks)
+            total += left * sum(pairs * right_weight(j) for j, pairs in hist)
     return total
 
 
 def oracle_colored_factorization_count(gamma: Iterable[int], delta: Iterable[int]) -> int:
     """Triples (pi, left coloring with profile gamma, right coloring with
-    profile delta) over all of S_n."""
+    profile delta) over all of S_n: a right coloring is a separated block
+    tuple with sizes delta, which leaves no cycle untouched."""
     gamma = as_composition(gamma, allow_empty=False)
     delta = as_composition(delta, allow_empty=False)
     if sum(gamma) != sum(delta):
         raise ValueError("gamma and delta must have equal size")
-    return _left_colored_total(gamma, lambda tau: _profile_coloring_count(tau, delta))
+    return _left_colored_total(gamma, delta, lambda j: 1)
 
 
 def oracle_separated_colored_count(
     gamma: Iterable[int], alpha: Iterable[int], extra_colors: int
 ) -> int:
     """Quadruples (pi, A, c1, c2): left coloring profile gamma, right coloring
-    surjective in k + extra colors with block i inside color class i."""
+    surjective in k + extra colors with block i inside color class i.  Such a
+    right coloring is a separated A whose untouched cycles take colors that
+    cover the extra ones."""
     gamma = as_composition(gamma, allow_empty=False)
     alpha = as_composition(alpha, allow_empty=False)
     if extra_colors < 0:
@@ -565,8 +563,9 @@ def oracle_separated_colored_count(
     n = sum(gamma)
     if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
+    k = len(alpha)
     return _left_colored_total(
-        gamma, lambda tau: _marked_surjective_coloring_count(tau, alpha, extra_colors)
+        gamma, alpha, lambda j: _extra_color_weight(j, k, extra_colors)
     )
 
 
@@ -616,41 +615,23 @@ def oracle_involution_series(pairs: int, alpha: Iterable[int]) -> dict[int, int]
     _check_size(2 * pairs, INVOLUTION_MAX_N)
     if sum(alpha) > 2 * pairs:
         raise ValueError("total block size exceeds 2 * pairs")
-    blocks = sorted_partition(alpha)
-    out: dict[int, int] = {}
-    for tau, count in product_type_histogram((2,) * pairs):
-        for j, ways in _separated_tuple_histogram(tau, blocks):
-            out[j] = out.get(j, 0) + count * ways
-    return out
+    return dict(_pair_histogram((2,) * pairs, alpha))
 
 
 def oracle_involution_series_literal(pairs: int, alpha: Iterable[int]) -> dict[int, int]:
     alpha = as_composition(alpha)
-    n = 2 * pairs
-    _check_size(n, LITERAL_MAX_N)
-    out: dict[int, int] = {}
-    for images in class_images((2,) * pairs):
-        cycles = _cycles(images[1:] + images[:1])
-        if not alpha:
-            out[len(cycles)] = out.get(len(cycles), 0) + 1
-            continue
-        for blocks in disjoint_block_tuples(n, alpha):
-            if _is_separated(cycles, blocks):
-                j = _unmarked_cycle_count(cycles, blocks)
-                out[j] = out.get(j, 0) + 1
-    return out
+    _check_size(2 * pairs, LITERAL_MAX_N)
+    return _literal_histogram((2,) * pairs, alpha)
 
 
 def oracle_colored_matching_count(pairs: int, gamma: Iterable[int]) -> int:
-    """Pairs (fixed-point-free involution, right coloring with profile gamma)."""
+    """Pairs (fixed-point-free involution, right coloring with profile gamma):
+    separated block tuples with sizes gamma, which leave no cycle untouched."""
     gamma = as_composition(gamma, allow_empty=False)
     if sum(gamma) != 2 * pairs:
         raise ValueError("gamma must have size 2 * pairs")
     _check_size(2 * pairs, INVOLUTION_MAX_N)
-    return sum(
-        count * _profile_coloring_count(tau, gamma)
-        for tau, count in product_type_histogram((2,) * pairs)
-    )
+    return dict(_pair_histogram((2,) * pairs, gamma)).get(0, 0)
 
 
 def oracle_strong_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
@@ -661,26 +642,14 @@ def oracle_strong_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     _check_size(sum(lam), STRONG_MAX_N)
     if sum(alpha) > sum(lam):
         return 0
-    hist = product_type_histogram(lam)
-    blocks = sorted_partition(alpha)
-    return sum(
-        count * ways
-        for tau, count in hist
-        for _, ways in _separated_tuple_histogram(tau, blocks, strong=True)
-    )
+    return sum(pairs for _, pairs in _pair_histogram(lam, alpha, strong=True))
 
 
 def oracle_strong_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
-    n = sum(lam)
-    _check_size(n, LITERAL_MAX_N)
-    total = 0
-    for images in class_images(lam):
-        cycles = _cycles(images[1:] + images[:1])
-        for blocks in disjoint_block_tuples(n, alpha):
-            total += _is_strongly_separated(cycles, blocks)
-    return total
+    _check_size(sum(lam), LITERAL_MAX_N)
+    return sum(_literal_histogram(lam, alpha, strong=True).values())
 
 
 def canonical_type_representative(alpha: Iterable[int]) -> tuple[int, ...]:

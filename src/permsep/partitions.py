@@ -8,9 +8,8 @@ Conventions used throughout the package:
 - Counts are exact Python ints; ratios of counts are ``fractions.Fraction``.
   No floats appear in any computation path.
 
-Every generator in this module has a fixed, documented enumeration order, so
-streams can be re-created from (parameters, start index) and chunked
-deterministically.
+Every enumeration here has a fixed, documented order, so the tables and
+matrices indexed by partitions list their rows the same way on every run.
 """
 
 from __future__ import annotations

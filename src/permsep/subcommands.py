@@ -111,8 +111,8 @@ def _cmd_hz(args, out: TextIO) -> int:
 
     series = one_face_map_series(args.pairs)
     details = {
-        "binomial_basis": {str(r): str(int(c)) for r, c in sorted(series.coeffs.items())},
-        "monomial": [str(int(c)) for c in series.to_monomial()],
+        "binomial_basis": {str(r): str(c) for r, c in sorted(series.coeffs.items())},
+        "monomial": [str(c) for c in series.to_monomial()],
     }
     record = _record("hz", {"N": args.pairs}, method="one-face-maps", details=details)
     _emit_json([record], out)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,19 @@ def test_hz_polynomial():
     details = payload["records"][0]["details"]
     assert details["monomial"] == ["0", "1", "0", "2"]
     assert details["binomial_basis"] == {"1": "3", "2": "12", "3": "12"}
+
+
+def test_hz_prints_each_coefficient_exactly(monkeypatch):
+    from permsep import polynomials as pl
+
+    series = pl.BinomialPolynomial({1: Fraction(1, 2), 2: Fraction(3)})
+    monkeypatch.setattr(pl, "one_face_map_series", lambda pairs: series)
+    code, payload = run_json("hz", "--N", "2")
+    assert code == EXIT_OK
+    details = payload["records"][0]["details"]
+    # t/2 + 3 C(t, 2) = (3/2) t^2 - t: no coefficient is truncated to an int
+    assert details["binomial_basis"] == {"1": "1/2", "2": "3"}
+    assert details["monomial"] == ["0", "-1", "3/2"]
 
 
 def test_hz_one_face_maps_at_600_edges():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import types
@@ -205,6 +206,74 @@ def test_separated_tuple_histogram_matches_literal_tally(n):
                 ), (tau, alpha)
 
 
+# The cycle-coloring DP the coloring oracles read before they read the
+# separated-pair histogram, kept as a reference for the counts that replace it.
+@functools.lru_cache(maxsize=None)
+def _color_size_distribution(cycle_sizes, colors):
+    """{per-color element totals: colorings} over all colorings of the cycles."""
+    states = {(0,) * colors: 1}
+    for size in cycle_sizes:
+        nxt = {}
+        for vec, ways in states.items():
+            for i in range(colors):
+                bumped = vec[:i] + (vec[i] + size,) + vec[i + 1 :]
+                nxt[bumped] = nxt.get(bumped, 0) + ways
+        states = nxt
+    return states
+
+
+def _marked_surjective_coloring_count(cycle_sizes, alpha, extra_colors):
+    """Surjective colorings in k + extra colors, weighted by the choices of a
+    block tuple whose i-th block sits inside color class i (i <= k)."""
+    total = 0
+    for vec, ways in _color_size_distribution(cycle_sizes, len(alpha) + extra_colors).items():
+        if all(vec):
+            total += ways * math.prod(binomial(v, a) for a, v in zip(alpha, vec))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_covering_tuples_count_the_colorings_of_each_profile(n):
+    # a coloring with profile gamma is a separated block tuple with sizes
+    # gamma, which leaves no cycle untouched
+    for tau in partitions(n):
+        for gamma in all_compositions(n):
+            got = dict(orc._separated_tuple_histogram(tau, sorted_partition(gamma)))
+            assert got.get(0, 0) == _color_size_distribution(tau, len(gamma)).get(
+                gamma, 0
+            ), (tau, gamma)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_untouched_cycle_weights_count_the_quadruple_right_colorings(n):
+    # a right coloring is a separated tuple whose untouched cycles take
+    # colors that cover the extra ones
+    for tau in partitions(n):
+        for m in range(1, n + 1):
+            for alpha in partitions(m):
+                histogram = orc._separated_tuple_histogram(tau, alpha)
+                for r in range(n - m + 3):
+                    got = sum(
+                        ways * xc._extra_color_weight(j, len(alpha), r)
+                        for j, ways in histogram
+                    )
+                    assert got == _marked_surjective_coloring_count(tau, alpha, r), (
+                        tau, alpha, r,
+                    )
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
+def test_pair_histogram_matches_the_literal_histogram(strong):
+    # the full split by untouched cycles, the empty block tuple included
+    for n in range(1, 6):
+        for lam in partitions(n):
+            for m in range(n + 1):
+                for alpha in partitions(m):
+                    assert dict(xc._pair_histogram(lam, alpha, strong)) == (
+                        xc._literal_histogram(lam, alpha, strong)
+                    ), (lam, alpha)
+
+
 def test_oracle_connection_alternative_representative():
     other = (1, 0, 3, 4, 2)  # (0 1)(2 3 4): a (3, 2) element other than the canonical one
     assert xc._cycles(other) == ((0, 1), (2, 3, 4))
@@ -283,12 +352,12 @@ def test_oracle_answers_at_its_limit_and_refuses_above(oracle, module, limit, ar
 
 @_by_name(HISTOGRAM_ORACLES)
 def test_histogram_oracles_raise_before_building_a_histogram(oracle, module, limit, args):
-    histograms = (orc.product_type_histogram, xc._connection_histogram)
+    histograms = (orc.product_type_histogram, xc._pair_histogram, xc._connection_histogram)
     for histogram in histograms:
         histogram.cache_clear()
     with pytest.raises(BudgetExceededError):
         oracle(*args(getattr(module, limit) + 1))
-    assert [histogram.cache_info().misses for histogram in histograms] == [0, 0]
+    assert [histogram.cache_info().misses for histogram in histograms] == [0, 0, 0]
 
 
 @_by_name(LITERAL_ORACLES)

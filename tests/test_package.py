@@ -254,11 +254,11 @@ def lines_loaded(argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1100),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 858),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1177),
-        (["hz", "--N", "6"], 1218),
-        (["involution", "--N", "4", "--alpha", "2,1"], 1060),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1099),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 857),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1176),
+        (["hz", "--N", "6"], 1217),
+        (["involution", "--N", "4", "--alpha", "2,1"], 1059),
     ],
     ids=["sep-prob-both", "sep-prob", "strong", "hz", "involution"],
 )
