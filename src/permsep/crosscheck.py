@@ -448,21 +448,11 @@ def _blocks_met(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> list[int
     return [len({owner[x] for x in cycle if x in owner}) for cycle in cycles]
 
 
-def _is_separated(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> bool:
-    """True if no cycle meets more than one block."""
-    return all(count < 2 for count in _blocks_met(cycles, blocks))
-
-
-def _is_strongly_separated(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> bool:
-    """True if each block lies inside a single cycle, distinct cycles per block:
-    no cycle meets two blocks and no block meets two cycles."""
-    met = _blocks_met(cycles, blocks)
-    return all(count < 2 for count in met) and sum(met) == len(blocks)
-
-
-def _unmarked_cycle_count(cycles: Sequence[Sequence[int]], blocks: BlockTuple) -> int:
-    """Number of cycles containing no element of any block."""
-    return _blocks_met(cycles, blocks).count(0)
+def _separates(met: Sequence[int], blocks: BlockTuple, strong: bool = False) -> bool:
+    """Whether cycles that meet met[i] of the blocks each separate them (the
+    literal predicate): no cycle meets two blocks, and for ``strong``
+    separation no block meets two cycles either."""
+    return all(count < 2 for count in met) and (not strong or sum(met) == len(blocks))
 
 
 def _literal_histogram(
@@ -470,14 +460,15 @@ def _literal_histogram(
 ) -> dict[int, int]:
     """{untouched cycles: pairs} with the class of lam and the block tuples
     with sizes alpha enumerated one by one, each pair tested with the
-    (``strong``: strong) separation predicate."""
-    separated = _is_strongly_separated if strong else _is_separated
+    (``strong``: strong) separation predicate.  One `_blocks_met` list per
+    pair serves both that test and the count of untouched cycles."""
     out: dict[int, int] = {}
     for images in class_images(lam):
         cycles = _cycles(images[1:] + images[:1])
         for blocks in disjoint_block_tuples(sum(lam), alpha):
-            if separated(cycles, blocks):
-                j = _unmarked_cycle_count(cycles, blocks)
+            met = _blocks_met(cycles, blocks)
+            if _separates(met, blocks, strong):
+                j = met.count(0)
                 out[j] = out.get(j, 0) + 1
     return out
 

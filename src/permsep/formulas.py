@@ -3,43 +3,22 @@
 A separated pair (pi, A) is a permutation pi of cycle type lam, a partition
 of n, and an ordered tuple A of k disjoint blocks of total size m, such that
 the product of pi with the canonical full cycle omega leaves every block in
-its own set of cycles.  Let S_alpha(tau) count the block tuples of sizes
-alpha that tau separates (a class function) and chi_r be the hook character
-chi^(n-r, 1^r).  The count comes in four steps.
-
-1. Central characters.  For a class function f,
-   sum_{pi in C_lam} f(pi omega) = |C_lam| sum_chi <chi, f> chi(lam) chi(omega) / chi(1).
-   Only hooks survive at omega: chi_r(omega) = (-1)^r, chi_r(1) = C(n-1, r).
-   So count = |C_lam| sum_r chi_r(lam) g_r / C(n-1, r), g_r = (-1)^r <chi_r, S_alpha>.
-2. Exterior powers of the permutation representation:
-   sum_r chi_r(sigma) (-s)^r = prod_{cycles c of sigma} (1 - s^|c|) / (1 - s),
-   so chi_r(lam) = (-1)^r h_r, h_r = sum_{d <= r} [s^d] q_lam(s), where
-   q_lam(s) = prod_i (1 - s^lam_i).
-3. The exponential formula.  By step 2, (1 - s) sum_r g_r s^r is 1/n! times
-   the sum over the pairs (tau, A), tau separating A, of
-   prod_{cycles c of tau} (1 - s^|c|).  The cycle series with that weight is
-   C(z) = sum_l (1 - s^l) z^l / l = log((1 - sz) / (1 - z)); let H = e^C.
-   Each cycle meets the free points (x) and at most one block (y_i), so the
-   pairs have the series H(x)^(1-k) prod_i H(x + y_i), read at
-   x^(n-m) prod_i y_i^alpha_i.  As [y^a] H(x+y) = (1 - s)(1 - x)^(-a-1), a >= 1,
-   sum_r g_r s^r = (1 - s)^(k-1) [x^(n-m)] (1 - x)^(-m-1) (1 - sx)^(1-k)
-                 = (1 - s)^(k-1) sum_{j=0}^{n-m} C(k-2+j, j) C(n-j, m) s^j.
-4. The result depends on alpha only through (m, k): the paper's theorem.
-
-With |C_lam| = n! / z_lam,
-count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!:
-one small-integer product (`cycle_polynomial`) and one weight vector per
+its own set of cycles.  Central characters (only the hooks
+chi_r = chi^(n-r, 1^r) are nonzero at omega), the exterior powers of the
+permutation representation and the exponential formula give, with z_lam
+the centralizer order (README.md, "Method", derives it in four steps),
+count(lam; m, k) = (n / z_lam) sum_{r<n} (-1)^r h_r g_r r! (n-1-r)!, where
+h_r = sum_{d <= r} [s^d] q_lam(s), q_lam(s) = prod_i (1 - s^lam_i), and
+sum_r g_r s^r = (1 - s)^(k-1) sum_{j=0}^{n-m} C(k-2+j, j) C(n-j, m) s^j.
+It depends on alpha only through (m, k): the paper's theorem.  One count
+is one small-integer product (`cycle_polynomial`) and one weight vector per
 (n, m, k), summed by binary splitting.  The weights h_r(alpha) in place of
 n g_r give the connection coefficient of `permsep.strong` (Stanley 2011).
 Dividing by `pair_space` turns counts into probabilities; ``ncycle`` reads
 the count of (n), ``lift`` that of lam + 1^r and ``involution`` that of
 (2^N).  Four method labels name the paper's derivation, not the code that
-computes the value, and stay so that output keeps its bytes:
-"two-cycles-closed-form", "fixed-point-lift" and "involution-series" (its
-two-full-cycle closed form, lifting relation and involution series, which
-are `permsep.crosscheck` references with its printed involution sum) and
-"strong-system" (its weak-to-strong system, which `permsep.strong` solves
-in closed form).  The module also holds the p-cycle closed form, whose
+computes the value, and stay so that output keeps its bytes (README.md,
+"Command line").  The module also holds the p-cycle closed form, whose
 count sums a union of classes.
 """
 

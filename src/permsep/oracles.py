@@ -4,14 +4,14 @@ Each oracle enumerates permutations and counts block tuples by direct
 combinatorics on the actual cycles of each product - nothing shared with
 the closed-form code paths.  Classes are enumerated as raw image tuples
 (`class_images`), the cycle type of each product with the full cycle is
-read straight off the tuple, and each class tally is cached.
-Conjugating by the full cycle keeps both the class and the product's cycle
-type, so a tally walks only the members whose cycle through 0 has one
-chosen length and scales up.  Separated block tuples are counted per cycle
-type by a block-first dynamic program over the untouched cycles, whose
-one-block transitions are cached and shared by every cycle type and block
-profile that reaches the same state.  The oracles that only verification
-runs live in `permsep.crosscheck`.
+read straight off the tuple, and each class tally is cached.  A tally walks
+only the members on which a weight that the rotations move round is nonzero
+at 0, and scales up (`product_type_histogram`; the walk by least
+displacement lives in `permsep.displacement`).  Separated block tuples are
+counted per cycle type by a block-first dynamic program over the untouched
+cycles, whose one-block transitions are cached and shared by every cycle
+type and block profile that reaches the same state.  The oracles that only
+verification runs live in `permsep.crosscheck`.
 
 Each oracle has one fixed limit on the ground-set size, a module constant,
 and either finishes exactly or raises BudgetExceededError.  It checks the
@@ -20,9 +20,9 @@ limit once, before any work, so a cache hit never bypasses it.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantError
@@ -66,7 +66,7 @@ def _cycle_type(images: Sequence[int]) -> Partition:
 
 
 def class_images(
-    partition: Iterable[int], first: int | None = None
+    partition: Iterable[int], first: int | None = None, least: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """The image tuples of all permutations with the given cycle type.
 
@@ -80,18 +80,25 @@ def class_images(
     With ``first`` set to a part length L, only the members whose cycle
     through 0 has length L are yielded, in the same order: the slice of
     |class| * L * m_L / n members, m_L being the number of parts equal to L.
+    With ``least`` = c as well, only those with pi(0) = c whose L-cycles move
+    every point at least c places up mod n; a step below c cuts its branch
+    (`permsep.displacement.cycle_tails`).
     """
     lam = as_partition(partition)
-    if first is not None and first not in lam:
+    if (first is not None or least is not None) and first not in lam:
         raise ValueError(f"first={first} is not a part of {lam}")
     images = list(range(sum(lam)))
+    if least is not None:
+        from .displacement import cycle_tails
+
+        tails = cycle_tails(len(images), first, least)
 
     def build(elements: tuple[int, ...], parts: tuple[int, ...], sizes=None):
         head, rest = elements[0], elements[1:]
         for size in sizes or sorted(set(parts)):
             idx = parts.index(size)
             remaining_parts = parts[:idx] + parts[idx + 1 :]
-            for tail in itertools.permutations(rest, size - 1):
+            for tail in permutations(rest, size - 1) if least is None else tails(head, rest, size):
                 prev = head
                 for y in tail:
                     images[prev] = prev = y  # assigns images[prev] first
@@ -115,26 +122,37 @@ def product_type_histogram(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type tally of pi * full-cycle over the conjugacy class of ``lam``.
 
     omega shifts every point up by one, so the product's images are pi's
-    image tuple rotated by one place.  Conjugating by omega maps the class
-    onto itself and keeps the product's cycle type, so each point lies in an
-    L-cycle equally often per product type: the tally is n / (L * m_L) times
-    that of the slice where 0 lies in an L-cycle.  L is the part length whose
-    m_L cycles cover the fewest points, which makes the slice smallest.
+    image tuple rotated by one place.  Conjugating pi by omega keeps the
+    class and the product's cycle type, and moves pi's cycles and its
+    displacements d(x) = pi(x) - x mod n one place round.  So a weight
+    w(pi, x) that moves the same way and sums to 1 over x gives
+    tally[tau] = n * (sum of w(pi, 0) over the members of product type tau),
+    and the walk visits only the members with w(pi, 0) > 0.  L is the part
+    whose m_L cycles cover the fewest points.  Where they cover every point
+    (one distinct part, L > 1), w is 1/N on the N points whose d is the
+    least (`permsep.displacement.least_displacement_weights`).  Elsewhere w
+    is 1/(L * m_L) on the points of the L-cycles: the walk visits the members
+    whose 0 lies in one.  ``weights[tau] / scale`` is the sum of w(pi, 0).
     """
     n = sum(lam)
     if n < 1:
         raise ValueError("full cycle needs n >= 1")
     covered, first = min((size * lam.count(size), size) for size in set(lam))
-    tally = Counter(
-        _cycle_type(images[1:] + images[:1])
-        for images in class_images(lam, first=first)
-    )
-    members = sum(tally.values())
-    if members * n != conjugacy_class_size(lam) * covered:
-        raise InvariantError(f"{first}-cycle slice of {lam} has {members} members")
-    if any(n * count % covered for count in tally.values()):
-        raise InvariantError(f"{n}/{covered} times the slice tally of {lam} is not integral")
-    return tuple(sorted((tau, n * count // covered) for tau, count in tally.items()))
+    if covered < n or first == 1:
+        scale, weights = covered, Counter(
+            _cycle_type(images[1:] + images[:1])
+            for images in class_images(lam, first=first)
+        )
+    else:
+        from .displacement import least_displacement_weights
+
+        scale, weights = least_displacement_weights(lam, first)
+    members = n * sum(weights.values())
+    if members != conjugacy_class_size(lam) * scale:
+        raise InvariantError(f"the walk of {lam} weighs {members}/{scale} members")
+    if any(n * weight % scale for weight in weights.values()):
+        raise InvariantError(f"n times the walk's weights for {lam} are not integral")
+    return tuple(sorted((tau, n * weight // scale) for tau, weight in weights.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +187,7 @@ def _block_placements(
     separation, which confines each block to one cycle.
     """
     out: dict[tuple[int, ...], int] = {}
-    for picked in itertools.product(*(range(min(f, most) + 1) for f in free)):
+    for picked in product(*(range(min(f, most) + 1) for f in free)):
         if not 0 < sum(picked) <= most:
             continue
         weight = _covering_subset_count(
@@ -217,7 +235,7 @@ def _separated_tuple_histogram(
 
 def oracle_separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
-    by enumerating a rotation slice of the class (`product_type_histogram`)."""
+    from the product-type tally of the class (`product_type_histogram`)."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
     _check_size(sum(lam), PAIR_MAX_N)

@@ -86,11 +86,50 @@ def test_product_type_histogram_scales_the_slice_to_the_full_tally():
 def test_product_type_histogram_checks_the_slice_size(monkeypatch):
     stream = orc.class_images
     monkeypatch.setattr(
-        orc, "class_images", lambda lam, first=None: list(stream(lam, first))[:-1]
+        orc, "class_images",
+        lambda lam, first=None, least=None: list(stream(lam, first, least))[:-1],
     )
     orc.product_type_histogram.cache_clear()  # a failed call caches nothing
     with pytest.raises(InvariantError, match="members"):
         orc.product_type_histogram((3, 2, 1))
+
+
+@pytest.mark.parametrize("lam", [(8,), (3, 3)])
+def test_product_type_histogram_checks_the_least_displacement_walk(monkeypatch, lam):
+    # a fixed-point-free class walked by least displacement: one member
+    # dropped from each slice
+    stream = orc.class_images
+    monkeypatch.setattr(
+        orc, "class_images",
+        lambda lam, first=None, least=None: list(stream(lam, first, least))[:-1],
+    )
+    orc.product_type_histogram.cache_clear()
+    with pytest.raises(InvariantError, match="members"):
+        orc.product_type_histogram(lam)
+
+
+def test_product_type_histogram_matches_the_whole_class_without_fixed_points():
+    # every fixed-point-free class of 9 walked whole: 133,496 members
+    orc.product_type_histogram.cache_clear()
+    walked = 0
+    for lam in partitions(9):
+        if lam[-1] > 1:
+            want = Counter(
+                orc._cycle_type(im[1:] + im[:1]) for im in orc.class_images(lam)
+            )
+            walked += sum(want.values())
+            assert orc.product_type_histogram(lam) == tuple(sorted(want.items())), lam
+    assert walked == 133_496
+
+
+def test_full_cycle_tally_builds_few_product_types(monkeypatch):
+    # (8) has 5,040 members; the least-displacement walk visits 1,098
+    calls = []
+    cycle_type = orc._cycle_type
+    monkeypatch.setattr(orc, "_cycle_type", lambda images: calls.append(1) or cycle_type(images))
+    orc.product_type_histogram.cache_clear()
+    orc.product_type_histogram((8,))
+    assert 0 < len(calls) <= 1200
 
 
 def test_oracle_colored_factorizations():
@@ -198,8 +237,9 @@ def test_separated_tuple_histogram_matches_literal_tally(n):
             for alpha in partitions(m):
                 tally = {}
                 for blocks in xc.disjoint_block_tuples(n, alpha):
-                    if xc._is_separated(cycles, blocks):
-                        j = xc._unmarked_cycle_count(cycles, blocks)
+                    met = xc._blocks_met(cycles, blocks)
+                    if xc._separates(met, blocks):
+                        j = met.count(0)
                         tally[j] = tally.get(j, 0) + 1
                 assert orc._separated_tuple_histogram(tau, alpha) == tuple(
                     sorted(tally.items())

@@ -255,12 +255,13 @@ def lines_loaded(argv: list[str]) -> tuple[int, int]:
     "argv, budget",
     [
         (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 1099),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 857),
-        (["strong", "--lambda", "4,3", "--m", "4"], 1176),
-        (["hz", "--N", "6"], 1217),
-        (["involution", "--N", "4", "--alpha", "2,1"], 1059),
+        (["sep-prob", "--lambda", "4,4", "--alpha", "1,1", "--method", "both"], 1175),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 836),
+        (["strong", "--lambda", "4,3", "--m", "4"], 1155),
+        (["hz", "--N", "6"], 1196),
+        (["involution", "--N", "4", "--alpha", "2,1"], 1038),
     ],
-    ids=["sep-prob-both", "sep-prob", "strong", "hz", "involution"],
+    ids=["sep-prob-both", "sep-prob-both-one-part", "sep-prob", "strong", "hz", "involution"],
 )
 def test_query_path_compiles_a_bounded_amount_of_source(argv, budget):
     # A cold query compiles every module it loads, unless bytecode is cached;
@@ -280,6 +281,7 @@ LOAD_TABLE_CALLS = {
     ],
     "`sep-prob --method oracle` or `both`": [
         ["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "oracle"],
+        ["sep-prob", "--lambda", "4,4", "--alpha", "1,1", "--method", "oracle"],
     ],
     "`table`": [
         ["table", "--n", "5", "--alphas", "2,1;1,1"],

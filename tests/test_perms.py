@@ -116,6 +116,47 @@ def test_class_image_slice_needs_a_part():
         class_images((3, 1), first=2)
 
 
+def _moves_every_point_at_least(images, part, least):
+    """Whether every point of the part-length cycles moves >= least places up."""
+    n = len(images)
+    points = [x for cycle in xc._cycles(images) if len(cycle) == part for x in cycle]
+    return all((images[x] - x) % n >= least for x in points)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_image_least_slices_filter_the_class_stream(n):
+    # least=c keeps the first=part members with pi(0) = c whose part-length
+    # cycles move every point at least c places up, in stream order
+    for lam in partitions(n):
+        stream = reference_class_stream(lam)
+        for part in set(lam):
+            sliced = [im for im in stream if _zero_cycle_length(im) == part]
+            for least in range(n):
+                want = [
+                    im for im in sliced
+                    if im[0] == least and _moves_every_point_at_least(im, part, least)
+                ]
+                assert list(class_images(lam, first=part, least=least)) == want, (lam, part, least)
+
+
+def test_class_image_least_slices_cover_each_member_once_per_least_point():
+    # each member of (4, 2, 2) lies in the slice of its least 2-cycle step c,
+    # once for every point of its 2-cycles that c moves
+    lam, n = (4, 2, 2), 8
+    got = sum(len(list(class_images(lam, first=2, least=c))) for c in range(n))
+    ties = 0
+    for im in class_images(lam):
+        points = [x for cycle in xc._cycles(im) if len(cycle) == 2 for x in cycle]
+        least = min((im[x] - x) % n for x in points)
+        ties += sum((im[x] - x) % n == least for x in points)
+    assert got * n == ties
+
+
+def test_class_image_least_needs_a_part():
+    with pytest.raises(ValueError, match=r"first=None is not a part of \(3, 1\)"):
+        class_images((3, 1), least=1)
+
+
 def test_class_images_construction_order():
     # smallest unplaced point starts a cycle, shorter cycles first, tails in
     # lexicographic order

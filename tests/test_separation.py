@@ -1,5 +1,7 @@
-"""Block tuples and the separation predicates the literal oracles of
-`permsep.crosscheck` apply to the canonical cycles of a product."""
+"""Block tuples and the separation predicate the literal oracles of
+`permsep.crosscheck` apply to the canonical cycles of a product: the blocks
+each cycle meets (`_blocks_met`), and whether those counts separate
+(`_separates`)."""
 
 import itertools
 
@@ -18,19 +20,27 @@ def blocks(*sets):
     return tuple(frozenset(s) for s in sets)
 
 
+def is_separated(cycles, tup, strong=False):
+    return xc._separates(xc._blocks_met(cycles, tup), tup, strong)
+
+
+def unmarked_cycle_count(cycles, tup):
+    return xc._blocks_met(cycles, tup).count(0)
+
+
 def test_is_separated_examples():
-    assert xc._is_separated(((0,), (1, 2)), blocks({0}, {1}))
-    assert not xc._is_separated(((0, 1, 2),), blocks({0}, {1}))
+    assert is_separated(((0,), (1, 2)), blocks({0}, {1}))
+    assert not is_separated(((0, 1, 2),), blocks({0}, {1}))
     # a single block never mixes
     for images in itertools.permutations(range(4)):
-        assert xc._is_separated(xc._cycles(images), blocks({0, 2}))
+        assert is_separated(xc._cycles(images), blocks({0, 2}))
 
 
 def test_separation_invariant_under_block_order():
     cycles = ((0, 1), (2,), (3, 4))
     tuple_a = blocks({0}, {2}, {3, 4})
     for order in itertools.permutations(tuple_a):
-        assert xc._is_separated(cycles, order) == xc._is_separated(cycles, tuple_a)
+        assert is_separated(cycles, order) == is_separated(cycles, tuple_a)
 
 
 @settings(max_examples=30)
@@ -41,14 +51,14 @@ def test_separation_block_order_property(images, data):
     a = frozenset(data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=2)))
     rest = [x for x in pool if x not in a]
     b = frozenset(data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=2)))
-    assert xc._is_separated(cycles, (a, b)) == xc._is_separated(cycles, (b, a))
+    assert is_separated(cycles, (a, b)) == is_separated(cycles, (b, a))
 
 
 def test_unmarked_cycle_count_examples():
     cycles = ((0,), (1, 3), (2,))
-    assert xc._unmarked_cycle_count(cycles, blocks({0}, {1})) == 1  # only the cycle {2}
-    assert xc._unmarked_cycle_count(IDENTITY_3, blocks({0})) == 2
-    assert xc._unmarked_cycle_count(IDENTITY_3, blocks({0}, {1}, {2})) == 0
+    assert unmarked_cycle_count(cycles, blocks({0}, {1})) == 1  # only the cycle {2}
+    assert unmarked_cycle_count(IDENTITY_3, blocks({0})) == 2
+    assert unmarked_cycle_count(IDENTITY_3, blocks({0}, {1}, {2})) == 0
 
 
 def test_unmarked_plus_marked_is_total():
@@ -57,16 +67,16 @@ def test_unmarked_plus_marked_is_total():
         for tup in [blocks({0}, {1}), blocks({0, 1}, {4}), blocks({2, 3, 4})]:
             marked = set().union(*tup)
             meeting = sum(1 for cycle in cycles if marked.intersection(cycle))
-            assert xc._unmarked_cycle_count(cycles, tup) + meeting == len(cycles)
+            assert unmarked_cycle_count(cycles, tup) + meeting == len(cycles)
 
 
 def test_block_validation():
     with pytest.raises(ValueError):
-        xc._is_separated(IDENTITY_3, blocks({0}, {0}))  # not disjoint
+        is_separated(IDENTITY_3, blocks({0}, {0}))  # not disjoint
     with pytest.raises(ValueError):
-        xc._is_separated(IDENTITY_3, blocks(set()))  # empty block
+        is_separated(IDENTITY_3, blocks(set()))  # empty block
     with pytest.raises(ValueError):
-        xc._is_separated(IDENTITY_3, blocks({5}))  # out of range
+        is_separated(IDENTITY_3, blocks({5}))  # out of range
 
 
 def test_block_tuple_stream_counts():
@@ -88,9 +98,9 @@ def test_block_tuple_stream_deterministic():
 
 def test_strong_separation_examples():
     cycles = ((0,), (1, 2))
-    assert xc._is_strongly_separated(cycles, blocks({1, 2}))
-    assert xc._is_strongly_separated(cycles, blocks({0}, {1, 2}))
-    assert not xc._is_strongly_separated(cycles, blocks({0, 1}))
+    assert is_separated(cycles, blocks({1, 2}), strong=True)
+    assert is_separated(cycles, blocks({0}, {1, 2}), strong=True)
+    assert not is_separated(cycles, blocks({0, 1}), strong=True)
     # strongly separated implies separated; blocks split over cycles are only weak
-    assert xc._is_separated(IDENTITY_3, blocks({0, 1}))
-    assert not xc._is_strongly_separated(IDENTITY_3, blocks({0, 1}))
+    assert is_separated(IDENTITY_3, blocks({0, 1}))
+    assert not is_separated(IDENTITY_3, blocks({0, 1}), strong=True)
