@@ -97,6 +97,12 @@ def marked_composition_count(n: int, m: int, k: int, r: int) -> int:
     return binomial(n + k - 1, n - m - r)
 
 
+@lru_cache(maxsize=None)
+def _compositions(n: int, length: int) -> tuple[Composition, ...]:
+    """`partitions.compositions`, kept for the block profiles that share a length."""
+    return tuple(compositions(n, length))
+
+
 def marked_composition_count_direct(n: int, alpha: Iterable[int], r: int) -> int:
     """The same count by direct summation over compositions.
 
@@ -106,7 +112,7 @@ def marked_composition_count_direct(n: int, alpha: Iterable[int], r: int) -> int
     alpha = as_composition(alpha, allow_empty=False)
     k = len(alpha)
     total = 0
-    for delta in compositions(n, k + r):
+    for delta in _compositions(n, k + r):
         term = 1
         for a, d in zip(alpha, delta):
             term *= binomial(d, a)
@@ -508,36 +514,44 @@ def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]
     return sum(_literal_histogram(lam, alpha).values())
 
 
-def _left_colored_total(gamma: Composition, blocks: Composition, right_weight) -> int:
+def _left_colored_total(gamma: Composition, blocks: Composition, extra: int) -> int:
     """Sum over pi in S_n, n = |gamma|, of the colorings of pi with profile
-    gamma times ``right_weight`` of the untouched cycle count, summed over
-    the block tuples with the given sizes that the product separates.
+    gamma times the colorings of the untouched cycles in k + ``extra``
+    colors that use every extra one, k = len(blocks), summed over the block
+    tuples with the given sizes that the product separates.
 
     A coloring with profile gamma is a block tuple with sizes gamma that the
     cycles separate: it covers every point, so each block is a union of
-    cycles and no cycle is left untouched.  A class with no such coloring
-    costs one step."""
-    n = sum(gamma)
-    _check_size(n, COLORING_MAX_N)
-    sizes = sorted_partition(gamma)
-    total = 0
-    for lam in partitions(n):
+    cycles and no cycle is left untouched.  Reordering either profile
+    permutes the tuples, so the total is cached on both sorted, once the
+    size limit is checked."""
+    _check_size(sum(gamma), COLORING_MAX_N)
+    return _colored_total(sorted_partition(gamma), sorted_partition(blocks), extra)
+
+
+@lru_cache(maxsize=None)
+def _colored_total(sizes: Partition, blocks: Partition, extra: int) -> int:
+    """`_left_colored_total` on sorted profiles.  A class with no coloring
+    of profile ``sizes`` costs one step."""
+    total, k = 0, len(blocks)
+    for lam in partitions(sum(sizes)):
         left = dict(_separated_tuple_histogram(lam, sizes)).get(0, 0)
         if left:
             hist = _pair_histogram(lam, blocks)
-            total += left * sum(pairs * right_weight(j) for j, pairs in hist)
+            total += left * sum(pairs * _extra_color_weight(j, k, extra) for j, pairs in hist)
     return total
 
 
 def oracle_colored_factorization_count(gamma: Iterable[int], delta: Iterable[int]) -> int:
     """Triples (pi, left coloring with profile gamma, right coloring with
     profile delta) over all of S_n: a right coloring is a separated block
-    tuple with sizes delta, which leaves no cycle untouched."""
+    tuple with sizes delta, which leaves no cycle untouched, so its weight
+    with no extra colors is 1."""
     gamma = as_composition(gamma, allow_empty=False)
     delta = as_composition(delta, allow_empty=False)
     if sum(gamma) != sum(delta):
         raise ValueError("gamma and delta must have equal size")
-    return _left_colored_total(gamma, delta, lambda j: 1)
+    return _left_colored_total(gamma, delta, 0)
 
 
 def oracle_separated_colored_count(
@@ -554,10 +568,7 @@ def oracle_separated_colored_count(
     n = sum(gamma)
     if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
-    k = len(alpha)
-    return _left_colored_total(
-        gamma, alpha, lambda j: _extra_color_weight(j, k, extra_colors)
-    )
+    return _left_colored_total(gamma, alpha, extra_colors)
 
 
 def oracle_separated_colored_count_literal(

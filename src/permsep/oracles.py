@@ -8,10 +8,9 @@ read straight off the tuple, and each class tally is cached.  A tally walks
 only the members on which a weight that the rotations move round is nonzero
 at 0, and scales up (`product_type_histogram`; the walk by least
 displacement lives in `permsep.displacement`).  Separated block tuples are
-counted per cycle type by a block-first dynamic program over the untouched
-cycles, whose one-block transitions are cached and shared by every cycle
-type and block profile that reaches the same state.  The oracles that only
-verification runs live in `permsep.crosscheck`.
+counted per cycle type by a block-first dynamic program that extends the
+cached states of a profile's prefix.  The oracles that only verification
+runs live in `permsep.crosscheck`.
 
 Each oracle has one fixed limit on the ground-set size, a module constant,
 and either finishes exactly or raises BudgetExceededError.  It checks the
@@ -202,29 +201,31 @@ def _block_placements(
 
 
 @lru_cache(maxsize=None)
+def _block_states(cycle_sizes: Partition, block_sizes: Partition, strong: bool) -> tuple:
+    """The block DP's states, {untouched cycles of each distinct length: ways}
+    as items, once blocks of the given sizes are placed (``strong``: each in
+    one cycle): the cached states of all blocks but the last, extended by
+    the transitions of `_block_placements`.  Separation is exactly the rule
+    that a touched cycle is never picked again."""
+    lengths = tuple(sorted(set(cycle_sizes)))
+    if not block_sizes:
+        return ((tuple(map(cycle_sizes.count, lengths)), 1),)
+    a, states = block_sizes[-1], {}
+    for free, ways in _block_states(cycle_sizes, block_sizes[:-1], strong):
+        for left, weight in _block_placements(lengths, free, a, 1 if strong else a):
+            states[left] = states.get(left, 0) + ways * weight
+    return tuple(states.items())
+
+
+@lru_cache(maxsize=None)
 def _separated_tuple_histogram(
     cycle_sizes: Partition, block_sizes: Partition, strong: bool = False
 ) -> tuple[tuple[int, int], ...]:
     """Block tuples with the given sizes separated (``strong``: strongly
     separated) by a permutation whose cycles have the given sizes, split by
-    the number of untouched cycles.
-
-    Blocks are placed one at a time.  The state is the number of untouched
-    cycles of each distinct length, and each step reads its transitions from
-    `_block_placements`, which every cycle type with the same distinct
-    lengths shares.  Separation is exactly the rule that a touched cycle is
-    never picked again.
-    """
-    lengths = tuple(sorted(set(cycle_sizes)))
-    states = {tuple(cycle_sizes.count(s) for s in lengths): 1}
-    for a in block_sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for free, ways in states.items():
-            for left, weight in _block_placements(lengths, free, a, 1 if strong else a):
-                nxt[left] = nxt.get(left, 0) + ways * weight
-        states = nxt
+    the number of untouched cycles (`_block_states`)."""
     out: dict[int, int] = {}
-    for free, ways in states.items():
+    for free, ways in _block_states(cycle_sizes, block_sizes, strong):
         out[sum(free)] = out.get(sum(free), 0) + ways
     return tuple(sorted(out.items()))
 
@@ -235,19 +236,18 @@ def _separated_tuple_histogram(
 
 def oracle_separated_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     """Separated pairs (pi in the class of lam, block tuple of sizes alpha),
-    from the product-type tally of the class (`product_type_histogram`)."""
+    from the product-type tally of the class (`product_type_histogram`),
+    cached on lam and the sorted sizes once the size limit is checked."""
     lam = as_partition(lam)
     alpha = as_composition(alpha, allow_empty=False)
     _check_size(sum(lam), PAIR_MAX_N)
-    if sum(alpha) > sum(lam):
-        return 0
+    return _pair_count(lam, sorted_partition(alpha)) if sum(alpha) <= sum(lam) else 0
+
+
+@lru_cache(maxsize=None)
+def _pair_count(lam: Partition, blocks: Partition) -> int:
     hist = product_type_histogram(lam)
-    blocks = sorted_partition(alpha)
-    return sum(
-        count * ways
-        for tau, count in hist
-        for _, ways in _separated_tuple_histogram(tau, blocks)
-    )
+    return sum(c * w for tau, c in hist for _, w in _block_states(tau, blocks, False))
 
 
 def __getattr__(name: str):

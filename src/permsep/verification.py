@@ -10,11 +10,14 @@ fixed-point lift (criterion 7) caps only its base size n, then adds up to
 three fixed points, so at ``max_n`` 7 it runs the oracle at ground-set size
 8 and the series path at size 9.  Pure polynomial identities are cheap and
 always run at their full stated ranges.  Each check takes ``max_n`` only and
-runs serially.  `run_suites` splits the requested checks over ``threads``
-worker processes, the caller being one of them and the others forked, since
-the checks are pure Python and threads would only take turns holding the
-interpreter lock.  Every check builds its own result, so the results and
-therefore the rendered report are identical for any worker count.
+runs serially, and formats the text of a comparison only when it fails.
+`run_suites` splits the requested checks over ``threads`` worker processes,
+the caller being one of them and the others forked, since the checks are
+pure Python and threads would only take turns holding the interpreter lock.
+The checks that read the same oracle caches (`CACHE_GROUPS`) go whole to one
+worker, the heaviest group first to the least loaded, by declared weights
+only.  Every check builds its own result, so the results and therefore the
+rendered report are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import crosscheck as xc
+from . import displacement  # noqa: F401  (loaded once, before any worker forks)
 from . import formulas as fm
 from . import oracles as orc
 from . import polynomials as pl
@@ -59,17 +63,23 @@ class CheckResult(NamedTuple):
 
 
 class _Recorder:
+    """Counts checks and keeps the text of those that fail.  A label is a
+    `str.format` template and its arguments, formatted only on failure, so
+    a passing check formats nothing."""
+
     def __init__(self):
         self.checks = 0
         self.failures: list[str] = []
 
-    def expect(self, ok: bool, message: str) -> None:
+    def expect(self, ok: bool, label: str, *args) -> None:
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(label.format(*args))
 
-    def equal(self, got, want, label: str) -> None:
-        self.expect(got == want, f"{label}: got {got}, want {want}")
+    def equal(self, got, want, label: str, *args) -> None:
+        self.checks += 1
+        if got != want:
+            self.failures.append(f"{label.format(*args)}: got {got}, want {want}")
 
     def result(self, criterion: str, name: str) -> CheckResult:
         return CheckResult(
@@ -108,14 +118,10 @@ def check_two_cycle_closed_form(max_n: int) -> CheckResult:
             rec.equal(
                 closed,
                 xc.singleton_blocks_probability(n, k),
-                f"piecewise form n={n} k={k}",
+                "piecewise form n={} k={}", n, k,
             )
             if n <= min(7, max_n):
-                rec.equal(
-                    closed,
-                    _oracle_probability((n,), alpha),
-                    f"oracle n={n} k={k}",
-                )
+                rec.equal(closed, _oracle_probability((n,), alpha), "oracle n={} k={}", n, k)
     return rec.result("1", "two-full-cycles closed form")
 
 
@@ -135,11 +141,7 @@ def check_symmetry(max_n: int) -> CheckResult:
                     counts = [orc.oracle_separated_pair_count(lam, a) for a in profiles]
                     formula = fm.separated_pair_count(lam, profiles[0])
                     for alpha, count in zip(profiles, counts):
-                        rec.equal(
-                            count,
-                            formula,
-                            f"lam={lam} alpha={alpha}",
-                        )
+                        rec.equal(count, formula, "lam={} alpha={}", lam, alpha)
     return rec.result("2", "separated counts depend only on (m, k)")
 
 
@@ -154,7 +156,7 @@ def check_colored_quadruples(max_n: int) -> CheckResult:
                         xc.separated_colored_count(
                             n, len(gamma), sum(alpha), len(alpha), r
                         ),
-                        f"n={n} gamma={gamma} alpha={alpha} r={r}",
+                        "n={} gamma={} alpha={} r={}", n, gamma, alpha, r,
                     )
     return rec.result("3", "separated colored quadruple formula")
 
@@ -162,12 +164,13 @@ def check_colored_quadruples(max_n: int) -> CheckResult:
 def check_colored_triples(max_n: int) -> CheckResult:
     rec = _Recorder()
     for n in range(1, min(6, max_n) + 1):
-        for gamma in all_compositions(n):
-            for delta in all_compositions(n):
+        profiles = list(all_compositions(n))
+        for gamma in profiles:
+            for delta in profiles:
                 rec.equal(
                     xc.oracle_colored_factorization_count(gamma, delta),
                     xc.colored_factorization_count(n, len(gamma), len(delta)),
-                    f"n={n} gamma={gamma} delta={delta}",
+                    "n={} gamma={} delta={}", n, gamma, delta,
                 )
     return rec.result("4", "colored factorization formula")
 
@@ -183,13 +186,13 @@ def check_p_cycles(max_n: int) -> CheckResult:
                     if len(lam) == p
                 )
                 count = fm.separated_count_p_cycles(n, p, alpha)
-                rec.equal(count, oracle_total, f"count n={n} p={p} alpha={alpha}")
+                rec.equal(count, oracle_total, "count n={} p={} alpha={}", n, p, alpha)
                 prob = fm.separation_probability_p_cycles(n, p, alpha).probability
                 space = fm.pair_space(n, alpha, stirling_first_unsigned(n, p))
                 rec.equal(
                     prob,
                     Fraction(oracle_total, space),
-                    f"probability n={n} p={p} alpha={alpha}",
+                    "probability n={} p={} alpha={}", n, p, alpha,
                 )
     return rec.result("5", "fixed-cycle-count closed form")
 
@@ -212,26 +215,26 @@ def check_involution_series(max_n: int) -> CheckResult:
             rec.equal(
                 _padded(monomial, size),
                 [Fraction(histogram.get(j, 0)) for j in range(size)],
-                f"series N={pairs} alpha={alpha}",
+                "series N={} alpha={}", pairs, alpha,
             )
             oracle_count = sum(histogram.values())
             rec.equal(
                 series.evaluate(1 - k),
                 Fraction(oracle_count),
-                f"pair count N={pairs} alpha={alpha}",
+                "pair count N={} alpha={}", pairs, alpha,
             )
             sep = fm.separation_probability_involution(pairs, alpha)
             space = fm.pair_space(n, alpha, perfect_matching_count(pairs))
             rec.equal(
                 sep.probability,
                 Fraction(oracle_count, space),
-                f"probability N={pairs} alpha={alpha}",
+                "probability N={} alpha={}", pairs, alpha,
             )
             printed = xc.involution_probability_printed_form(pairs, alpha)
             rec.equal(
                 printed * math.factorial(n - m),
                 sep.probability,
-                f"printed-form factor N={pairs} alpha={alpha}",
+                "printed-form factor N={} alpha={}", pairs, alpha,
             )
         # the series is the all-twos power-sum slice of the general table
         for alpha in list(_block_profiles(n)) + [()]:
@@ -243,7 +246,7 @@ def check_involution_series(max_n: int) -> CheckResult:
                 rec.equal(
                     power_sum_coefficient(coeffs, (2,) * pairs),
                     series.coefficient(r),
-                    f"series slice N={pairs} alpha={alpha} r={r}",
+                    "series slice N={} alpha={} r={}", pairs, alpha, r,
                 )
     rec.expect(
         xc.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
@@ -267,13 +270,13 @@ def check_fixed_point_lift(max_n: int) -> CheckResult:
                     rec.equal(
                         value,
                         fm.separated_pair_count(lifted, alpha),
-                        f"series path lam={lam} r={r} alpha={alpha}",
+                        "series path lam={} r={} alpha={}", lam, r, alpha,
                     )
                     if n + r <= 8:
                         rec.equal(
                             value,
                             orc.oracle_separated_pair_count(lifted, alpha),
-                            f"oracle lam={lam} r={r} alpha={alpha}",
+                            "oracle lam={} r={} alpha={}", lam, r, alpha,
                         )
     return rec.result("7", "fixed-point lifting relation")
 
@@ -285,18 +288,18 @@ def check_one_face_maps(max_n: int) -> CheckResult:
         rec.equal(
             dict(series.coeffs),
             dict(xc.involution_series(pairs, ()).coeffs),
-            f"series equality N={pairs}",
+            "series equality N={}", pairs,
         )
         histogram = xc.oracle_involution_series(pairs, ())
         monomial = series.to_monomial()
         expected = [Fraction(0)] * len(monomial)
         for j, ways in histogram.items():
             expected[j] = Fraction(ways)
-        rec.equal(list(monomial), expected, f"oracle N={pairs}")
+        rec.equal(list(monomial), expected, "oracle N={}", pairs)
         for r, c in series.coeffs.items():
             rec.expect(
                 c.denominator == 1 and c >= 0,
-                f"coefficient at N={pairs} r={r} not a nonnegative integer: {c}",
+                "coefficient at N={} r={} not a nonnegative integer: {}", pairs, r, c,
             )
     return rec.result("8", "one-face map vertex polynomial")
 
@@ -308,7 +311,7 @@ def check_colored_matchings(max_n: int) -> CheckResult:
             rec.equal(
                 xc.oracle_colored_matching_count(pairs, gamma),
                 xc.colored_matching_count(pairs, len(gamma)),
-                f"N={pairs} gamma={gamma}",
+                "N={} gamma={}", pairs, gamma,
             )
     return rec.result("9", "colored one-face map refinement")
 
@@ -328,7 +331,7 @@ def check_lemma_identities(max_n: int) -> CheckResult:
                     (-1) ** surplus,
                     2**surplus * math.factorial(surplus) * math.factorial(pairs - surplus),
                 ),
-                f"involution coefficient N={pairs} s={surplus}",
+                "involution coefficient N={} s={}", pairs, surplus,
             )
     for n in range(1, min(8, max_n) + 1):
         index = partitions(n)
@@ -348,19 +351,19 @@ def check_lemma_identities(max_n: int) -> CheckResult:
                     (-1) ** (length - p)
                     * math.comb(n - 1, length - 1)
                     * Fraction(stirling_first_unsigned(length, p), math.factorial(length)),
-                    f"cycle-count coefficient n={n} p={p} l={length}",
+                    "cycle-count coefficient n={} p={} l={}", n, p, length,
                 )
     for a in range(13):
         for p in range(a + 2):
             rec.expect(
                 xc.stirling_sum_identity_holds(a, p),
-                f"stirling sum identity a={a} p={p}",
+                "stirling sum identity a={} p={}", a, p,
             )
     for a in range(13):
         for b in range(13):
             rec.expect(
                 xc.binomial_sum_identity_holds(a, b),
-                f"binomial sum identity a={a} b={b}",
+                "binomial sum identity a={} b={}", a, b,
             )
     for n in range(1, min(8, max_n) + 1):
         for alpha in _block_profiles(n):
@@ -368,7 +371,7 @@ def check_lemma_identities(max_n: int) -> CheckResult:
                 rec.equal(
                     xc.marked_composition_count_direct(n, alpha, r),
                     xc.marked_composition_count(n, sum(alpha), len(alpha), r),
-                    f"marked compositions n={n} alpha={alpha} r={r}",
+                    "marked compositions n={} alpha={} r={}", n, alpha, r,
                 )
     return rec.result("10", "supporting exact identities")
 
@@ -382,12 +385,12 @@ def check_strong_separation(max_n: int) -> CheckResult:
                 index = partitions(m)
                 for coarse, row in zip(index, xc.refinement_matrix(m)):
                     recombined = sum(
-                        coeff * table[fine] for coeff, fine in zip(row, index)
+                        coeff * table[fine] for coeff, fine in zip(row, index) if coeff
                     )
                     rec.equal(
                         recombined,
                         fm.separation_probability(lam, coarse).probability,
-                        f"round trip lam={lam} profile={coarse}",
+                        "round trip lam={} profile={}", lam, coarse,
                     )
                 for beta, prob in table.items():
                     count = xc.oracle_strong_pair_count(lam, beta)
@@ -395,14 +398,14 @@ def check_strong_separation(max_n: int) -> CheckResult:
                     rec.equal(
                         prob,
                         Fraction(count, space),
-                        f"strong oracle lam={lam} beta={beta}",
+                        "strong oracle lam={} beta={}", lam, beta,
                     )
             for alpha in partitions(n):
                 value = st.connection_coefficient(lam, alpha)
                 rec.equal(
                     value,
                     xc.oracle_connection_coefficient(lam, alpha),
-                    f"connection lam={lam} alpha={alpha}",
+                    "connection lam={} alpha={}", lam, alpha,
                 )
                 if n <= 5 and len(set(alpha)) > 1:
                     other = xc.canonical_type_representative(tuple(reversed(alpha)))
@@ -411,7 +414,7 @@ def check_strong_separation(max_n: int) -> CheckResult:
                             lam, alpha, representative=other
                         ),
                         value,
-                        f"representative independence lam={lam} alpha={alpha}",
+                        "representative independence lam={} alpha={}", lam, alpha,
                     )
     return rec.result("11", "strong separation and connection coefficients")
 
@@ -432,6 +435,19 @@ SUITES: dict[str, tuple[Callable[[int], CheckResult], ...]] = {
 }
 
 SUITE_ORDER = ("symmetry", "formulas", "maps", "lemmas", "strong")
+
+# The checks that share oracle caches, each group with its fresh run time in
+# ms at max_n 7 (2 cores, CPython 3.11.7): the pair-oracle counts and class
+# tallies; the strong histograms; the coloring totals; the transition
+# matrices; the involution histograms.  `run_suites` gives each group whole
+# to one worker, and a check in no group counts as a group of weight 1.
+CACHE_GROUPS: tuple[tuple[int, tuple[Callable[[int], CheckResult], ...]], ...] = (
+    (85, (check_two_cycle_closed_form, check_symmetry, check_p_cycles, check_fixed_point_lift)),
+    (42, (check_strong_separation,)),
+    (21, (check_colored_quadruples, check_colored_triples)),
+    (15, (check_lemma_identities,)),
+    (12, (check_involution_series, check_one_face_maps, check_colored_matchings)),
+)
 
 
 def _fork_share(share: list[Callable[[int], CheckResult]], max_n: int) -> tuple[int, int]:
@@ -491,21 +507,42 @@ def _decode(data: bytes, share: list[Callable[[int], CheckResult]]) -> list[Chec
     return results
 
 
+def _shares(checks: list[Callable[[int], CheckResult]], workers: int) -> list[list[int]]:
+    """The positions in ``checks`` that each of ``workers`` workers runs, in
+    order, empty shares dropped.  The groups of `CACHE_GROUPS` go whole, the
+    heaviest first (ties in order of their first check), each to the least
+    loaded worker (the lowest numbered on ties), so checks in no group go
+    round robin: worker i runs checks i, i + w, ... of w.  The rule reads
+    declared weights only, so the split is the same on every run."""
+    group_of = {check: (weight, group) for weight, group in CACHE_GROUPS for check in group}
+    units: dict[object, list[int]] = {}
+    for i, check in enumerate(checks):
+        units.setdefault(group_of.get(check, (1, i)), []).append(i)
+    loads, shares = [0] * workers, [[] for _ in range(workers)]
+    for (weight, _), positions in sorted(units.items(), key=lambda unit: -unit[0][0]):
+        w = loads.index(min(loads))
+        loads[w] += weight
+        shares[w] += positions
+    return [sorted(share) for share in shares if share]
+
+
 def run_suites(
     names: Iterable[str], max_n: int = 6, threads: int = 1
 ) -> list[CheckResult]:
     """Run the checks of the named suites ("all" for every suite), in suite
     order, split over ``threads`` worker processes, the caller being one.
 
-    With w = min(threads, number of checks) workers, worker i runs the
-    checks i, i + w, i + 2w, ...; the caller runs share 0 itself and forks
-    the others, so ``threads=1`` (or a platform without `os.fork`) forks
+    `_shares` splits the checks over min(threads, number of checks) workers
+    so that the checks of one `CACHE_GROUPS` group share one process's
+    caches.  The caller runs the first share itself and forks a worker for
+    each other one, so ``threads=1`` (or a platform without `os.fork`) forks
     nothing.  The caller reads and reaps every worker even when its own
     share raises; a worker whose check raised, or that exited before
     reporting one, makes this raise a RuntimeError naming that check.  Each
-    check returns its own result, so the results do not depend on
-    ``threads``.  Forking is safe here because nothing in `permsep` starts a
-    thread; a caller that runs threads of its own should pass 1."""
+    check returns its own result, and results are kept by position, so the
+    results do not depend on ``threads``.  Forking is safe here because
+    nothing in `permsep` starts a thread; a caller that runs threads of its
+    own should pass 1."""
     requested = list(names)
     if "all" in requested:
         requested = list(SUITE_ORDER)
@@ -523,15 +560,18 @@ def run_suites(
         check for suite in SUITE_ORDER if suite in requested for check in SUITES[suite]
     ]
     workers = min(threads, max(len(checks), 1)) if hasattr(os, "fork") else 1
+    positions = _shares(checks, workers) or [[]]
+    shares = [[checks[i] for i in share] for share in positions]
     children: list[tuple[int, int]] = []
     try:
-        for w in range(1, workers):
-            children.append(_fork_share(checks[w::workers], max_n))
-        own = [check(max_n) for check in checks[::workers]]
+        for share in shares[1:]:
+            children.append(_fork_share(share, max_n))
+        own = [check(max_n) for check in shares[0]]
     finally:
         replies = [_reap(pid, read_fd) for pid, read_fd in children]
+    decoded = [own] + [_decode(data, share) for share, data in zip(shares[1:], replies)]
     results: list = [None] * len(checks)
-    results[::workers] = own
-    for w, data in enumerate(replies, 1):
-        results[w::workers] = _decode(data, checks[w::workers])
+    for share, got in zip(positions, decoded):
+        for i, result in zip(share, got):
+            results[i] = result
     return results

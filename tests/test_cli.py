@@ -209,11 +209,53 @@ def test_verify_byte_identical_across_threads():
     # fresh interpreters, so the checks run concurrently on cold caches
     runs = [
         run_fresh_cli("verify", "--suite", "all", "--max-n", "6", "--threads", threads)
-        for threads in ("1", "2")
+        for threads in ("1", "2", "3")
     ]
     assert runs[0][0] == EXIT_OK
     assert runs[0][1].endswith("OK (11 check groups)\n")
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_verify_shares_run_every_check_once_and_do_not_change_between_runs():
+    # the split reads declared weights only: two fresh interpreters with
+    # different hash seeds give the same shares as this process
+    code = """
+        import json
+        from permsep.verification import SUITE_ORDER, SUITES, _shares
+        checks = [check for name in SUITE_ORDER for check in SUITES[name]]
+        print(json.dumps({
+            workers: [[checks[i].__name__ for i in share] for share in _shares(checks, workers)]
+            for workers in range(1, 13)
+        }))
+    """
+    runs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+            text=True, env=dict(fresh_env(), PYTHONHASHSEED=seed), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
+
+    from permsep.verification import SUITE_ORDER, SUITES, _shares
+
+    checks = [check for name in SUITE_ORDER for check in SUITES[name]]
+    for workers in range(1, 13):
+        shares = _shares(checks, workers)
+        assert [[checks[i].__name__ for i in share] for share in shares] == runs[0][str(workers)]
+        assert 1 <= len(shares) <= workers
+        assert sorted(i for share in shares for i in share) == list(range(len(checks)))
+        assert all(share == sorted(share) for share in shares)
+    # at two workers the pair-oracle checks (criteria 1, 2, 5 and 7) share the
+    # caller's process, and the other checks the forked one
+    names = [[checks[i].__name__ for i in share] for share in _shares(checks, 2)]
+    assert names[0] == [
+        "check_symmetry", "check_two_cycle_closed_form", "check_p_cycles",
+        "check_fixed_point_lift",
+    ]
+    # checks in no cache group go round robin, the caller taking the first
+    assert _shares([len, abs, min, max, sum], 2) == [[0, 2, 4], [1, 3]]
 
 
 def test_verify_fan_out_under_a_short_switch_interval():

@@ -444,3 +444,35 @@ def test_all_twos_histogram_matches_a_tally_over_involutions(pairs):
         cycle_type(times_full_cycle(images)) for images in orc.class_images((2,) * pairs)
     )
     assert orc.product_type_histogram((2,) * pairs) == tuple(sorted(want.items()))
+
+
+@_by_name(HISTOGRAM_ORACLES)
+def test_a_cached_answer_still_checks_the_limit(oracle, module, limit, args, monkeypatch):
+    # the memo of an answer sits behind the size check, so lowering the
+    # limit refuses a call that was answered (and cached) a moment before
+    oracle(*args(4))
+    monkeypatch.setattr(module, limit, 3)
+    with pytest.raises(BudgetExceededError, match="exceeds oracle budget max_n=3$"):
+        oracle(*args(4))
+
+
+def test_block_states_extend_the_states_of_the_profile_prefix():
+    orc._separated_tuple_histogram.cache_clear()
+    orc._block_states.cache_clear()
+    orc._separated_tuple_histogram((4, 3, 1), (3, 2, 1))
+    assert orc._block_states.cache_info().misses == 4  # (), (3,), (3, 2), (3, 2, 1)
+    orc._separated_tuple_histogram((4, 3, 1), (3, 2, 2))
+    assert orc._block_states.cache_info().misses == 5
+
+
+def test_coloring_totals_are_cached_on_the_sorted_profiles():
+    xc._colored_total.cache_clear()
+    profiles = list(all_compositions(5))
+    totals = {
+        (gamma, delta): xc.oracle_colored_factorization_count(gamma, delta)
+        for gamma in profiles
+        for delta in profiles
+    }
+    assert xc._colored_total.cache_info().misses == len(partitions(5)) ** 2
+    for (gamma, delta), total in totals.items():
+        assert total == totals[sorted_partition(gamma), sorted_partition(delta)]
