@@ -35,13 +35,18 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "SepResult",
-            "add_fixed_points_probability",
             "separated_pair_count",
             "separation_probability",
+        ),
+        "formulas",
+    ),
+    **dict.fromkeys(
+        (
+            "add_fixed_points_probability",
             "separation_probability_involution",
             "separation_probability_p_cycles",
         ),
-        "formulas",
+        "variants",
     ),
     **dict.fromkeys(("gen_series_table", "one_face_map_series"), "polynomials"),
     **dict.fromkeys(

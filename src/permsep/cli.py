@@ -12,10 +12,15 @@ disagreement), 2 invalid arguments, 3 oracle budget exceeded, 141 stdout
 closed by its reader (128 + SIGPIPE, as a shell reports a process it kills).
 
 Each subcommand imports the modules it runs when it runs, so a fresh process
-pays only for its own subcommand: ``sep-prob`` loads `permsep.formulas`, and
-``--method oracle`` adds `permsep.oracles`.  This module holds the four
-single-result queries (``sep-prob``, ``ncycle``, ``pcycles``, ``lift``) and
-what every subcommand shares; the other seven live in `permsep.subcommands`.
+compiles only its own subcommand's code: ``sep-prob`` loads
+`permsep.formulas`, and ``--method oracle`` adds `permsep.oracles`.  This
+module holds what every subcommand shares and the two queries of one class,
+``sep-prob`` and ``ncycle``.  Every other handler sits beside its declaration
+in a module named for the library layer it drives, imported only to run it
+or to print help: `permsep.cli_strong` (``strong``, ``connection``),
+`permsep.cli_polynomials` (``hz``, ``gtable``), `permsep.cli_variants`
+(``pcycles``, ``lift``), `permsep.cli_involution`, `permsep.cli_table` and
+`permsep.cli_verify`.
 A well-formed call is parsed from its subcommand's option table, and any
 other call goes to argparse (`permsep.usage`); help is written as records are.
 Records hold only ints and printable ASCII text with no quote or backslash;
@@ -28,10 +33,10 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
 
-from . import formulas as fm
 from .errors import BudgetExceededError
 from .partitions import as_composition, conjugacy_class_size, sorted_partition
 
@@ -128,9 +133,10 @@ def _emit_json(records: Iterable[dict], out: TextIO) -> None:
     out.write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
 
 
-def _result_records(operation: str, parameters: dict, results: list[fm.SepResult],
-                    with_float: bool, warnings: Iterable[str] = ()) -> tuple[list[dict], bool]:
-    """One record per result, and whether their probabilities disagree."""
+def _result_records(operation: str, parameters: dict, results: list, with_float: bool,
+                    warnings: Iterable[str] = ()) -> tuple[list[dict], bool]:
+    """One record per `permsep.formulas.SepResult`, and whether their
+    probabilities disagree."""
     mismatch = len({r.probability for r in results}) > 1
     records = []
     for res in results:
@@ -144,7 +150,7 @@ def _result_records(operation: str, parameters: dict, results: list[fm.SepResult
     return records, mismatch
 
 
-def _emit_results(out: TextIO, operation: str, parameters: dict, results: list[fm.SepResult],
+def _emit_results(out: TextIO, operation: str, parameters: dict, results: list,
                   with_float: bool, warnings: Iterable[str] = ()) -> int:
     """The one emitter of ``sep-prob``, ``ncycle``, ``pcycles`` and ``lift``:
     a record per result, two only for ``sep-prob --method both``, where
@@ -154,8 +160,10 @@ def _emit_results(out: TextIO, operation: str, parameters: dict, results: list[f
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _sep_results(lam, alpha, method: str) -> list[fm.SepResult]:
+def _sep_results(lam, alpha, method: str) -> list:
     """The results of one separation query, formula first."""
+    from . import formulas as fm
+
     if sum(alpha) > sum(lam):
         raise ValueError("total block size exceeds n")
     results = []
@@ -194,10 +202,12 @@ _SEP_PROB = (_cmd_sep_prob, "separation probability for one cycle type", (
 
 
 def _cmd_ncycle(args, out: TextIO) -> int:
+    from .formulas import separation_probability
+
     alpha = _parse_alpha(args.alpha)
     if sum(alpha) > args.n:
         raise ValueError("total block size exceeds n")
-    res = fm.separation_probability((args.n,), alpha)._replace(method="two-cycles-closed-form")
+    res = separation_probability((args.n,), alpha)._replace(method="two-cycles-closed-form")
     params = {"n": args.n, "alpha": list(alpha)}
     return _emit_results(out, "ncycle", params, [res], args.float)
 
@@ -205,35 +215,14 @@ def _cmd_ncycle(args, out: TextIO) -> int:
 _NCYCLE = (_cmd_ncycle, "product of two uniform full cycles", (_N, _ALPHA, _FLOAT))
 
 
-def _cmd_pcycles(args, out: TextIO) -> int:
-    alpha = _parse_alpha(args.alpha)
-    res = fm.separation_probability_p_cycles(args.n, args.p, alpha)
-    params = {"n": args.n, "p": args.p, "alpha": list(alpha)}
-    return _emit_results(out, "pcycles", params, [res], args.float)
-
-
-_PCYCLES = (_cmd_pcycles, "left factor uniform with p cycles",
-            (_N, ("--p", "p", int, ..., None), _ALPHA, _FLOAT))
-
-
-def _cmd_lift(args, out: TextIO) -> int:
-    lam, warnings = _parse_lambda(args.lam)
-    alpha = _parse_alpha(args.alpha)
-    res = fm.add_fixed_points_probability(lam, args.r, alpha)
-    params = {"lambda": list(lam), "r": args.r, "alpha": list(alpha)}
-    return _emit_results(out, "lift", params, [res], args.float, warnings)
-
-
-_LIFT = (_cmd_lift, "add fixed points to the cycle type", (
-    ("--lambda", "lam", str, ..., "base type, parts >= 2"),
-    ("--r", "r", int, ..., "fixed points to add"), _ALPHA, _FLOAT))
-
-# Every subcommand's declaration, or the name of one in `permsep.subcommands`,
-# in the order ``--help`` lists them.
+# Every subcommand's declaration, or "module.DECLARATION" for one declared in
+# another module of the package, in the order ``--help`` lists them.
 _SUBCOMMANDS = {
-    "sep-prob": _SEP_PROB, "ncycle": _NCYCLE, "pcycles": _PCYCLES, "involution": "_INVOLUTION",
-    "lift": _LIFT, "strong": "_STRONG", "connection": "_CONNECTION", "gtable": "_GTABLE",
-    "hz": "_HZ", "verify": "_VERIFY", "table": "_TABLE",
+    "sep-prob": _SEP_PROB, "ncycle": _NCYCLE, "pcycles": "cli_variants._PCYCLES",
+    "involution": "cli_involution._INVOLUTION", "lift": "cli_variants._LIFT",
+    "strong": "cli_strong._STRONG", "connection": "cli_strong._CONNECTION",
+    "gtable": "cli_polynomials._GTABLE", "hz": "cli_polynomials._HZ",
+    "verify": "cli_verify._VERIFY", "table": "cli_table._TABLE",
 }
 
 
@@ -241,9 +230,8 @@ def _command(name: str) -> tuple | None:
     """The declaration of the subcommand ``name``, or None if there is none."""
     command = _SUBCOMMANDS.get(name)
     if isinstance(command, str):
-        from . import subcommands
-
-        command = getattr(subcommands, command)
+        module, declaration = command.split(".")
+        command = getattr(import_module(f"{__package__}.{module}"), declaration)
     return command
 
 

@@ -271,7 +271,7 @@ def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fra
     """Literal evaluation of the involution probability as usually quoted.
 
     For m < 2N it is smaller than the count-based probability
-    (`formulas.separation_probability_involution`) by exactly (2N - m)!;
+    (`variants.separation_probability_involution`) by exactly (2N - m)!;
     ``involution`` prints that quotient, not this sum.
     """
     alpha = as_composition(alpha, allow_empty=False)
@@ -300,7 +300,8 @@ def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> 
 
     ``lam`` must have all parts >= 2; the count for lam extended by r parts of
     size 1 is a positive combination of base counts with block profiles
-    (m - k - p + 1, 1, ..., 1) for p = 0 .. m - k.
+    (m - k - p + 1, 1, ..., 1) for p = 0 .. m - k.  The arguments are checked
+    on every call, and the count is cached on (lam, r, m, k).
     """
     lam = as_partition(lam)
     if not lam:
@@ -313,6 +314,13 @@ def add_fixed_points_count(lam: Iterable[int], r: int, alpha: Iterable[int]) -> 
     n, m, k = sum(lam), sum(alpha), len(alpha)
     if m > n + r:
         raise ValueError("total block size exceeds n + r")
+    return _lifted_count(lam, r, m, k)
+
+
+@lru_cache(maxsize=None)
+def _lifted_count(lam: Partition, r: int, m: int, k: int) -> int:
+    """The lifting relation's sum for checked arguments."""
+    n = sum(lam)
     total = 0  # n times the count: every weight has denominator n
     for p in range(m - k + 1):
         if m - p > n:

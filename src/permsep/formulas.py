@@ -18,8 +18,9 @@ Dividing by `pair_space` turns counts into probabilities; ``ncycle`` reads
 the count of (n), ``lift`` that of lam + 1^r and ``involution`` that of
 (2^N).  Four method labels name the paper's derivation, not the code that
 computes the value, and stay so that output keeps its bytes (README.md,
-"Command line").  The module also holds the p-cycle closed form, whose
-count sums a union of classes.
+"Command line").  The lift, the involution and the p-cycle closed form,
+whose count sums a union of classes, live in `permsep.variants`, so that
+``sep-prob`` and ``ncycle`` compile only this module's code.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .partitions import (
     centralizer_order,
     conjugacy_class_size,
     multinomial,
-    stirling_first_unsigned,
 )
 
 # ---------------------------------------------------------------------------
@@ -158,71 +158,3 @@ def separation_probability(lam: Iterable[int], alpha: Iterable[int]) -> SepResul
     count = separated_pair_count(lam, alpha)
     prob = Fraction(count, pair_space(n, alpha, conjugacy_class_size(lam)))
     return SepResult(count=count, probability=prob, method="generating-series")
-
-
-def separated_count_p_cycles(n: int, p: int, alpha: Iterable[int]) -> int:
-    """Separated pairs summed over all permutations with exactly p cycles."""
-    alpha = as_composition(alpha, allow_empty=False)
-    if not 1 <= p <= n:
-        raise ValueError("need 1 <= p <= n")
-    if sum(alpha) > n:
-        raise ValueError("total block size exceeds n")
-    return _p_cycle_count(n, p, sum(alpha), len(alpha))
-
-
-@lru_cache(maxsize=None)
-def _p_cycle_count(n: int, p: int, m: int, k: int) -> int:
-    """n! * sum_r C(1-k, r) C(n+k-1, n-m-r) c(n-k-r+1, p) / (n-k-r+1)!."""
-    total = Fraction(0)
-    for r in range(n - m + 1):
-        q = n - k - r + 1
-        total += (
-            binomial(1 - k, r)
-            * binomial(n + k - 1, n - m - r)
-            * Fraction(stirling_first_unsigned(q, p), math.factorial(q))
-        )
-    total *= math.factorial(n)
-    if total.denominator != 1 or total < 0:
-        raise InvariantError(f"p-cycle separated count not integral: {total}")
-    return int(total)
-
-
-def separation_probability_p_cycles(n: int, p: int, alpha: Iterable[int]) -> SepResult:
-    """Separation probability when the left factor is uniform over permutations
-    of {0, ..., n-1} with exactly p cycles."""
-    alpha = as_composition(alpha, allow_empty=False)
-    count = separated_count_p_cycles(n, p, alpha)  # validates p and sum(alpha)
-    prob = Fraction(count, pair_space(n, alpha, stirling_first_unsigned(n, p)))
-    return SepResult(count=count, probability=prob, method="p-cycles-closed-form")
-
-
-# ---------------------------------------------------------------------------
-# Adding fixed points, and fixed-point-free involutions
-
-
-def add_fixed_points_probability(lam: Iterable[int], r: int, alpha: Iterable[int]) -> SepResult:
-    """Separation probability of ``lam`` (all parts >= 2) with ``r`` fixed
-    points added: the count of lam + 1^r, labelled as the lift."""
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
-    if not lam:
-        raise ValueError("base cycle type must be nonempty")
-    if any(part < 2 for part in lam):
-        raise ValueError("base cycle type must have all parts >= 2")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if sum(alpha) > sum(lam) + r:
-        raise ValueError("total block size exceeds n + r")
-    return separation_probability(lam + (1,) * r, alpha)._replace(method="fixed-point-lift")
-
-
-def separation_probability_involution(pairs: int, alpha: Iterable[int]) -> SepResult:
-    """Separation probability for the product of a uniform fixed-point-free
-    involution of 2 * pairs points with a uniform full cycle: the count of
-    the class (2^N), labelled as the involution series."""
-    alpha = as_composition(alpha, allow_empty=False)
-    if pairs < 1:
-        raise ValueError("need pairs >= 1")
-    if sum(alpha) > 2 * pairs:
-        raise ValueError("total block size exceeds 2 * pairs")
-    return separation_probability((2,) * pairs, alpha)._replace(method="involution-series")

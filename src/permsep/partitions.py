@@ -149,7 +149,7 @@ def multinomial(counts: Iterable[int]) -> int:
     return result
 
 
-_stirling_rows: dict[int, tuple[int, ...]] = {0: (1,)}
+_stirling_rows: list[tuple[int, ...]] = [(1,)]
 
 
 def stirling_first_unsigned(n: int, p: int) -> int:
@@ -157,27 +157,19 @@ def stirling_first_unsigned(n: int, p: int) -> int:
 
     Counts permutations of an n-set with exactly p cycles; equivalently the
     coefficient of x^p in x(x+1)...(x+n-1).  Zero outside 0 <= p <= n (except
-    the empty case, which gives 1 at n = p = 0).
+    the empty case, which gives 1 at n = p = 0).  Row m is built from row
+    m - 1 as c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j), once per process.
     """
     if n < 0 or p < 0:
         return 0
-    if n not in _stirling_rows:
-        top = max(n, *_stirling_rows)
-        for m in range(max(_stirling_rows) + 1, top + 1):
-            prev = _stirling_rows[m - 1]
-            row = [0] * (m + 1)
-            for j, v in enumerate(prev):
-                row[j + 1] += v
-                row[j] += (m - 1) * v
-            _stirling_rows[m] = tuple(row)
+    for m in range(len(_stirling_rows), n + 1):
+        prev = _stirling_rows[-1]
+        _stirling_rows.append(tuple(a + (m - 1) * b for a, b in zip((0,) + prev, prev + (0,))))
     row = _stirling_rows[n]
     return row[p] if p < len(row) else 0
 
 
 def perfect_matching_count(pairs: int) -> int:
     """(2N - 1)!! — the number of ways to pair up 2N points."""
-    result = 1
-    for odd in range(1, 2 * pairs, 2):
-        result *= odd
-    return result
+    return math.prod(range(1, 2 * pairs, 2))
 

@@ -35,6 +35,7 @@ from . import formulas as fm
 from . import oracles as orc
 from . import polynomials as pl
 from . import strong as st
+from . import variants as va
 from .partitions import (
     compositions,
     conjugacy_class_size,
@@ -185,9 +186,9 @@ def check_p_cycles(max_n: int) -> CheckResult:
                     for lam in partitions(n)
                     if len(lam) == p
                 )
-                count = fm.separated_count_p_cycles(n, p, alpha)
+                count = va.separated_count_p_cycles(n, p, alpha)
                 rec.equal(count, oracle_total, "count n={} p={} alpha={}", n, p, alpha)
-                prob = fm.separation_probability_p_cycles(n, p, alpha).probability
+                prob = va.separation_probability_p_cycles(n, p, alpha).probability
                 space = fm.pair_space(n, alpha, stirling_first_unsigned(n, p))
                 rec.equal(
                     prob,
@@ -223,7 +224,7 @@ def check_involution_series(max_n: int) -> CheckResult:
                 Fraction(oracle_count),
                 "pair count N={} alpha={}", pairs, alpha,
             )
-            sep = fm.separation_probability_involution(pairs, alpha)
+            sep = va.separation_probability_involution(pairs, alpha)
             space = fm.pair_space(n, alpha, perfect_matching_count(pairs))
             rec.equal(
                 sep.probability,
@@ -250,7 +251,7 @@ def check_involution_series(max_n: int) -> CheckResult:
                 )
     rec.expect(
         xc.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
-        and fm.separation_probability_involution(2, (1, 1)).probability
+        and va.separation_probability_involution(2, (1, 1)).probability
         == Fraction(5, 9),
         "printed vs count-based value at N=2, alpha=(1,1)",
     )

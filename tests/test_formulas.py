@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from permsep import crosscheck as xc
 from permsep import formulas as fm
 from permsep import polynomials as pl
+from permsep import variants as va
 from permsep.errors import InvariantError
 from permsep.partitions import (
     binomial,
@@ -225,7 +226,29 @@ def test_p_cycle_sums_over_types_at_degree_twenty():
     for alpha in [(1, 1), (3, 2), (5, 1, 1, 1), (4, 4, 4, 4, 4), (2,) * 6, (20,)]:
         for p in range(1, n + 1):
             direct = sum(fm.separated_pair_count(lam, alpha) for lam in by_length[p])
-            assert fm.separated_count_p_cycles(n, p, alpha) == direct, (alpha, p)
+            assert va.separated_count_p_cycles(n, p, alpha) == direct, (alpha, p)
+
+
+def _fraction_p_cycle_count(n, p, m, k):
+    """The p-cycle closed form summed term by term in exact Fractions: a
+    test-only reference for the integer sum over the common denominator."""
+    total = Fraction(0)
+    for r in range(n - m + 1):
+        q = n - k - r + 1
+        total += (
+            binomial(1 - k, r)
+            * binomial(n + k - 1, n - m - r)
+            * Fraction(stirling_first_unsigned(q, p), math.factorial(q))
+        )
+    return total * math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 19, 64, 150])
+def test_p_cycle_count_matches_the_term_by_term_sum(n):
+    for p in sorted({1, 2, n // 3 + 1, n // 2 + 1, n}):
+        for m in sorted({1, 2, n // 2 + 1, n}):
+            for k in sorted({1, m // 2 + 1, m}):
+                assert va._p_cycle_count(n, p, m, k) == _fraction_p_cycle_count(n, p, m, k)
 
 
 def test_separation_probability_examples():
@@ -237,9 +260,9 @@ def test_separation_probability_examples():
 
 
 def test_p_cycles_examples():
-    assert fm.separation_probability_p_cycles(3, 2, (1, 1)).probability == Fraction(2, 3)
-    assert fm.separation_probability_p_cycles(3, 1, (1, 1)).probability == Fraction(1, 2)
-    res = fm.separation_probability_p_cycles(5, 3, (2,))
+    assert va.separation_probability_p_cycles(3, 2, (1, 1)).probability == Fraction(2, 3)
+    assert va.separation_probability_p_cycles(3, 1, (1, 1)).probability == Fraction(1, 2)
+    res = va.separation_probability_p_cycles(5, 3, (2,))
     assert res.probability == 1  # single block
     assert res.count == binomial(5, 2) * stirling_first_unsigned(5, 3)
 
@@ -250,7 +273,7 @@ def test_p_cycles_examples():
 def test_p_cycles_rejects_invalid_input(n, p, alpha):
     # a single block must not bypass the checks on p and the total block size
     with pytest.raises(ValueError):
-        fm.separation_probability_p_cycles(n, p, alpha)
+        va.separation_probability_p_cycles(n, p, alpha)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -263,7 +286,7 @@ def test_p_cycles_aggregates_class_counts(n):
                     for lam in partitions(n)
                     if len(lam) == p
                 )
-                assert fm.separated_count_p_cycles(n, p, alpha) == direct
+                assert va.separated_count_p_cycles(n, p, alpha) == direct
 
 
 def test_two_cycles_examples():
@@ -289,7 +312,7 @@ def test_consistency_of_all_two_cycle_paths(n):
         for alpha in partitions(m):
             series = fm.separation_probability((n,), alpha).probability
             closed = xc.separation_probability_two_cycles(n, alpha).probability
-            via_p = fm.separation_probability_p_cycles(n, 1, alpha).probability
+            via_p = va.separation_probability_p_cycles(n, 1, alpha).probability
             assert series == closed == via_p
 
 
@@ -338,14 +361,14 @@ def test_involution_series_monomial_at_120_pairs():
 
 
 def test_involution_probability_and_printed_form():
-    res = fm.separation_probability_involution(2, (1, 1))
+    res = va.separation_probability_involution(2, (1, 1))
     assert res.probability == Fraction(5, 9)
     assert res.count == 20
     assert xc.involution_probability_printed_form(2, (1, 1)) == Fraction(5, 18)
     # with full coverage (m = 2N) the printed form is the true probability
     for pairs in (1, 2, 3):
         for alpha in partitions(2 * pairs):
-            res = fm.separation_probability_involution(pairs, alpha)
+            res = va.separation_probability_involution(pairs, alpha)
             assert xc.involution_probability_printed_form(pairs, alpha) == res.probability
 
 
@@ -366,7 +389,7 @@ def test_printed_form_off_by_remainder_factorial():
         for alpha in [(1,), (3, 2, 1), (120, 1, 1), (399,), (200, 199), (2,) * 199 + (1,)]
     ]
     for pairs, alpha in cases:
-        res = fm.separation_probability_involution(pairs, alpha)
+        res = va.separation_probability_involution(pairs, alpha)
         printed = xc.involution_probability_printed_form(pairs, alpha)
         assert printed * math.factorial(2 * pairs - sum(alpha)) == res.probability, (pairs, alpha)
 
@@ -443,7 +466,7 @@ def test_add_fixed_points_examples():
         xc.add_fixed_points_count((2, 1), 1, (1, 1))  # base type has a fixed point
 
 
-@pytest.mark.parametrize("lift", [xc.add_fixed_points_count, fm.add_fixed_points_probability])
+@pytest.mark.parametrize("lift", [xc.add_fixed_points_count, va.add_fixed_points_probability])
 def test_add_fixed_points_rejects_an_empty_base_type(lift):
     # n = 0 used to reach the final division by n and raise ZeroDivisionError
     for r in (0, 2):
@@ -452,7 +475,7 @@ def test_add_fixed_points_rejects_an_empty_base_type(lift):
 
 
 def test_add_fixed_points_probability_normalization():
-    res = fm.add_fixed_points_probability((2,), 1, (1, 1))
+    res = va.add_fixed_points_probability((2,), 1, (1, 1))
     assert res.count == 12
     assert res.probability == Fraction(
         12, multinomial([1, 1, 1]) * conjugacy_class_size((2, 1))
@@ -479,8 +502,8 @@ def test_add_fixed_points_beyond_brute_force():
 @pytest.mark.parametrize(
     "query, mapped, alpha",
     [
-        (lambda: fm.add_fixed_points_probability((4, 3), 2, (2, 1)), (4, 3, 1, 1), (2, 1)),
-        (lambda: fm.separation_probability_involution(5, (3, 1)), (2,) * 5, (3, 1)),
+        (lambda: va.add_fixed_points_probability((4, 3), 2, (2, 1)), (4, 3, 1, 1), (2, 1)),
+        (lambda: va.separation_probability_involution(5, (3, 1)), (2,) * 5, (3, 1)),
     ],
     ids=["lift", "involution"],
 )
@@ -577,14 +600,14 @@ def _draw_p_cycles(data):
     p = data.draw(st.integers(1, n))
     alpha = _draw_alpha(data, n)
     space = fm.pair_space(n, alpha, stirling_first_unsigned(n, p))
-    return fm.separation_probability_p_cycles(n, p, alpha), space
+    return va.separation_probability_p_cycles(n, p, alpha), space
 
 
 def _draw_involution(data):
     pairs = data.draw(st.integers(1, 10))
     alpha = _draw_alpha(data, 2 * pairs)
     space = fm.pair_space(2 * pairs, alpha, conjugacy_class_size((2,) * pairs))
-    return fm.separation_probability_involution(pairs, alpha), space
+    return va.separation_probability_involution(pairs, alpha), space
 
 
 def _draw_fixed_point_lift(data):
@@ -593,7 +616,7 @@ def _draw_fixed_point_lift(data):
     alpha = _draw_alpha(data, sum(lam) + r)
     extended = sorted_partition(lam + (1,) * r)
     space = fm.pair_space(sum(extended), alpha, conjugacy_class_size(extended))
-    return fm.add_fixed_points_probability(lam, r, alpha), space
+    return va.add_fixed_points_probability(lam, r, alpha), space
 
 
 @pytest.mark.parametrize(

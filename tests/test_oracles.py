@@ -122,6 +122,46 @@ def test_product_type_histogram_matches_the_whole_class_without_fixed_points():
     assert walked == 133_496
 
 
+# N(lam, tau) = #{pi in C_lam : pi omega in C_tau}, the class tallies checked
+# against each other with no formula: each class is walked by its own rule
+# (least displacement for one distinct part, its L-cycles otherwise), so the
+# relations tie the walks together.
+TALLY_DEGREES = range(1, 10)
+
+
+@functools.lru_cache(maxsize=None)
+def tally_matrix(n):
+    return {lam: dict(orc.product_type_histogram(lam)) for lam in partitions(n)}
+
+
+def test_class_tallies_are_symmetric():
+    # pi -> rho = (pi omega)^-1 maps each pi of type lam with pi omega of type
+    # tau to a rho of type tau with rho omega = omega^-1 pi^-1 omega of type lam
+    for n in TALLY_DEGREES:
+        tallies = tally_matrix(n)
+        for lam in tallies:
+            for tau in tallies:
+                assert tallies[lam].get(tau, 0) == tallies[tau].get(lam, 0), (lam, tau)
+
+
+def test_class_tallies_sum_to_each_product_class():
+    # each sigma is pi omega for exactly one pi, sigma omega^-1
+    for n in TALLY_DEGREES:
+        tallies = tally_matrix(n)
+        for tau in tallies:
+            column = sum(row.get(tau, 0) for row in tallies.values())
+            assert column == conjugacy_class_size(tau), tau
+
+
+def test_class_tallies_keep_the_sign():
+    # sign(pi omega) = sign(pi) sign(omega), sign of a type lam of n being (-1)^(n - len(lam))
+    for n in TALLY_DEGREES:
+        for lam, row in tally_matrix(n).items():
+            for tau, count in row.items():
+                assert count > 0
+                assert (n - len(tau)) % 2 == ((n - len(lam)) + (n - 1)) % 2, (lam, tau)
+
+
 def test_full_cycle_tally_builds_few_product_types(monkeypatch):
     # (8) has 5,040 members; the least-displacement walk visits 1,098
     calls = []
