@@ -49,20 +49,7 @@ _EXPORTS = {
         "variants",
     ),
     **dict.fromkeys(("gen_series_table", "one_face_map_series"), "polynomials"),
-    **dict.fromkeys(
-        (
-            "add_fixed_points_count",
-            "colored_factorization_count",
-            "colored_matching_count",
-            "involution_pair_count",
-            "involution_series",
-            "marked_composition_count",
-            "separated_colored_count",
-            "separation_probability_two_cycles",
-            "singleton_blocks_probability",
-        ),
-        "crosscheck",
-    ),
+    "separation_probability_two_cycles": "crosscheck",
     **dict.fromkeys(
         (
             "connection_coefficient",
@@ -70,14 +57,6 @@ _EXPORTS = {
             "strong_separation_probability",
         ),
         "strong",
-    ),
-    **dict.fromkeys(
-        (
-            "expand_power_sum_in_monomials",
-            "power_sum_coefficient",
-            "transition_matrices",
-        ),
-        "symfunc",
     ),
 }
 

@@ -205,8 +205,6 @@ def _cmd_ncycle(args, out: TextIO) -> int:
     from .formulas import separation_probability
 
     alpha = _parse_alpha(args.alpha)
-    if sum(alpha) > args.n:
-        raise ValueError("total block size exceeds n")
     res = separation_probability((args.n,), alpha)._replace(method="two-cycles-closed-form")
     params = {"n": args.n, "alpha": list(alpha)}
     return _emit_results(out, "ncycle", params, [res], args.float)

@@ -1,25 +1,29 @@
 """Second derivations that only the verification suites and the tests run.
 
 The queries compute each quantity one way and check it against one oracle
-(`permsep.oracles`).  This module holds the rest: the closed forms of the
-auxiliary objects behind the derivations (colored factorizations, separated
-colored quadruples, marked compositions, colored matchings), the piecewise
-two-cycle form, the paper's two-full-cycle closed form, involution series,
-printed involution sum and lifting relation (the queries read those counts
-from the hook sum, and ``involution`` derives the printed value from its
-count), the weak-to-strong refinement matrix, two polynomial identities, and
-the oracles.  The coloring, involution, colored-matching and strong oracles
-read one separated-pair histogram of a class: its product-type tally
-(`oracles.product_type_histogram`) times the block DP of `permsep.oracles`.
-A coloring of cycles is the separated block tuple of its color classes,
-which covers every point.  The ``*_literal`` oracles enumerate every
-structure one by one, to validate the counting oracles at tiny sizes: each
-permutation is an image tuple (``images[i]`` is the image of i) from
-`oracles.class_images`, its product with the full cycle is that tuple
-rotated one place, and a block tuple of disjoint frozensets is tested on the
-product's canonical cycles.  Connection coefficients tally the full cycles
-once per representative.  Each oracle has one fixed ground-set limit, a
-module constant, and checks it once, before it enumerates anything.
+(`permsep.oracles`).  This module holds the rest, one closed form and one
+oracle per quantity: the auxiliary counts behind the derivations (separated
+colored quadruples, which at blocks covering every point and no extra color
+are the colored factorizations; marked compositions; colored matchings),
+the piecewise two-cycle form, the paper's two-full-cycle closed form,
+involution series, printed involution sum and lifting relation (the queries
+read those counts from the hook sum, and ``involution`` derives the printed
+value from its count), the weak-to-strong refinement matrix, two polynomial
+identities, and the oracles.  The coloring, involution, colored-matching and
+strong oracles read one separated-pair histogram of a class: its
+product-type tally (`oracles.product_type_histogram`) times the block DP of
+`permsep.oracles`.  A coloring of cycles is the separated block tuple of its
+color classes, which covers every point.  The two ``*_literal`` oracles
+enumerate every structure one by one, to validate the counting oracles at
+tiny sizes: `oracle_pair_histogram_literal` tallies the (strongly) separated
+pairs of a class, involutions included, and
+`oracle_separated_colored_count_literal` the colored quadruples.  Each
+permutation is an image tuple (``images[i]`` is the image of i), its
+product with the full cycle is that tuple rotated one place, and a block
+tuple of disjoint frozensets is tested on the product's canonical cycles.
+Connection coefficients tally the full cycles once per representative.
+Each oracle has one fixed ground-set limit, a module constant, and checks it
+once, before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -52,25 +56,10 @@ from .partitions import (
     sorted_partition,
     stirling_first_unsigned,
 )
-from .polynomials import BinomialPolynomial, Poly, gen_series_entry
+from .polynomials import BinomialPolynomial, gen_series_entry
 
 # ---------------------------------------------------------------------------
 # Closed forms of the auxiliary counts
-
-
-def colored_factorization_count(n: int, left_colors: int, right_colors: int) -> int:
-    """Triples (pi, c1, c2): c1 colors pi's cycles with a fixed size profile of
-    ``left_colors`` colors, c2 colors the cycles of pi times the full cycle
-    with a profile of ``right_colors`` colors.
-
-    The count depends on the profiles only through their lengths:
-    n (n - l)! (n - l')! / (n - l - l' + 1)!, and 0 when that is negative.
-    This is the series entry `polynomials.gen_series_entry` at m = n, r = 0,
-    with the right coloring in the role of the k blocks.
-    """
-    if not (1 <= left_colors <= n and 1 <= right_colors <= n):
-        raise ValueError("color counts must lie in [1, n]")
-    return gen_series_entry(n, n, right_colors, left_colors, 0)
 
 
 def separated_colored_count(n: int, left_colors: int, m: int, k: int, r: int) -> int:
@@ -80,7 +69,9 @@ def separated_colored_count(n: int, left_colors: int, m: int, k: int, r: int) ->
 
     This is the series entry `polynomials.gen_series_entry` with l = left_colors:
     n (n-l)! (n-k-r)! / (n-k-l-r+1)! * C(n+k-1, n-m-r), 0 when the factorial
-    argument goes negative (and the binomial kills r > n - m).
+    argument goes negative (and the binomial kills r > n - m).  At m = n and
+    r = 0 the blocks are the right coloring itself, and this counts the
+    colored factorizations: n (n-l)! (n-k)! / (n-l-k+1)!.
     """
     if not 1 <= left_colors <= n:
         raise ValueError("left color count must lie in [1, n]")
@@ -249,22 +240,6 @@ def involution_series(pairs: int, alpha: Iterable[int]) -> BinomialPolynomial:
         if value:
             coeffs[r] = value
     return BinomialPolynomial(coeffs)
-
-
-def involution_pair_count(pairs: int, alpha: Iterable[int]) -> int:
-    """Number of separated pairs (fixed-point-free involution, block tuple)."""
-    alpha = as_composition(alpha)
-    value = involution_series(pairs, alpha).evaluate(1 - len(alpha))
-    if value.denominator != 1 or value < 0:
-        raise InvariantError(f"involution pair count not integral: {value}")
-    return int(value)
-
-
-def involution_series_monomial(pairs: int, alpha: Iterable[int]) -> Poly:
-    """Monomial coefficients of the involution series in its own variable t
-    (undoing the t + k shift)."""
-    alpha = as_composition(alpha)
-    return involution_series(pairs, alpha).to_monomial_shifted(-len(alpha))
 
 
 def involution_probability_printed_form(pairs: int, alpha: Iterable[int]) -> Fraction:
@@ -469,13 +444,19 @@ def _separates(met: Sequence[int], blocks: BlockTuple, strong: bool = False) -> 
     return all(count < 2 for count in met) and (not strong or sum(met) == len(blocks))
 
 
-def _literal_histogram(
-    lam: Partition, alpha: Composition, strong: bool = False
+def oracle_pair_histogram_literal(
+    lam: Iterable[int], alpha: Iterable[int], strong: bool = False
 ) -> dict[int, int]:
-    """{untouched cycles: pairs} with the class of lam and the block tuples
-    with sizes alpha enumerated one by one, each pair tested with the
-    (``strong``: strong) separation predicate.  One `_blocks_met` list per
-    pair serves both that test and the count of untouched cycles."""
+    """{untouched cycles: pairs} over the pairs (pi in the class of lam, block
+    tuple with sizes alpha) that pi times the full cycle separates
+    (``strong``: strongly separates), with both enumerated one by one and
+    each pair tested with the literal predicate.  One `_blocks_met` list per
+    pair serves both that test and the count of untouched cycles.  The
+    values sum to the (strong) pair count; at lam = 2^N the histogram is the
+    involution series."""
+    lam = as_partition(lam)
+    alpha = as_composition(alpha)
+    _check_size(sum(lam), LITERAL_MAX_N)
     out: dict[int, int] = {}
     for images in class_images(lam):
         cycles = _cycles(images[1:] + images[:1])
@@ -513,34 +494,18 @@ def _extra_color_weight(untouched: int, k: int, extra: int) -> int:
     )
 
 
-def oracle_separated_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
-    """Same count with both the class and the block tuples enumerated one by
-    one and tested with the separation predicate."""
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
-    _check_size(sum(lam), LITERAL_MAX_N)
-    return sum(_literal_histogram(lam, alpha).values())
-
-
-def _left_colored_total(gamma: Composition, blocks: Composition, extra: int) -> int:
-    """Sum over pi in S_n, n = |gamma|, of the colorings of pi with profile
-    gamma times the colorings of the untouched cycles in k + ``extra``
-    colors that use every extra one, k = len(blocks), summed over the block
-    tuples with the given sizes that the product separates.
-
-    A coloring with profile gamma is a block tuple with sizes gamma that the
-    cycles separate: it covers every point, so each block is a union of
-    cycles and no cycle is left untouched.  Reordering either profile
-    permutes the tuples, so the total is cached on both sorted, once the
-    size limit is checked."""
-    _check_size(sum(gamma), COLORING_MAX_N)
-    return _colored_total(sorted_partition(gamma), sorted_partition(blocks), extra)
-
-
 @lru_cache(maxsize=None)
 def _colored_total(sizes: Partition, blocks: Partition, extra: int) -> int:
-    """`_left_colored_total` on sorted profiles.  A class with no coloring
-    of profile ``sizes`` costs one step."""
+    """Sum over pi in S_n, n = |sizes|, of the colorings of pi with profile
+    ``sizes`` times the colorings of the untouched cycles in k + ``extra``
+    colors that use every extra one, k = len(blocks), summed over the block
+    tuples with sizes ``blocks`` that the product separates.
+
+    A coloring with profile ``sizes`` is a block tuple with those sizes that
+    the cycles separate: it covers every point, so each block is a union of
+    cycles and no cycle is left untouched.  Reordering either profile
+    permutes the tuples, so both come sorted.  A class with no coloring of
+    profile ``sizes`` costs one step."""
     total, k = 0, len(blocks)
     for lam in partitions(sum(sizes)):
         left = dict(_separated_tuple_histogram(lam, sizes)).get(0, 0)
@@ -550,25 +515,16 @@ def _colored_total(sizes: Partition, blocks: Partition, extra: int) -> int:
     return total
 
 
-def oracle_colored_factorization_count(gamma: Iterable[int], delta: Iterable[int]) -> int:
-    """Triples (pi, left coloring with profile gamma, right coloring with
-    profile delta) over all of S_n: a right coloring is a separated block
-    tuple with sizes delta, which leaves no cycle untouched, so its weight
-    with no extra colors is 1."""
-    gamma = as_composition(gamma, allow_empty=False)
-    delta = as_composition(delta, allow_empty=False)
-    if sum(gamma) != sum(delta):
-        raise ValueError("gamma and delta must have equal size")
-    return _left_colored_total(gamma, delta, 0)
-
-
 def oracle_separated_colored_count(
     gamma: Iterable[int], alpha: Iterable[int], extra_colors: int
 ) -> int:
     """Quadruples (pi, A, c1, c2): left coloring profile gamma, right coloring
     surjective in k + extra colors with block i inside color class i.  Such a
     right coloring is a separated A whose untouched cycles take colors that
-    cover the extra ones."""
+    cover the extra ones.  With no extra colors and blocks that cover every
+    point, A is itself the right coloring, so the count is that of the
+    colored factorizations (pi, c1, c2 with profile alpha).  The total is
+    cached on the sorted profiles, behind the size check."""
     gamma = as_composition(gamma, allow_empty=False)
     alpha = as_composition(alpha, allow_empty=False)
     if extra_colors < 0:
@@ -576,7 +532,8 @@ def oracle_separated_colored_count(
     n = sum(gamma)
     if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
-    return _left_colored_total(gamma, alpha, extra_colors)
+    _check_size(n, COLORING_MAX_N)
+    return _colored_total(sorted_partition(gamma), sorted_partition(alpha), extra_colors)
 
 
 def oracle_separated_colored_count_literal(
@@ -628,12 +585,6 @@ def oracle_involution_series(pairs: int, alpha: Iterable[int]) -> dict[int, int]
     return dict(_pair_histogram((2,) * pairs, alpha))
 
 
-def oracle_involution_series_literal(pairs: int, alpha: Iterable[int]) -> dict[int, int]:
-    alpha = as_composition(alpha)
-    _check_size(2 * pairs, LITERAL_MAX_N)
-    return _literal_histogram((2,) * pairs, alpha)
-
-
 def oracle_colored_matching_count(pairs: int, gamma: Iterable[int]) -> int:
     """Pairs (fixed-point-free involution, right coloring with profile gamma):
     separated block tuples with sizes gamma, which leave no cycle untouched."""
@@ -653,13 +604,6 @@ def oracle_strong_pair_count(lam: Iterable[int], alpha: Iterable[int]) -> int:
     if sum(alpha) > sum(lam):
         return 0
     return sum(pairs for _, pairs in _pair_histogram(lam, alpha, strong=True))
-
-
-def oracle_strong_pair_count_literal(lam: Iterable[int], alpha: Iterable[int]) -> int:
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
-    _check_size(sum(lam), LITERAL_MAX_N)
-    return sum(_literal_histogram(lam, alpha, strong=True).values())
 
 
 def canonical_type_representative(alpha: Iterable[int]) -> tuple[int, ...]:

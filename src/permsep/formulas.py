@@ -149,12 +149,13 @@ def pair_space(n: int, alpha: Composition, class_count: int) -> int:
 
 def separation_probability(lam: Iterable[int], alpha: Iterable[int]) -> SepResult:
     """Probability that the product of a uniform permutation of cycle type
-    ``lam`` with a uniform full cycle separates blocks of sizes ``alpha``."""
-    lam = as_partition(lam)
-    alpha = as_composition(alpha, allow_empty=False)
+    ``lam`` with a uniform full cycle separates blocks of sizes ``alpha``;
+    blocks that cannot fit are refused before the shape of ``lam`` is checked."""
+    lam, alpha = tuple(lam), as_composition(alpha, allow_empty=False)
     n = sum(lam)
     if sum(alpha) > n:
         raise ValueError("total block size exceeds n")
+    lam = as_partition(lam)
     count = separated_pair_count(lam, alpha)
     prob = Fraction(count, pair_space(n, alpha, conjugacy_class_size(lam)))
     return SepResult(count=count, probability=prob, method="generating-series")

@@ -398,6 +398,30 @@ def test_invalid_arguments_exit_2():
         assert code == EXIT_USAGE and text == ""
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("ncycle", "--n", "3", "--alpha", "2,2"), "total block size exceeds n"),
+        (("ncycle", "--n", "0", "--alpha", "1"), "total block size exceeds n"),
+        (("lift", "--lambda", "2,2", "--r", "1", "--alpha", "4,2"),
+         "total block size exceeds n + r"),
+        (("involution", "--N", "2", "--alpha", "3,2"), "total block size exceeds 2 * pairs"),
+        (("pcycles", "--n", "3", "--p", "2", "--alpha", "2,2"), "total block size exceeds n"),
+        (("strong", "--lambda", "3,1", "--m", "5"), "need 1 <= total block size <= n"),
+        (("connection", "--lambda", "3,1", "--alpha", "3"),
+         "alpha must have size n for connection coefficients"),
+        (("connection", "--lambda", "3,1", "--alpha", "3,2"),
+         "alpha must have size n for connection coefficients"),
+    ],
+    ids=["ncycle", "ncycle-n-0", "lift", "involution", "pcycles", "strong",
+         "connection-below-n", "connection-above-n"],
+)
+def test_sizes_out_of_range_exit_2_with_one_stderr_line(argv, reason, capsys):
+    # each subcommand leaves the size checks to the library, which words them
+    assert run_cli(*argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"permsep: invalid arguments: {reason}\n"
+
+
 def test_verify_unknown_suite_exit_2():
     code, text = run_cli("verify", "--suite", "bogus")
     assert code == EXIT_USAGE and text == ""

@@ -24,11 +24,12 @@ from permsep.symfunc import power_sum_coefficient
 
 
 def test_colored_factorization_count_examples():
-    assert xc.colored_factorization_count(3, 1, 1) == 6
-    assert xc.colored_factorization_count(3, 2, 2) == 3
-    assert xc.colored_factorization_count(3, 3, 2) == 0  # l + l' > n + 1
+    # the quadruple count with blocks that cover every point and no extra color
+    assert xc.separated_colored_count(3, 1, 3, 1, 0) == 6
+    assert xc.separated_colored_count(3, 2, 3, 2, 0) == 3
+    assert xc.separated_colored_count(3, 3, 3, 2, 0) == 0  # l + l' > n + 1
     with pytest.raises(ValueError):
-        xc.colored_factorization_count(3, 0, 1)
+        xc.separated_colored_count(3, 0, 3, 1, 0)
 
 
 def test_separated_colored_count_examples():
@@ -153,7 +154,8 @@ def test_involution_series_count_matches_hook_sum(pairs):
     # two independent derivations of the pair count of the class 2^N
     alphas = ((1,), (3, 2, 1), (2, 2, 2, 2), (pairs,), (pairs, pairs), (1,) * pairs)
     for alpha in alphas:
-        assert xc.involution_pair_count(pairs, alpha) == fm.separated_pair_count(
+        series = xc.involution_series(pairs, alpha)
+        assert series.evaluate(1 - len(alpha)) == fm.separated_pair_count(
             (2,) * pairs, alpha
         ), (pairs, alpha)
 
@@ -332,12 +334,12 @@ def test_degree_ten_profile_symmetry():
 
 def test_involution_series_examples():
     # single pair, no blocks: the product is the identity on 2 points
-    assert xc.involution_series_monomial(1, ()) == (
+    assert xc.involution_series(1, ()).to_monomial_shifted(0) == (
         Fraction(0),
         Fraction(0),
         Fraction(1),
     )
-    assert xc.involution_pair_count(2, (1, 1)) == 20
+    assert xc.involution_series(2, (1, 1)).evaluate(-1) == 20  # pairs at t = 1 - k
     for pairs in range(1, 5):
         n = 2 * pairs
         for m in range(n + 1):
@@ -352,7 +354,7 @@ def test_involution_series_examples():
 def test_involution_series_monomial_at_120_pairs():
     # the monomial form in t is the binomial-basis series at t - k
     series = xc.involution_series(120, (2, 1))
-    monomial = xc.involution_series_monomial(120, (2, 1))
+    monomial = series.to_monomial_shifted(-2)
     for t in (-3, 0, 1, 2, 5, 40):
         value = Fraction(0)
         for c in reversed(monomial):

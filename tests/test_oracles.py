@@ -49,18 +49,18 @@ def test_fast_oracle_matches_literal():
                 for alpha in all_compositions(m):
                     if not alpha or len(alpha) > m:
                         continue
-                    assert orc.oracle_separated_pair_count(
-                        lam, alpha
-                    ) == xc.oracle_separated_pair_count_literal(lam, alpha)
+                    assert orc.oracle_separated_pair_count(lam, alpha) == sum(
+                        xc.oracle_pair_histogram_literal(lam, alpha).values()
+                    )
 
 
 def test_oracle_composition_order_irrelevant_literal():
     # genuinely re-enumerates with reordered blocks
     for alpha, beta in [((2, 1), (1, 2)), ((3, 1), (1, 3)), ((2, 1, 1), (1, 2, 1))]:
         for lam in partitions(sum(alpha) + 1):
-            assert xc.oracle_separated_pair_count_literal(
+            assert xc.oracle_pair_histogram_literal(
                 lam, alpha
-            ) == xc.oracle_separated_pair_count_literal(lam, beta)
+            ) == xc.oracle_pair_histogram_literal(lam, beta)
 
 
 def test_product_type_histogram_matches_the_other_product_order():
@@ -173,13 +173,14 @@ def test_full_cycle_tally_builds_few_product_types(monkeypatch):
 
 
 def test_oracle_colored_factorizations():
-    assert xc.oracle_colored_factorization_count((3,), (3,)) == 6
-    assert xc.oracle_colored_factorization_count((2, 1), (2, 1)) == 3
-    assert xc.oracle_colored_factorization_count((1, 1, 1), (2, 1)) == 0
+    # a right coloring is a separated block tuple that covers every point
+    assert xc.oracle_separated_colored_count((3,), (3,), 0) == 6
+    assert xc.oracle_separated_colored_count((2, 1), (2, 1), 0) == 3
+    assert xc.oracle_separated_colored_count((1, 1, 1), (2, 1), 0) == 0
     # order within the profiles never matters
-    assert xc.oracle_colored_factorization_count(
-        (2, 1, 1), (1, 3)
-    ) == xc.oracle_colored_factorization_count((1, 1, 2), (3, 1))
+    assert xc.oracle_separated_colored_count(
+        (2, 1, 1), (1, 3), 0
+    ) == xc.oracle_separated_colored_count((1, 1, 2), (3, 1), 0)
 
 
 def test_oracle_colored_quadruples():
@@ -223,7 +224,7 @@ def test_oracle_involution_series():
         for alpha in [(), (1,), (1, 1), (2,)]:
             assert xc.oracle_involution_series(
                 pairs, alpha
-            ) == xc.oracle_involution_series_literal(pairs, alpha)
+            ) == xc.oracle_pair_histogram_literal((2,) * pairs, alpha)
 
 
 def test_oracle_colored_matchings():
@@ -246,9 +247,9 @@ def test_oracle_strong_pairs():
         for alpha in [(2,), (2, 1), (1, 1)]:
             if sum(alpha) > sum(lam):
                 continue
-            assert xc.oracle_strong_pair_count(
-                lam, alpha
-            ) == xc.oracle_strong_pair_count_literal(lam, alpha)
+            assert xc.oracle_strong_pair_count(lam, alpha) == sum(
+                xc.oracle_pair_histogram_literal(lam, alpha, strong=True).values()
+            )
 
 
 def test_oracle_connection_coefficients():
@@ -350,7 +351,7 @@ def test_pair_histogram_matches_the_literal_histogram(strong):
             for m in range(n + 1):
                 for alpha in partitions(m):
                     assert dict(xc._pair_histogram(lam, alpha, strong)) == (
-                        xc._literal_histogram(lam, alpha, strong)
+                        xc.oracle_pair_histogram_literal(lam, alpha, strong)
                     ), (lam, alpha)
 
 
@@ -382,47 +383,70 @@ def test_budget_max_n():
     with pytest.raises(BudgetExceededError):
         orc.oracle_separated_pair_count((10,), (1, 1))
     with pytest.raises(BudgetExceededError):
-        xc.oracle_colored_factorization_count((7,), (7,))
+        xc.oracle_separated_colored_count((7,), (7,), 0)
     with pytest.raises(BudgetExceededError):
         xc.oracle_involution_series(6, ())
 
 
 # Each oracle, the module constant that limits its ground-set size, and its
-# arguments at size n.  The involution oracles take n / 2 pairs, rounded up.
-HISTOGRAM_ORACLES = [
-    (orc.oracle_separated_pair_count, orc, "PAIR_MAX_N", lambda n: ((1,) * n, (1, 1))),
-    (xc.oracle_strong_pair_count, xc, "STRONG_MAX_N", lambda n: ((1,) * n, (2, 1))),
-    (xc.oracle_connection_coefficient, xc, "CONNECTION_MAX_N", lambda n: ((n,), (n,))),
-    (xc.oracle_colored_factorization_count, xc, "COLORING_MAX_N", lambda n: ((n,), (n,))),
-    (xc.oracle_separated_colored_count, xc, "COLORING_MAX_N", lambda n: ((n,), (1, 1), 1)),
-    (xc.oracle_involution_series, xc, "INVOLUTION_MAX_N", lambda n: ((n + 1) // 2, (1, 1))),
-    (
+# arguments at size n, keyed by the quantity the oracle counts with those
+# arguments.  The involution oracles take n / 2 pairs, rounded up.
+HISTOGRAM_ORACLES = {
+    "oracle_separated_pair_count": (
+        orc.oracle_separated_pair_count, orc, "PAIR_MAX_N", lambda n: ((1,) * n, (1, 1))
+    ),
+    "oracle_strong_pair_count": (
+        xc.oracle_strong_pair_count, xc, "STRONG_MAX_N", lambda n: ((1,) * n, (2, 1))
+    ),
+    "oracle_connection_coefficient": (
+        xc.oracle_connection_coefficient, xc, "CONNECTION_MAX_N", lambda n: ((n,), (n,))
+    ),
+    # a colored factorization: blocks that cover every point, no extra color
+    "oracle_colored_factorization_count": (
+        xc.oracle_separated_colored_count, xc, "COLORING_MAX_N", lambda n: ((n,), (n,), 0)
+    ),
+    "oracle_separated_colored_count": (
+        xc.oracle_separated_colored_count, xc, "COLORING_MAX_N", lambda n: ((n,), (1, 1), 1)
+    ),
+    "oracle_involution_series": (
+        xc.oracle_involution_series, xc, "INVOLUTION_MAX_N", lambda n: ((n + 1) // 2, (1, 1))
+    ),
+    "oracle_colored_matching_count": (
         xc.oracle_colored_matching_count,
         xc,
         "INVOLUTION_MAX_N",
         lambda n: ((n + 1) // 2, (n + n % 2,)),
     ),
-]
-LITERAL_ORACLES = [
-    (xc.oracle_separated_pair_count_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (1, 1))),
-    (xc.oracle_strong_pair_count_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (2, 1))),
-    (xc.oracle_involution_series_literal, xc, "LITERAL_MAX_N", lambda n: ((n + 1) // 2, ())),
-    (
+}
+LITERAL_ORACLES = {
+    "oracle_separated_pair_count_literal": (
+        xc.oracle_pair_histogram_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (1, 1))
+    ),
+    "oracle_strong_pair_count_literal": (
+        xc.oracle_pair_histogram_literal, xc, "LITERAL_MAX_N", lambda n: ((1,) * n, (2, 1), True)
+    ),
+    "oracle_involution_series_literal": (
+        xc.oracle_pair_histogram_literal,
+        xc,
+        "LITERAL_MAX_N",
+        lambda n: ((2,) * ((n + 1) // 2), ()),
+    ),
+    "oracle_separated_colored_count_literal": (
         xc.oracle_separated_colored_count_literal,
         xc,
         "COLORED_LITERAL_MAX_N",
         lambda n: ((n,), (1,), 1),
     ),
-]
+}
 
 
 def _by_name(cases):
     return pytest.mark.parametrize(
-        "oracle, module, limit, args", cases, ids=[case[0].__name__ for case in cases]
+        "oracle, module, limit, args", list(cases.values()), ids=list(cases)
     )
 
 
-@_by_name(HISTOGRAM_ORACLES + LITERAL_ORACLES)
+@_by_name({**HISTOGRAM_ORACLES, **LITERAL_ORACLES})
 def test_oracle_answers_at_its_limit_and_refuses_above(oracle, module, limit, args):
     max_n = getattr(module, limit)
     oracle(*args(max_n))
@@ -455,7 +479,7 @@ def test_literal_oracles_raise_before_enumerating(monkeypatch, oracle, module, l
 
 def test_budgets_hold_when_histograms_are_cached(monkeypatch):
     # every histogram oracle checks its limit, with its tally cached or not
-    for oracle, module, limit, args in HISTOGRAM_ORACLES:
+    for oracle, module, limit, args in HISTOGRAM_ORACLES.values():
         oracle(*args(4))
         with monkeypatch.context() as patch, pytest.raises(BudgetExceededError):
             patch.setattr(module, limit, 3)
@@ -509,7 +533,7 @@ def test_coloring_totals_are_cached_on_the_sorted_profiles():
     xc._colored_total.cache_clear()
     profiles = list(all_compositions(5))
     totals = {
-        (gamma, delta): xc.oracle_colored_factorization_count(gamma, delta)
+        (gamma, delta): xc.oracle_separated_colored_count(gamma, delta, 0)
         for gamma in profiles
         for delta in profiles
     }

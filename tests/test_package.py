@@ -304,19 +304,19 @@ def nodes_loaded(argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 5421),
-        (["sep-prob", "--lambda", "4,4", "--alpha", "1,1", "--method", "both"], 6008),
-        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 3836),
-        (["strong", "--lambda", "4,3", "--m", "4"], 4598),
-        (["hz", "--N", "6"], 4079),
-        (["involution", "--N", "4", "--alpha", "2,1"], 4571),
-        (["connection", "--lambda", "4,3", "--alpha", "5,2"], 4598),
-        (["ncycle", "--n", "9", "--alpha", "2,1"], 3836),
-        (["pcycles", "--n", "7", "--p", "3", "--alpha", "2,2"], 4605),
-        (["lift", "--lambda", "4,3,3", "--r", "2", "--alpha", "3,1,1"], 4605),
-        (["gtable", "--n", "5", "--m", "2", "--k", "1"], 4079),
-        (["table", "--n", "5", "--alphas", "2,1;1,1"], 4346),
-        (["verify", "--suite", "all", "--max-n", "4"], 17838),
+        (["sep-prob", "--lambda", "3,2", "--alpha", "1,1", "--method", "both"], 5389),
+        (["sep-prob", "--lambda", "4,4", "--alpha", "1,1", "--method", "both"], 5976),
+        (["sep-prob", "--lambda", "5,4,2", "--alpha", "2,1"], 3804),
+        (["strong", "--lambda", "4,3", "--m", "4"], 4566),
+        (["hz", "--N", "6"], 4036),
+        (["involution", "--N", "4", "--alpha", "2,1"], 4539),
+        (["connection", "--lambda", "4,3", "--alpha", "5,2"], 4566),
+        (["ncycle", "--n", "9", "--alpha", "2,1"], 3804),
+        (["pcycles", "--n", "7", "--p", "3", "--alpha", "2,2"], 4573),
+        (["lift", "--lambda", "4,3,3", "--r", "2", "--alpha", "3,1,1"], 4573),
+        (["gtable", "--n", "5", "--m", "2", "--k", "1"], 4036),
+        (["table", "--n", "5", "--alphas", "2,1;1,1"], 4314),
+        (["verify", "--suite", "all", "--max-n", "4"], 17396),
     ],
     ids=["sep-prob-both", "sep-prob-both-one-part", "sep-prob", "strong", "hz", "involution",
          "connection", "ncycle", "pcycles", "lift", "gtable", "table", "verify"],

@@ -92,11 +92,11 @@ def test_a_failing_check_renders_its_loop_values(monkeypatch):
     # values, and the other checks of the criterion still pass
     from permsep import crosscheck
 
-    real = crosscheck.colored_factorization_count
+    real = crosscheck.separated_colored_count
     monkeypatch.setattr(
         crosscheck,
-        "colored_factorization_count",
-        lambda n, left, right: real(n, left, right) + ((left, right) == (2, 1)),
+        "separated_colored_count",
+        lambda n, left, m, k, r: real(n, left, m, k, r) + ((left, k) == (2, 1)),
     )
     from permsep.verification import check_colored_triples
 
